@@ -55,7 +55,6 @@ def _build_parser():
     p.add_argument("--phi3-scan", type=int, default=0, metavar="N",
                    help="scan the final pulse phase over [0, 2pi) with N points")
     common(sub.add_parser("robustness", help="reflectivities vs momentum spread"))
-    p = common(sub.add_parser("robustness-grid", help=argparse.SUPPRESS))
     common(sub.add_parser("check", help="run the numerical invariant suite"))
     common(sub.add_parser("oracle-diff", help="grid vs ladder backend comparison"))
     return ap

@@ -153,16 +153,7 @@ def _ladder_batch_populations(seq, qs, input_classes, cfg, order, rtol, atol,
         if not j_min <= cls <= j_max:
             raise ParameterError(f"input class {cls} outside window {j_window}")
         c[cls - j_min, :, col] = 1.0
-    units = cfg.units()
-    j = np.arange(j_min, j_max + 1)
-    for item in seq.items:
-        if isinstance(item, Pulse):
-            c = ladder.propagate_batch(qs, c, item, cfg, rtol=rtol, atol=atol,
-                                       j_window=j_window)
-        else:
-            T_t = units.to_dimensionless(item.duration, "time")
-            K = (qs[None, :] + j[:, None]) ** 2
-            c = c * np.exp(-1j * K * T_t)[:, :, None]
+    c = ladder.run_sequence(qs, c, seq.items, cfg, j_window, rtol=rtol, atol=atol)
     return np.abs(c) ** 2, j_min
 
 

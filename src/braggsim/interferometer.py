@@ -83,7 +83,7 @@ def _pulse_indices(seq):
     return [i for i, it in enumerate(seq.items) if isinstance(it, Pulse)]
 
 
-def _free_displacement_after(seq, split_positions):
+def _free_displacement_after(seq):
     """Free-flight displacement per unit class for each segment between splits."""
     # segments: free-evolution durations after each pulse
     segs = []
@@ -96,6 +96,97 @@ def _free_displacement_after(seq, split_positions):
             cur = 0.0
     segs.append(cur)
     return segs  # segs[k] = free time before pulse k; segs[-1] after last
+
+
+def _branch_plan(seq, split_after, keep_classes, max_branches):
+    """Validated split ordinals and the trajectory-closing test on histories."""
+    n = seq.order_hint
+    n_pulses = len(_pulse_indices(seq))
+    split_after = tuple(sorted(set(split_after)))
+    for s in split_after:
+        if s not in range(n_pulses):
+            raise ParameterError(f"split_after index {s} out of range for "
+                                 f"{n_pulses} pulses")
+    if len(keep_classes) ** len(split_after) > max_branches:
+        raise ParameterError(
+            f"splitting into {len(keep_classes)}^{len(split_after)} branches exceeds "
+            f"max_branches={max_branches}; split after fewer pulses or raise the limit")
+
+    # free-evolution time between consecutive pulses, for the closing test
+    gaps = _free_displacement_after(seq)
+
+    def displacement(history):
+        # drift accumulated in the gaps following each split pulse
+        d = 0.0
+        for k, cls in enumerate(history):
+            d += cls * gaps[split_after[k] + 1] if split_after[k] + 1 < len(gaps) else 0.0
+        return d
+
+    ref_lower = displacement(tuple(0 if k % 2 == 0 else n for k in range(len(split_after))))
+    ref_upper = displacement(tuple(n if k % 2 == 0 else 0 for k in range(len(split_after))))
+
+    def closes(history):
+        d = displacement(history)
+        return abs(d - ref_lower) < 1e-12 * max(1.0, abs(ref_lower)) \
+            or abs(d - ref_upper) < 1e-12 * max(1.0, abs(ref_upper))
+
+    return split_after, closes
+
+
+class _BranchSplitter:
+    """after_pulse hook of ladder.run_sequence: class-branch splitting.
+
+    After each pulse whose ordinal is in split_after, every column is
+    replaced by its projections onto keep_classes (one new column per
+    class, in class order); the mass outside keep_classes is pruned.
+    """
+
+    def __init__(self, split_after, keep_classes, j_min, histories, nq):
+        self.split_after = split_after
+        self.keep_classes = keep_classes
+        self.j_min = j_min
+        self.histories = list(histories)
+        self.pruned_per_q = np.zeros(nq)
+
+    def __call__(self, k, C):
+        if k not in self.split_after:
+            return C
+        j_min = self.j_min
+        dim, nq, _ = C.shape
+        before = np.sum(np.abs(C) ** 2, axis=0)                     # (nq, nb)
+        new_histories = []
+        Cn = np.zeros((dim, nq, len(self.histories) * len(self.keep_classes)),
+                      dtype=complex)
+        col = 0
+        kept = np.zeros_like(before)
+        for b, h in enumerate(self.histories):
+            for cls in self.keep_classes:
+                Cn[cls - j_min, :, col] = C[cls - j_min, :, b]
+                kept[:, b] += np.abs(C[cls - j_min, :, b]) ** 2
+                new_histories.append(h + (cls,))
+                col += 1
+        self.pruned_per_q += np.sum(before - kept, axis=1)
+        self.histories = new_histories
+        return Cn
+
+
+def _walk_branches(items, qs, C, histories, cfg, split_after, keep_classes, j_window,
+                   rtol, atol):
+    """Run items on branch columns C, splitting after the pulses in split_after.
+
+    Returns (histories, C, pruned_per_q).  Pulse ordinals count the pulses
+    of `items` only.
+    """
+    split = _BranchSplitter(split_after, keep_classes, j_window[0], histories, len(qs))
+    C = ladder.run_sequence(qs, C, items, cfg, j_window, rtol=rtol, atol=atol,
+                            after_pulse=split)
+    return split.histories, C, split.pruned_per_q
+
+
+def _class_zero_columns(dim, nq, j_min):
+    C = np.zeros((dim, nq, 1), dtype=complex)
+    C[0 - j_min, :, 0] = 1.0
+    return C
 
 
 def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
@@ -115,65 +206,14 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     ports = _expected_ports(seq)
     if keep_classes is None:
         keep_classes = tuple(range(n + 1))
-    pulse_ids = _pulse_indices(seq)
-    split_after = tuple(sorted(set(split_after)))
-    for s in split_after:
-        if s not in range(len(pulse_ids)):
-            raise ParameterError(f"split_after index {s} out of range for "
-                                 f"{len(pulse_ids)} pulses")
-    if len(keep_classes) ** len(split_after) > max_branches:
-        raise ParameterError(
-            f"splitting into {len(keep_classes)}^{len(split_after)} branches exceeds "
-            f"max_branches={max_branches}; split after fewer pulses or raise the limit")
-
-    # free-evolution time between consecutive pulses, for the closing test
-    gaps = _free_displacement_after(seq, split_after)
+    split_after, closes = _branch_plan(seq, split_after, keep_classes, max_branches)
 
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)
     jj = np.arange(j_min, j_max + 1)
-    dim, nq = len(jj), len(qs)
-    units = cfg.units()
-
-    def displacement(history):
-        # drift accumulated in the gaps following each split pulse
-        d = 0.0
-        for k, cls in enumerate(history):
-            d += cls * gaps[split_after[k] + 1] if split_after[k] + 1 < len(gaps) else 0.0
-        return d
-
-    ref_lower = displacement(tuple(0 if k % 2 == 0 else n for k in range(len(split_after))))
-    ref_upper = displacement(tuple(n if k % 2 == 0 else 0 for k in range(len(split_after))))
-
-    histories = [()]
-    C = np.zeros((dim, nq, 1), dtype=complex)
-    C[0 - j_min, :, 0] = 1.0
-    pruned_per_q = np.zeros(nq)
-
-    pulse_counter = -1
-    for item in seq.items:
-        if isinstance(item, FreeEvolution):
-            T_t = units.to_dimensionless(item.duration, "time")
-            K = (qs[None, :] + jj[:, None]) ** 2
-            C = C * np.exp(-1j * K * T_t)[:, :, None]
-            continue
-        pulse_counter += 1
-        C = ladder.propagate_batch(qs, C, item, cfg, rtol=rtol, atol=atol,
-                                   j_window=(j_min, j_max))
-        if pulse_counter in split_after:
-            before = np.sum(np.abs(C) ** 2, axis=0)                 # (nq, nb)
-            new_histories = []
-            Cn = np.zeros((dim, nq, len(histories) * len(keep_classes)), dtype=complex)
-            col = 0
-            kept = np.zeros_like(before)
-            for b, h in enumerate(histories):
-                for cls in keep_classes:
-                    Cn[cls - j_min, :, col] = C[cls - j_min, :, b]
-                    kept[:, b] += np.abs(C[cls - j_min, :, b]) ** 2
-                    new_histories.append(h + (cls,))
-                    col += 1
-            pruned_per_q += np.sum(before - kept, axis=1)
-            histories, C = new_histories, Cn
+    histories, C, pruned_per_q = _walk_branches(
+        seq.items, qs, _class_zero_columns(len(jj), len(qs), j_min), [()], cfg,
+        split_after, keep_classes, (j_min, j_max), rtol, atol)
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
     branch_mass = np.tensordot(wts, pops.sum(axis=0), axes=(0, 0))   # (nb,)
@@ -183,8 +223,7 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
 
     tree = []
     for b, h in enumerate(histories):
-        closed = abs(displacement(h) - ref_lower) < 1e-12 * max(1.0, abs(ref_lower)) \
-            or abs(displacement(h) - ref_upper) < 1e-12 * max(1.0, abs(ref_upper))
+        closed = closes(h)
         finals = {int(j): float(np.dot(wts, pops[j - j_min, :, b])) for j in jj}
         tree.append(PathNode(history=h, weight=float(branch_mass[b]),
                              port_class_mass=float(port_mass_b[b]),
@@ -285,7 +324,9 @@ def fit_fringe(phis, values, harmonic):
 
 
 def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
-                backend="ladder", detected="closing", **kw):
+                backend="ladder", detected="closing", split_after=(0, 1),
+                keep_classes=None, max_branches=DEFAULT_MAX_BRANCHES,
+                rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL, grid_opts=None):
     """Port probabilities versus the final pulse's lattice phase.
 
     The grid must span at least 2*pi (as a periodic sampling).  Returns
@@ -295,8 +336,21 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
 
     detected="closing" models the far-field detector: only
     trajectory-closing paths overlap the port spots (paths a mirror left
-    displaced never reach them).  detected="all" bins the full final
-    state by momentum class instead.
+    displaced never reach them).  Branches are split after the pulses in
+    split_after as in path_resolved_mzi.  detected="all" bins the full
+    final state by momentum class instead.
+
+    On the ladder backend the phase enters only as a gauge (see the
+    ladder module): with Lambda(phi) = diag(e^{i j phi}) and the first
+    grid phase as reference phi_ref,
+    U(phi) = Lambda(phi - phi_ref) U(phi_ref) Lambda(phi - phi_ref)^dagger.
+    The pulses before the last run once; the branch columns the detector
+    adds up are summed by linearity (every branch, i.e. the unsplit
+    state, for "all"), or kept per history when the last pulse is split
+    too; and the gauge-rotated copies for all phases propagate through
+    the last pulse as one batch.  The final Lambda does not change class
+    populations.  The grid backend reruns the sequence once per phase: it
+    is the independent oracle and never uses ladder algebra.
     """
     if detected not in ("closing", "all"):
         raise ParameterError(f"unknown detector model {detected!r}")
@@ -307,25 +361,71 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
         raise ParameterError("phi3 grid must span at least 2*pi")
     n = seq.order_hint
     ports = _expected_ports(seq)
-    last_pulse_idx = max(i for i, it in enumerate(seq.items) if isinstance(it, Pulse))
+    if backend == "ladder":
+        if keep_classes is None:
+            keep_classes = tuple(range(n + 1))
+        port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, detected,
+                                   split_after, keep_classes, max_branches, rtol, atol)
+    elif detected == "closing":
+        raise ParameterError("path-resolved runs support the ladder backend only")
+    else:
+        last_pulse_idx = _pulse_indices(seq)[-1]
+        port_vals = {p: [] for p in ports}
+        for phi3 in phi3_grid:
+            items = list(seq.items)
+            items[last_pulse_idx] = replace(items[last_pulse_idx], phase=float(phi3))
+            rep = run_mzi(PulseSequence(tuple(items)), dist, cfg, quadrature=quadrature,
+                          backend=backend, rtol=rtol, atol=atol, grid_opts=grid_opts)
+            for p in ports:
+                port_vals[p].append(rep.ports[p])
     rows = []
-    for phi3 in phi3_grid:
-        items = list(seq.items)
-        items[last_pulse_idx] = replace(items[last_pulse_idx], phase=float(phi3))
-        new_seq = PulseSequence(tuple(items))
-        if detected == "closing":
-            _, rep = path_resolved_mzi(new_seq, dist, cfg, quadrature=quadrature,
-                                       backend=backend, **kw)
-            port_vals = rep.meta["ports_closing"]
-        else:
-            rep = run_mzi(new_seq, dist, cfg, quadrature=quadrature,
-                          backend=backend, **kw)
-            port_vals = rep.ports
+    for k, phi3 in enumerate(phi3_grid):
+        vals = {p: float(port_vals[p][k]) for p in ports}
         rows.append({"phi3": float(phi3),
-                     **{f"port_{p}": port_vals[p] for p in ports},
-                     "undetected": 1.0 - sum(port_vals[p] for p in ports)})
+                     **{f"port_{p}": vals[p] for p in ports},
+                     "undetected": 1.0 - sum(vals.values())})
     fits = {}
     for p in ports:
         fits[p] = fit_fringe([r["phi3"] for r in rows],
                              [r[f"port_{p}"] for r in rows], harmonic=n)
     return rows, fits
+
+
+def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after,
+                   keep_classes, max_branches, rtol, atol):
+    """{port: probabilities at each phase} from one run of the shared prefix."""
+    n = seq.order_hint
+    if detected == "all":
+        split_after, closes = (), (lambda h: True)
+    else:
+        split_after, closes = _branch_plan(seq, split_after, keep_classes, max_branches)
+    pulse_ids = _pulse_indices(seq)
+    last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
+    qs, wts = dist.nodes(quadrature)
+    j_min, j_max = ladder.default_j_window(n)
+    jj = np.arange(j_min, j_max + 1)
+    dim, nq, nphi = len(jj), len(qs), len(phis)
+
+    histories, C, _ = _walk_branches(
+        seq.items[:last], qs, _class_zero_columns(dim, nq, j_min), [()], cfg,
+        split_after, keep_classes, (j_min, j_max), rtol, atol)
+    final_closes = closes
+    if n_prefix not in split_after:
+        # the detector's branch sum commutes with the last pulse
+        C = C[:, :, np.array([closes(h) for h in histories], dtype=bool)].sum(
+            axis=2, keepdims=True)
+        histories, final_closes = [()], (lambda h: True)
+
+    # one gauge-rotated copy per phase, phase-major along the column axis
+    gauge = np.exp(1j * np.outer(jj, phis - phis[0]))               # (dim, nphi)
+    ncol = C.shape[2]
+    C = (np.conj(gauge)[:, None, :, None] * C[:, :, None, :]).reshape(dim, nq, nphi * ncol)
+    items = (replace(seq.items[last], phase=float(phis[0])), *seq.items[last + 1:])
+    last_split = (0,) if n_prefix in split_after else ()
+    histories, C, _ = _walk_branches(items, qs, C, histories * nphi, cfg, last_split,
+                                     keep_classes, (j_min, j_max), rtol, atol)
+    m = len(histories) // nphi
+    C = C.reshape(dim, nq, nphi, m) * gauge[:, None, :, None]
+    detected_cols = np.array([final_closes(h) for h in histories[:m]], dtype=bool)
+    pops = np.abs(C[:, :, :, detected_cols].sum(axis=3)) ** 2         # (dim, nq, nphi)
+    return {p: wts @ pops[p - j_min] for p in _expected_ports(seq)}

@@ -17,6 +17,21 @@ kinetic diagonal (c_j = e^{-i(q+j)^2 t} a_j), an exact reformulation that
 removes the fastest phases; the oscillating lattice coupling itself is
 integrated directly (no co-moving or rotating-wave transformation).  The
 bare frame is available for cross-checks via frame="bare".
+
+The lattice phase is a gauge.  With Lambda(phi) = diag(e^{i j phi}) on the
+window, H(phi) = Lambda(phi) H(0) Lambda(phi)^dagger (the raising element
+picks up e^{i(j+1)phi} e^{-i j phi} = e^{i phi}), so the pulse propagator
+obeys
+
+    U(phi) = Lambda(phi - phi_ref) U(phi_ref) Lambda(phi - phi_ref)^dagger
+
+for any reference phase.  This is the co-moving-frame statement of Siemß
+et al., PRA 102, 033709 (2020); it is exact on the truncated window.  A
+phase scan therefore propagates the gauge-rotated inputs
+Lambda^dagger c0 once, at the reference phase, as columns of one batch.
+Lambda is diagonal with unit-modulus entries, so the final Lambda leaves
+every class population unchanged and commutes with free evolution and
+with projections onto classes.
 """
 from __future__ import annotations
 
@@ -181,8 +196,10 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     else:
         raise ParameterError(f"unknown frame {frame!r}; use 'interaction' or 'bare'")
 
+    # t_eval keeps only the end state: memory grows with the batch, not the steps
     sol = solve_ivp(rhs, (0.0, tau), np.ascontiguousarray(c0).ravel(), method="DOP853",
-                    rtol=rtol, atol=atol, first_step=tau / 1000, max_step=tau / 50)
+                    t_eval=[tau], rtol=rtol, atol=atol, first_step=tau / 1000,
+                    max_step=tau / 50)
     if not sol.success:
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})
@@ -208,6 +225,34 @@ def free_evolve(state, T, cfg=None):
     phases = np.exp(-1j * (state.q + state.j) ** 2 * T_t)
     return LadderState(state.q, state.j_min, state.j_max, state.amps * phases,
                        state.time + T_t)
+
+
+def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                 after_pulse=None):
+    """Amplitudes of shape (dim, nq, ncol) after pulses and free evolutions.
+
+    Every column goes through the same items; pulses propagate as one
+    batch.  after_pulse(k, c), if given, is called after the k-th pulse of
+    `items` (0-based) and returns the amplitudes to continue with, which
+    may have a different number of columns (path-resolved runs split
+    branches there).
+    """
+    j = np.arange(j_window[0], j_window[1] + 1)
+    units = cfg.units()
+    k = -1
+    for item in items:
+        if isinstance(item, Pulse):
+            k += 1
+            c = propagate_batch(qs, c, item, cfg, rtol=rtol, atol=atol, j_window=j_window)
+            if after_pulse is not None:
+                c = after_pulse(k, c)
+        elif isinstance(item, FreeEvolution):
+            T_t = units.to_dimensionless(item.duration, "time")
+            K = (qs[None, :] + j[:, None]) ** 2
+            c = c * np.exp(-1j * K * T_t)[:, :, None]
+        else:
+            raise ParameterError(f"unknown sequence item {type(item)}")
+    return c
 
 
 def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,

@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 
 from . import ensemble, gridprop, ladder
 from .ensemble import MomentumDistribution, Quadrature, reflectivity_matrix
-from .errors import ParameterError
+from .errors import BraggSimError, ParameterError
 from .pulses import Pulse
 
 
@@ -62,7 +62,8 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
 
     rabi_grid in rad/s, ascending, interpreted per rabi_convention
     ("avg" = envelope-averaged lab convention, "peak" = peak of f(t)).
-    Per-point failures are recorded, not raised.
+    Per-point failures (BraggSimError) are recorded, not raised; any other
+    exception is a bug and propagates.
     """
     rabi_grid = np.asarray(rabi_grid, dtype=float)
     if np.any(np.diff(rabi_grid) <= 0):
@@ -78,7 +79,7 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
                                            quadrature=quadrature, backend=backend,
                                            input_class=input_class, **kw)
             points.append(ScanPoint(params, {f"P{c}": cp[c] for c in classes}))
-        except Exception as exc:  # propagation failures recorded per point
+        except BraggSimError as exc:  # propagation failures recorded per point
             points.append(ScanPoint(params, {}, failed=True, error=str(exc)))
     return ScanResult(axes=(("rabi", tuple(float(v) for v in rabi_grid)),),
                       points=points,
@@ -123,7 +124,7 @@ def _map_node(args):
             values[f"R_{a}_{b}"] = rec.pair(a, b)
             values[f"R_{a}_{b}_fwd"], values[f"R_{a}_{b}_rev"] = rec.pair_directional(a, b)
         return ScanPoint(params, values)
-    except Exception as exc:
+    except BraggSimError as exc:
         return ScanPoint(params, {}, failed=True, error=str(exc))
 
 

@@ -122,6 +122,13 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "ConfigurationError"
 
 
+def test_unknown_subcommand_rejected_by_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["robustness-grid"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_output_root_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRAGGSIM_OUTPUT_ROOT", str(tmp_path))
     cfg = _cfg(tmp_path, "[output]\ndir = nested/out\n")

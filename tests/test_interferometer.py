@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,57 @@ class TestFringe:
                 1.0, abs=1e-9)
         assert fits[0].contrast > 0.99
         assert fits[0].max_residual < 0.01
+
+    @staticmethod
+    def _per_phase_reference(seq, phis, dist, cfg, quadrature, detected, split_after):
+        """Port values from rerunning the whole sequence once per phase."""
+        last = max(i for i, it in enumerate(seq.items) if isinstance(it, Pulse))
+        n = seq.order_hint
+        out = []
+        for phi3 in phis:
+            items = list(seq.items)
+            items[last] = replace(items[last], phase=float(phi3))
+            phased = PulseSequence(tuple(items))
+            if detected == "closing":
+                _, rep = path_resolved_mzi(phased, dist, cfg, quadrature=quadrature,
+                                           split_after=split_after)
+                ports = rep.meta["ports_closing"]
+            else:
+                ports = run_mzi(phased, dist, cfg, quadrature=quadrature).ports
+            out.append([ports[0], ports[n]])
+        return np.array(out)
+
+    @pytest.mark.parametrize("detected, trailing_free, split_after, uniform", [
+        ("closing", False, (0, 1), True),
+        ("closing", True, (0, 1), False),
+        ("closing", True, (0, 1, 2), False),
+        ("closing", False, (2,), True),
+        ("all", False, (0, 1), True),
+        ("all", True, (0, 1), False),
+    ])
+    def test_one_propagation_matches_per_phase_loop(self, rb87, cloud, detected,
+                                                    trailing_free, split_after, uniform):
+        seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
+                                    TWO_PI * 21e3, 3e-4, phi1=0.4321,
+                                    rabi_convention="avg")
+        if trailing_free:
+            seq = PulseSequence(seq.items + (FreeEvolution(2e-4),))
+        if uniform:
+            phis = np.linspace(0, TWO_PI, 6, endpoint=False)
+        else:
+            phis = np.array([0.3, 0.5, 1.7, 2.2, 3.9, 5.0, 6.6])
+        fast = Quadrature("gauss-hermite", 7)
+        ref = self._per_phase_reference(seq, phis, cloud, rb87, fast, detected, split_after)
+        rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=fast, detected=detected,
+                              split_after=split_after)
+        new = np.array([[r["port_0"], r["port_3"]] for r in rows])
+        assert [r["phi3"] for r in rows] == list(phis)
+        assert np.max(np.abs(new - ref)) <= 1e-10
+
+    def test_grid_backend_needs_all_detector(self, rb87):
+        with pytest.raises(ParameterError):
+            fringe_scan(_ideal_two_level_mzi(rb87), np.linspace(0, TWO_PI, 4, endpoint=False),
+                        DELTA, rb87, backend="grid")
 
     def test_multipath_residual_plain_vs_dichroic(self, rb87, cloud):
         phis = np.linspace(0, TWO_PI, 10, endpoint=False)

@@ -98,6 +98,36 @@ class TestIntegrate:
                    for j in range(a.j_min, a.j_max + 1))
         assert diff < 1e-12
 
+    def test_gauge_covariance_on_random_superposition(self, rb87):
+        # U(phi) = Lambda(phi) U(0) Lambda(phi)^dagger, Lambda = diag(e^{i j phi}),
+        # on the full amplitudes, not only on populations
+        rng = np.random.default_rng(11)
+        qs = np.array([-0.31, 0.0, 0.17, 0.42])
+        j_min, j_max = default_j_window(3)
+        j = np.arange(j_min, j_max + 1)
+        c0 = rng.normal(size=(len(j), len(qs), 3)) + 1j * rng.normal(size=(len(j), len(qs), 3))
+        c0 /= np.sqrt(np.sum(np.abs(c0) ** 2, axis=0, keepdims=True))
+        base = Pulse.on_resonance(rb87, 3, 70e-6, rabi_avg=TWO_PI * 21e3)
+        for phi in (0.9, -2.4):
+            lam = np.exp(1j * j * phi)[:, None, None]
+            shifted = Pulse.on_resonance(rb87, 3, 70e-6, rabi_avg=TWO_PI * 21e3, phase=phi)
+            direct = propagate_batch(qs, c0, shifted, rb87, rtol=1e-12, atol=1e-14)
+            gauged = lam * propagate_batch(qs, np.conj(lam) * c0, base, rb87,
+                                           rtol=1e-12, atol=1e-14)
+            assert np.max(np.abs(direct - gauged)) <= 1e-10
+
+    def test_solution_keeps_only_the_end_state(self, rb87, mirror, monkeypatch):
+        sols = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            sols.append(ladder_solve_ivp(*args, **kwargs))
+            return sols[-1]
+
+        ladder_solve_ivp = ladder.solve_ivp
+        monkeypatch.setattr(ladder, "solve_ivp", recording_solve_ivp)
+        integrate_ladder(ladder_state(0, 0.0, order=3), mirror, rb87)
+        assert len(sols) == 1 and sols[0].y.shape[1] == 1
+
     def test_batch_equals_single(self, rb87, mirror):
         qs = np.array([-0.2, 0.0, 0.15])
         j_min, j_max = default_j_window(3)

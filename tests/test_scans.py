@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from braggsim import ladder
 from braggsim.ensemble import MomentumDistribution, Quadrature
-from braggsim.errors import ParameterError
+from braggsim.errors import IntegrationError, ParameterError
 from braggsim.scans import (DmpCriterion, ScanPoint, ScanResult, find_dmp,
                             first_maximum, pulse_area_labels, rabi_scan,
                             reflectivity_map, spot_check)
@@ -48,6 +49,35 @@ class TestRabiScan:
     def test_grid_must_ascend(self, rb87, cloud9):
         with pytest.raises(ParameterError):
             rabi_scan(rb87, 3, 90e-6, TWO_PI * np.array([2e3, 1e3]), cloud9)
+
+
+class TestFailureTyping:
+    """Package errors become failed points; any other exception is a bug and raises."""
+
+    @staticmethod
+    def _propagator_raising(monkeypatch, exc):
+        def boom(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(ladder, "propagate_batch", boom)
+
+    def _scans(self, rb87, cloud9):
+        grid = TWO_PI * 1e3 * np.array([18.0, 21.0])
+        yield lambda: rabi_scan(rb87, 3, 90e-6, grid, cloud9, quadrature=FAST).points
+        yield lambda: reflectivity_map(rb87, 3, np.array([90e-6, 105e-6]), grid,
+                                       [(0, 3)], cloud9, quadrature=FAST).points
+
+    def test_package_error_is_a_failed_point(self, rb87, cloud9, monkeypatch):
+        self._propagator_raising(monkeypatch, IntegrationError("step size underflow"))
+        for run in self._scans(rb87, cloud9):
+            points = run()
+            assert points and all(pt.failed for pt in points)
+            assert "underflow" in points[0].error
+
+    def test_programming_error_raises(self, rb87, cloud9, monkeypatch):
+        self._propagator_raising(monkeypatch, TypeError("unexpected argument"))
+        for run in self._scans(rb87, cloud9):
+            with pytest.raises(TypeError):
+                run()
 
 
 def _tiny_map(rb87, cloud, tmp_path, jobs=1, cache_name=None):
