@@ -20,7 +20,6 @@ from . import __version__, interferometer, scans, validation
 from .config import parse_config
 from .ensemble import robustness_curve
 from .errors import BraggSimError, ConfigurationError
-from .pulses import Pulse
 from .results import ResultTable, RunManifest, output_dir
 from .scans import DmpCriterion
 
@@ -34,29 +33,31 @@ def _build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", "-c", default=None, help="run configuration file")
         p.add_argument("--output", "-o", default=None, help="output directory override")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: available parallelism)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="config override (repeatable)")
+        p.set_defaults(handler=handler)
         return p
 
-    common(sub.add_parser("rabi-scan", help="class populations vs Rabi frequency"))
-    common(sub.add_parser("map", help="2D (tau, Rabi) reflectivity map"))
-    p = common(sub.add_parser("dmp-find", help="locate the dichroic operating point"))
+    command("rabi-scan", cmd_rabi_scan, "class populations vs Rabi frequency")
+    command("map", cmd_map, "2D (tau, Rabi) reflectivity map")
+    p = command("dmp-find", cmd_dmp_find, "locate the dichroic operating point")
     p.add_argument("--refine", choices=("none", "local"), default=None)
-    p = common(sub.add_parser("mirror-response", help="before/after populations per input class"))
-    p = common(sub.add_parser("mzi", help="Mach-Zehnder interferometer run"))
+    command("mirror-response", cmd_mirror_response, "before/after populations per input class")
+    p = command("mzi", cmd_mzi, "Mach-Zehnder interferometer run")
     p.add_argument("--path-resolved", action="store_true")
     p.add_argument("--split-after", default="0,1",
                    help="pulse ordinals to split at (path-resolved)")
     p.add_argument("--phi3-scan", type=int, default=0, metavar="N",
                    help="scan the final pulse phase over [0, 2pi) with N points")
-    common(sub.add_parser("robustness", help="reflectivities vs momentum spread"))
-    common(sub.add_parser("check", help="run the numerical invariant suite"))
-    common(sub.add_parser("oracle-diff", help="grid vs ladder backend comparison"))
+    command("robustness", cmd_robustness, "reflectivities vs momentum spread")
+    command("check", cmd_check, "run the numerical invariant suite")
+    command("oracle-diff", cmd_oracle_diff, "grid vs ladder backend comparison")
     return ap
 
 
@@ -101,7 +102,14 @@ def _khz(omega):
     return omega / (TWO_PI * 1e3)
 
 
-def cmd_rabi_scan(args, rc, outdir, manifest):
+def _oracle_settings(rc):
+    """[propagator] settings for the ladder-vs-grid comparisons (no backend choice)."""
+    return {k: v for k, v in rc.propagator().items() if k != "backend"}
+
+
+# Every handler takes (args, rc, outdir, manifest, jobs) and returns the exit code.
+
+def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     sc = rc["scan"]
     n = sc["order"]
@@ -110,10 +118,7 @@ def cmd_rabi_scan(args, rc, outdir, manifest):
     if grid[0] == 0.0:
         grid = grid[1:]
     res = scans.rabi_scan(cfg, n, tau, grid, rc.distribution(),
-                          quadrature=rc.quadrature(),
-                          backend=rc.get("propagator", "backend"),
-                          rtol=rc.get("propagator", "ladder_rtol"),
-                          atol=rc.get("propagator", "ladder_atol"))
+                          quadrature=rc.quadrature(), **rc.propagator())
     cols = [("omega_over_2pi_kHz", "kHz")] + [(f"P{c}", "probability")
                                               for c in range(n + 1)]
     table = ResultTable(cols)
@@ -131,7 +136,8 @@ def cmd_rabi_scan(args, rc, outdir, manifest):
     return 0
 
 
-def _run_map(args, rc, outdir, manifest, jobs):
+def _map(args, rc, outdir, manifest, jobs):
+    """Run the reflectivity map and its spot check, write map.tsv, return the map."""
     cfg = rc.physical()
     sc = rc["scan"]
     n = sc["order"]
@@ -141,24 +147,15 @@ def _run_map(args, rc, outdir, manifest, jobs):
         oms = oms.copy()
         oms[0] = 0.5 * (oms[0] + oms[1]) * 1e-6  # avoid the degenerate zero node
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
-                                 quadrature=rc.quadrature(),
-                                 backend=rc.get("propagator", "backend"),
-                                 jobs=jobs,
+                                 quadrature=rc.quadrature(), jobs=jobs,
                                  cache_path=os.path.join(outdir, "map_cache.jsonl"),
-                                 rtol=rc.get("propagator", "ladder_rtol"),
-                                 atol=rc.get("propagator", "ladder_atol"))
+                                 **rc.propagator())
     manifest.failures.extend(res.meta["failures"])
     if sc["spot_check_nodes"] > 0:
         manifest.spot_check = scans.spot_check(cfg, res, rc.distribution(),
                                                n_nodes=sc["spot_check_nodes"],
                                                seed=rc.get("ensemble", "seed"),
-                                               grid_opts=rc.grid_opts())
-    return res
-
-
-def cmd_map(args, rc, outdir, manifest, jobs):
-    res = _run_map(args, rc, outdir, manifest, jobs)
-    sc = rc["scan"]
+                                               **_oracle_settings(rc))
     pair_cols = []
     for a, b in sc["pairs"]:
         pair_cols += [f"R_{a}_{b}", f"R_{a}_{b}_fwd", f"R_{a}_{b}_rev"]
@@ -168,8 +165,7 @@ def cmd_map(args, rc, outdir, manifest, jobs):
         vals = [pt.values.get(c, np.nan) for c in pair_cols]
         table.add(pt.params["tau"] * 1e6, _khz(pt.params["rabi"]), *vals,
                   1 if pt.failed else 0)
-    table.write(os.path.join(outdir, "map.tsv"),
-                manifest.provenance(order=sc["order"]))
+    table.write(os.path.join(outdir, "map.tsv"), manifest.provenance(order=n))
     print(f"map: {len(res.points)} nodes, {len(res.meta['failures'])} failures")
     if manifest.spot_check:
         okmsg = "ok" if manifest.spot_check["passes"] else "FAILED"
@@ -178,8 +174,13 @@ def cmd_map(args, rc, outdir, manifest, jobs):
     return res
 
 
+def cmd_map(args, rc, outdir, manifest, jobs):
+    _map(args, rc, outdir, manifest, jobs)
+    return 0
+
+
 def cmd_dmp_find(args, rc, outdir, manifest, jobs):
-    res = cmd_map(args, rc, outdir, manifest, jobs)
+    res = _map(args, rc, outdir, manifest, jobs)
     sc = rc["scan"]
     n = sc["order"]
     crit = DmpCriterion.for_order(n, lambda_pen=sc["lambda_pen"],
@@ -188,7 +189,7 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
     refine = args.refine if args.refine is not None else sc["refine"]
     rep = scans.find_dmp(res, crit, refine=refine, cfg=rc.physical(),
                          dist=rc.distribution(), quadrature=rc.quadrature(),
-                         backend=rc.get("propagator", "backend"))
+                         **rc.propagator())
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
                "resonant_reflectivity": rep.resonant,
@@ -208,13 +209,12 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def cmd_mirror_response(args, rc, outdir, manifest):
+def cmd_mirror_response(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
     rows = interferometer.mirror_response(range(n + 1), pulse, rc.distribution(), cfg,
-                                          quadrature=rc.quadrature(),
-                                          backend=rc.get("propagator", "backend"))
+                                          quadrature=rc.quadrature(), **rc.propagator())
     table = ResultTable([("input_class", "index")]
                         + [(f"P{c}_after", "probability") for c in range(n + 1)])
     for r in rows:
@@ -229,17 +229,16 @@ def cmd_mirror_response(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_mzi(args, rc, outdir, manifest):
+def cmd_mzi(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     seq = rc.mzi_sequence(cfg)
     dist = rc.distribution()
-    backend = rc.get("propagator", "backend")
+    prop = rc.propagator()
     n = seq.order_hint
     if args.phi3_scan:
         phis = np.linspace(0.0, 2 * np.pi, args.phi3_scan, endpoint=False)
         rows, fits = interferometer.fringe_scan(seq, phis, dist, cfg,
-                                                quadrature=rc.quadrature(),
-                                                backend=backend)
+                                                quadrature=rc.quadrature(), **prop)
         table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
                              (f"port_{n}", "probability"),
                              ("undetected", "probability")])
@@ -256,7 +255,9 @@ def cmd_mzi(args, rc, outdir, manifest):
         split_after = tuple(int(x) for x in args.split_after.split(","))
         tree, rep = interferometer.path_resolved_mzi(seq, dist, cfg,
                                                      quadrature=rc.quadrature(),
-                                                     split_after=split_after)
+                                                     split_after=split_after,
+                                                     backend=prop["backend"],
+                                                     rtol=prop["rtol"], atol=prop["atol"])
         table = ResultTable([("branch", "history"), ("weight", "probability"),
                              ("port_class_mass", "probability"),
                              ("port_coupled_mass", "probability"),
@@ -273,8 +274,7 @@ def cmd_mzi(args, rc, outdir, manifest):
             print(f"  branch {key}: weight {r['weight']:.4f}, coupled into ports "
                   f"{r['port_coupled_fraction']:.3f} of branch mass")
         return 0
-    rep = interferometer.run_mzi(seq, dist, cfg, quadrature=rc.quadrature(),
-                                 backend=backend)
+    rep = interferometer.run_mzi(seq, dist, cfg, quadrature=rc.quadrature(), **prop)
     table = ResultTable([("port", "class"), ("probability", "probability")])
     for p, v in rep.ports.items():
         table.add(p, v)
@@ -285,13 +285,13 @@ def cmd_mzi(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_robustness(args, rc, outdir, manifest):
+def cmd_robustness(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
     dps = np.linspace(0.0, 0.3, 21)
     recs = robustness_curve(pulse, dps, cfg, order=n, quadrature=rc.quadrature(),
-                            backend=rc.get("propagator", "backend"))
+                            **rc.propagator())
     pairs = rc.get("scan", "pairs")
     table = ResultTable([("dp_hbark", "hbar*k_eff")]
                         + [(f"R_{a}_{b}", "probability") for a, b in pairs])
@@ -304,9 +304,9 @@ def cmd_robustness(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_check(args, rc, outdir, manifest):
+def cmd_check(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
-    results = validation.check_suite(cfg, grid_opts=rc.grid_opts())
+    results = validation.check_suite(cfg, **_oracle_settings(rc))
     table = ResultTable([("check", "name"), ("passed", "flag"), ("detail", "text")])
     ok = True
     for name, passed, detail in results:
@@ -317,10 +317,10 @@ def cmd_check(args, rc, outdir, manifest):
     return 0 if ok else 3
 
 
-def cmd_oracle_diff(args, rc, outdir, manifest):
+def cmd_oracle_diff(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
-    od = validation.oracle_diff(pulse, cfg, grid_opts=rc.grid_opts(), tol=1e-3)
+    od = validation.oracle_diff(pulse, cfg, tol=1e-3, **_oracle_settings(rc))
     with open(os.path.join(outdir, "oracle_diff.json"), "w") as fh:
         json.dump({**od, "manifest_hash": manifest.hash}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -339,25 +339,7 @@ def main(argv=None):
         jobs = _jobs(args, rc)
         outdir = output_dir(rc.get("output", "dir"), args.output)
         manifest = _manifest(args.command, rc, args, jobs)
-        if args.command == "rabi-scan":
-            code = cmd_rabi_scan(args, rc, outdir, manifest)
-        elif args.command == "map":
-            cmd_map(args, rc, outdir, manifest, jobs)
-            code = 0
-        elif args.command == "dmp-find":
-            code = cmd_dmp_find(args, rc, outdir, manifest, jobs)
-        elif args.command == "mirror-response":
-            code = cmd_mirror_response(args, rc, outdir, manifest)
-        elif args.command == "mzi":
-            code = cmd_mzi(args, rc, outdir, manifest)
-        elif args.command == "robustness":
-            code = cmd_robustness(args, rc, outdir, manifest)
-        elif args.command == "check":
-            code = cmd_check(args, rc, outdir, manifest)
-        elif args.command == "oracle-diff":
-            code = cmd_oracle_diff(args, rc, outdir, manifest)
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unknown command {args.command}")
+        code = args.handler(args, rc, outdir, manifest, jobs)
         manifest.wall_time_s = time.time() - t0
         manifest.write(os.path.join(outdir, f"{args.command.replace('-', '_')}_manifest.json"))
         return code

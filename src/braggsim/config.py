@@ -17,16 +17,21 @@ follow the envelope-averaged lab convention unless
 
 Unknown keys are rejected; defaults are applied and echoed into the run
 manifest.  Command-line overrides use ``--section.key value``.
+
+``[propagator]`` applies to every command: the backend, the ladder
+tolerances and the grid settings reach each computation a command runs.
 """
 from __future__ import annotations
 
 import configparser
 import re
 
+from . import gridprop, ladder
 from .errors import ConfigurationError
 from .physics import PhysicalConfig, default_rb87
 from .pulses import Pulse, mach_zehnder_sequence
 from .ensemble import MomentumDistribution, Quadrature
+from .splitting import PP34A, SCHEMES, get_scheme
 
 TWO_PI = 6.283185307179586476925286766559
 
@@ -93,7 +98,7 @@ def _nonnegative(x):
 
 
 # schema: section -> key -> (type, default, extra)
-# types: "quantity:<kind>:<default_unit>", "int", "float", "bool", "str", "pairs"
+# types: "quantity:<kind>:<default_unit>", "int", "float", "str", "pairs"
 _SCHEMA = {
     "physics": {
         "preset": ("str", "rb87", ("rb87", "custom")),
@@ -130,12 +135,12 @@ _SCHEMA = {
     },
     "propagator": {
         "backend": ("str", "ladder", ("ladder", "grid")),
-        "scheme": ("str", "pp34a", ("pp34a", "strang")),
-        "tol": ("float", 1e-8, _positive),
-        "ladder_rtol": ("float", 1e-10, _positive),
-        "ladder_atol": ("float", 1e-12, _positive),
-        "grid_points": ("int", 512, _positive),
-        "grid_periods": ("int", 8, _positive),
+        "scheme": ("str", PP34A.name, tuple(SCHEMES)),
+        "tol": ("float", gridprop.DEFAULT_TOL, _positive),
+        "ladder_rtol": ("float", ladder.DEFAULT_RTOL, _positive),
+        "ladder_atol": ("float", ladder.DEFAULT_ATOL, _positive),
+        "grid_points": ("int", gridprop.DEFAULT_NUM_POINTS, _positive),
+        "grid_periods": ("int", gridprop.DEFAULT_NUM_PERIODS, _positive),
     },
     "scan": {
         "order": ("int", 3, _positive),
@@ -175,20 +180,14 @@ def _parse_value(section, key, raw):
             val = float(s)
         except ValueError:
             raise ConfigurationError(f"[{section}.{key}] expected a number, got {raw!r}") from None
-    elif typ == "bool":
-        if s.lower() in ("true", "1", "yes"):
-            val = True
-        elif s.lower() in ("false", "0", "no"):
-            val = False
-        else:
-            raise ConfigurationError(f"[{section}.{key}] expected a boolean, got {raw!r}")
     elif typ == "pairs":
         try:
             val = tuple(tuple(int(x) for x in p.split("-")) for p in s.split(","))
-            assert all(len(p) == 2 for p in val)
-        except Exception:
+        except ValueError:
+            val = None
+        if val is None or any(len(p) != 2 for p in val):
             raise ConfigurationError(
-                f"[{section}.{key}] expected pairs like \"0-3,1-2\", got {raw!r}") from None
+                f"[{section}.{key}] expected pairs like \"0-3,1-2\", got {raw!r}")
     else:
         val = s
     if isinstance(extra, tuple) and val not in extra:
@@ -256,10 +255,16 @@ class RunConfig:
                                      s["phi1"], s["phi2"], s["phi3"],
                                      rabi_convention=conv)
 
-    def grid_opts(self):
+    def grid_opts(self) -> gridprop.GridOptions:
         pr = self.sections["propagator"]
-        return {"num_points": pr["grid_points"], "num_periods": pr["grid_periods"],
-                "scheme": pr["scheme"], "tol": pr["tol"]}
+        return gridprop.GridOptions(gridprop.Grid(pr["grid_points"], pr["grid_periods"]),
+                                    get_scheme(pr["scheme"]), pr["tol"])
+
+    def propagator(self):
+        """backend, rtol, atol and grid_opts keyword arguments from [propagator]."""
+        pr = self.sections["propagator"]
+        return {"backend": pr["backend"], "rtol": pr["ladder_rtol"],
+                "atol": pr["ladder_atol"], "grid_opts": self.grid_opts()}
 
 
 def parse_config(path=None, overrides=(), text=None):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gridprop, ladder
 from .errors import ParameterError
-from .pulses import FreeEvolution, Pulse, PulseSequence
+from .pulses import Pulse, PulseSequence
 
 DEFAULT_BIN_HALFWIDTH = 0.5
 DEFAULT_GH_NODES = 41
@@ -157,15 +157,10 @@ def _ladder_batch_populations(seq, qs, input_classes, cfg, order, rtol, atol,
     return np.abs(c) ** 2, j_min
 
 
-def grid_opts_scheme(grid_opts):
-    from .splitting import get_scheme
-    return get_scheme(grid_opts.get("scheme", "pp34a"))
-
-
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
                      quadrature=Quadrature(), backend="ladder",
                      input_class=0, rtol=ladder.DEFAULT_RTOL,
-                     atol=ladder.DEFAULT_ATOL, grid_opts=None,
+                     atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions(),
                      return_samples=False):
     """Average class populations over the momentum distribution.
 
@@ -187,17 +182,13 @@ def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
         samples = [{c: float(per_sample[c - j_min, i]) for c in classes}
                    for i in range(len(qs))] if return_samples else None
     elif backend == "grid":
-        gopts = dict(grid_opts or {})
-        tol = gopts.pop("tol", gridprop.DEFAULT_TOL)
-        scheme = grid_opts_scheme(gopts)
-        gopts.pop("scheme", None)
-        grid = gridprop.Grid(**gopts)
         raws = []
         for q in qs:
-            st = gridprop.plane_wave(grid, input_class, q)
+            st = gridprop.plane_wave(grid_opts.grid, input_class, q)
             for item in seq.items:
                 if isinstance(item, Pulse):
-                    st = gridprop.propagate_pulse(st, item, cfg, scheme=scheme, tol=tol)
+                    st = gridprop.propagate_pulse(st, item, cfg, scheme=grid_opts.scheme,
+                                                  tol=grid_opts.tol)
                 else:
                     st = gridprop.free_evolve(st, item.duration, cfg)
             cp = class_populations(st, classes)
@@ -246,7 +237,7 @@ class ReflectivityRecord:
 
 def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
                         backend="ladder", rtol=ladder.DEFAULT_RTOL,
-                        atol=ladder.DEFAULT_ATOL, grid_opts=None):
+                        atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
     """Reflectivity matrix over classes 0..n for one mirror pulse.
 
     Each input class a is prepared as the distribution shifted by a; the

@@ -68,6 +68,15 @@ class Grid:
                 f"order {order} with margin 4; increase num_points or decrease num_periods")
 
 
+@dataclass(frozen=True)
+class GridOptions:
+    """Settings of the split-step backend: grid, splitting scheme, step tolerance."""
+
+    grid: Grid = Grid()
+    scheme: SplittingScheme = PP34A
+    tol: float = DEFAULT_TOL
+
+
 @dataclass
 class GridState:
     """Periodic amplitude array plus quasimomentum offset and clock time."""

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ladder
-from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
-                       class_populations, ensemble_average)
+from .ensemble import Quadrature, ensemble_average
 from .errors import ParameterError
 from .pulses import FreeEvolution, Pulse, PulseSequence
 
@@ -56,8 +55,6 @@ class PathNode:
     weight: float                # branch mass at the last split
     port_class_mass: float = 0.0
     port_coupled_mass: float = 0.0
-    final_populations: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
 
 
 def _expected_ports(seq):
@@ -210,9 +207,8 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
 
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)
-    jj = np.arange(j_min, j_max + 1)
     histories, C, pruned_per_q = _walk_branches(
-        seq.items, qs, _class_zero_columns(len(jj), len(qs), j_min), [()], cfg,
+        seq.items, qs, _class_zero_columns(j_max - j_min + 1, len(qs), j_min), [()], cfg,
         split_after, keep_classes, (j_min, j_max), rtol, atol)
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
@@ -223,12 +219,9 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
 
     tree = []
     for b, h in enumerate(histories):
-        closed = closes(h)
-        finals = {int(j): float(np.dot(wts, pops[j - j_min, :, b])) for j in jj}
         tree.append(PathNode(history=h, weight=float(branch_mass[b]),
                              port_class_mass=float(port_mass_b[b]),
-                             port_coupled_mass=float(branch_mass[b]) if closed else 0.0,
-                             final_populations=finals))
+                             port_coupled_mass=float(branch_mass[b]) if closes(h) else 0.0))
 
     # coherent recombination of branches (exact by linearity)
     total = C.sum(axis=2)                                            # (dim, nq)

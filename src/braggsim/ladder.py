@@ -1,4 +1,7 @@
-"""Momentum-ladder propagator: the independent oracle.
+"""Momentum-ladder propagator: the reference backend.
+
+The split-step grid (:mod:`braggsim.gridprop`) is the independent oracle
+it is checked against.
 
 For quasimomentum q (conserved by the lattice) the state lives on the
 discrete comb p = q + j, j integer, in units of hbar*k_eff.  The coupled
@@ -42,7 +45,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ParameterError
-from .pulses import FreeEvolution, Pulse, PulseSequence
+from .pulses import FreeEvolution, Pulse, PulseSequence, blackman_frac
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -130,11 +133,7 @@ def _envelope_scalar(envelope):
     """Fast scalar envelope(u) on fractional time, 0 outside [0, 1]."""
     kind = envelope.kind
     if kind == "blackman":
-        def f(u):
-            if u < 0.0 or u > 1.0:
-                return 0.0
-            return 0.42 - 0.5 * math.cos(2 * math.pi * u) + 0.08 * math.cos(4 * math.pi * u)
-        return f
+        return lambda u: blackman_frac(u, math.cos) if 0.0 <= u <= 1.0 else 0.0
     if kind == "rectangular":
         return lambda u: 1.0 if 0.0 <= u <= 1.0 else 0.0
     return lambda u: float(envelope.value_frac(u))
@@ -257,15 +256,13 @@ def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
 
 def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,
                        atol=DEFAULT_ATOL):
-    """Run a full pulse sequence on one ladder state."""
-    for item in seq.items:
-        if isinstance(item, Pulse):
-            state = integrate_ladder(state, item, cfg, rtol=rtol, atol=atol)
-        elif isinstance(item, FreeEvolution):
-            state = free_evolve(state, item.duration, cfg)
-        else:
-            raise ParameterError(f"unknown sequence item {type(item)}")
-    return state
+    """Run a full pulse sequence on one ladder state (a 1x1 run_sequence batch)."""
+    c = run_sequence(np.array([state.q]), state.amps.reshape(state.dim, 1, 1), seq.items,
+                     cfg, (state.j_min, state.j_max), rtol=rtol, atol=atol)
+    units = cfg.units()
+    time = sum((units.to_dimensionless(it.duration, "time") for it in seq.items),
+               state.time)
+    return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0], time)
 
 
 @dataclass(frozen=True)

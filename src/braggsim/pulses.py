@@ -27,19 +27,22 @@ from .physics import HBAR, PhysicalConfig
 BLACKMAN_MEAN = 0.42  # exact: the DC Fourier coefficient of the window
 
 
-def blackman(t, tau):
-    """Blackman window 0.42 - 0.5*cos(2*pi*t/tau) + 0.08*cos(4*pi*t/tau).
+def blackman_frac(u, cos=np.cos):
+    """Blackman window 0.42 - 0.5*cos(2*pi*u) + 0.08*cos(4*pi*u) at fractional
+    time u, without the cut to [0, 1].
 
-    Defined on [0, tau] and zero outside; t and tau in any common unit.
-    Vectorized in t.
+    The one place the formula is written.  Pass cos=math.cos to evaluate a
+    Python float without numpy overhead, as the ladder right-hand side
+    does once per call.
     """
-    if tau <= 0:
-        raise ParameterError(f"pulse duration must be positive, got {tau}")
-    t = np.asarray(t, dtype=float)
-    u = 2 * np.pi * t / tau
-    val = 0.42 - 0.5 * np.cos(u) + 0.08 * np.cos(2 * u)
-    out = np.where((t >= 0) & (t <= tau), val, 0.0)
-    return out if out.ndim else float(out)
+    w = 2 * np.pi * u
+    return 0.42 - 0.5 * cos(w) + 0.08 * cos(2 * w)
+
+
+def blackman(t, tau):
+    """Blackman window on [0, tau], zero outside; t and tau in any common
+    unit.  Vectorized in t."""
+    return Envelope("blackman", tau).value(t)
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,7 @@ class Envelope:
         """Envelope at fractional time u = t/duration, zero outside [0, 1]."""
         u = np.asarray(u, dtype=float)
         if self.kind == "blackman":
-            w = 2 * np.pi * u
-            val = 0.42 - 0.5 * np.cos(w) + 0.08 * np.cos(2 * w)
+            val = blackman_frac(u)
         elif self.kind == "rectangular":
             val = np.ones_like(u)
         else:

@@ -3,6 +3,8 @@
 Tables are plain tab-delimited text with a '#'-prefixed provenance
 header declaring a unit for every column; numbers render with repr-level
 precision so reading a table back reproduces the values exactly.
+Columns whose unit is one of TEXT_UNITS hold strings; all others hold
+numbers.
 Manifests are JSON; a hash over the reproducible subset (config, seed,
 backend, scheme, tolerances, code version) is embedded in every table so
 data files reference exactly one manifest.
@@ -14,6 +16,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+
+TEXT_UNITS = ("name", "text", "history")
 
 
 def _fmt(x):
@@ -67,7 +71,8 @@ class ResultTable:
                     header_done = True  # column-name line
                     continue
                 if line:
-                    rows.append(tuple(float(v) for v in line.split("\t")))
+                    rows.append(tuple(v if unit in TEXT_UNITS else float(v)
+                                      for v, (_, unit) in zip(line.split("\t"), columns)))
         t = cls(columns=columns, rows=rows)
         t.provenance = provenance
         return t

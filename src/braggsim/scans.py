@@ -3,8 +3,8 @@ operating-point search.
 
 Map nodes are independent tasks; results merge by node index so output
 is bitwise identical for any worker count.  Finished nodes are cached in
-a JSON-lines file keyed by a parameter hash, making half-finished maps
-resumable with identical results.
+a JSON-lines file keyed by a hash of everything a node's result depends
+on, making half-finished maps resumable with identical results.
 """
 from __future__ import annotations
 
@@ -17,10 +17,11 @@ from multiprocessing import Pool
 import numpy as np
 from scipy.optimize import minimize
 
-from . import ensemble, gridprop, ladder
-from .ensemble import MomentumDistribution, Quadrature, reflectivity_matrix
+from . import __version__, ensemble, gridprop, ladder
+from .ensemble import Quadrature, reflectivity_matrix
 from .errors import BraggSimError, ParameterError
 from .pulses import Pulse
+from .validation import oracle_diff
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,9 @@ class ScanResult:
 
 
 def _node_hash(payload):
-    s = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # repr renders the frozen dataclasses (physics, distribution, grid
+    # options) field by field with exact floats
+    s = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
     return hashlib.sha256(s.encode()).hexdigest()[:16]
 
 
@@ -112,13 +115,14 @@ def first_maximum(xs, ys):
 def _map_node(args):
     """Worker: one (tau, rabi) node of a reflectivity map."""
     (tau, om, n, cfg, dist, quadrature, backend, rabi_convention, pairs,
-     rtol, atol) = args
+     rtol, atol, grid_opts) = args
     params = {"tau": float(tau), "rabi": float(om)}
     try:
         kwarg = {"rabi_peak" if rabi_convention == "peak" else "rabi_avg": om}
         pulse = Pulse.on_resonance(cfg, n, tau, **kwarg)
         rec = reflectivity_matrix(pulse, dist, cfg, order=n, quadrature=quadrature,
-                                  backend=backend, rtol=rtol, atol=atol)
+                                  backend=backend, rtol=rtol, atol=atol,
+                                  grid_opts=grid_opts)
         values = {}
         for a, b in pairs:
             values[f"R_{a}_{b}"] = rec.pair(a, b)
@@ -132,11 +136,12 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                      quadrature=Quadrature(), backend="ladder",
                      rabi_convention="avg", jobs=1, cache_path=None,
                      rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
-                     progress=None):
+                     grid_opts=gridprop.GridOptions(), progress=None):
     """2D reflectivity map over (tau, rabi) for the given class pairs.
 
-    Node results are cached by parameter hash in cache_path (JSON lines);
-    resuming a partial map reproduces a fresh run exactly.
+    Node results are cached in cache_path (JSON lines) under a hash of
+    every `_map_node` argument and the code version; resuming a partial
+    map reproduces a fresh run exactly.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
@@ -148,11 +153,10 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
             raise ParameterError(f"pair ({a},{b}) outside classes 0..{n}")
 
     node_params = [(float(tau), float(om)) for tau in tau_grid for om in rabi_grid]
-    ident = {"n": n, "dp": dist.dp, "p0": dist.p0, "dist": dist.kind,
-             "quad": [quadrature.kind, quadrature.n, quadrature.seed],
-             "backend": backend, "conv": rabi_convention,
-             "pairs": sorted(map(list, pairs)), "rtol": rtol, "atol": atol}
-    hashes = [_node_hash({**ident, "tau": t, "rabi": om}) for t, om in node_params]
+    setting = (n, cfg, dist, quadrature, backend, rabi_convention, tuple(pairs),
+               rtol, atol, grid_opts)
+    hashes = [_node_hash({"setting": setting, "version": __version__, "tau": t,
+                          "rabi": om}) for t, om in node_params]
 
     cached = {}
     if cache_path and os.path.exists(cache_path):
@@ -162,8 +166,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                 cached[rec["hash"]] = rec
     todo = [i for i, h in enumerate(hashes) if h not in cached]
 
-    args = [(node_params[i][0], node_params[i][1], n, cfg, dist, quadrature,
-             backend, rabi_convention, tuple(pairs), rtol, atol) for i in todo]
+    args = [(*node_params[i], *setting) for i in todo]
     if jobs > 1 and len(args) > 1:
         with Pool(processes=jobs) as pool:
             fresh = pool.map(_map_node, args, chunksize=max(1, len(args) // (4 * jobs)))
@@ -246,11 +249,14 @@ class DmpReport:
 
 def find_dmp(map_result, criterion: DmpCriterion, refine="none", cfg=None,
              dist=None, quadrature=Quadrature(), backend="ladder",
-             rabi_convention="avg", max_refine_evals=60):
+             rabi_convention="avg", max_refine_evals=60,
+             rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
+             grid_opts=gridprop.GridOptions()):
     """Best feasible node of a reflectivity map under the criterion.
 
     refine="local" polishes (tau, rabi) with a derivative-free simplex
-    running fresh simulations around the best node (needs cfg and dist).
+    running fresh simulations around the best node (needs cfg and dist),
+    with the given backend settings.
     """
     best = None
     for pt in map_result.points:
@@ -268,16 +274,14 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", cfg=None,
     if refine == "local":
         if cfg is None or dist is None:
             raise ParameterError("refine='local' needs cfg and dist")
-        n = map_result.meta["n"]
-        pairs = [criterion.resonant, *criterion.parasitic]
+        setting = (map_result.meta["n"], cfg, dist, quadrature, backend, rabi_convention,
+                   (criterion.resonant, *criterion.parasitic), rtol, atol, grid_opts)
 
         def neg_obj(x):
             t, o = x
             if t <= 0 or o <= 0:
                 return 1e3
-            args = (t, o, n, cfg, dist, quadrature, backend, rabi_convention,
-                    tuple(pairs), ladder.DEFAULT_RTOL, ladder.DEFAULT_ATOL)
-            p = _map_node(args)
+            p = _map_node((t, o, *setting))
             if p.failed:
                 return 1e3
             obj, _, _, _ = criterion.evaluate(p.values)
@@ -295,10 +299,7 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", cfg=None,
         if r.fun < -objective:
             tau, om = float(r.x[0]), float(r.x[1])
             objective = -float(r.fun)
-            args = (tau, om, map_result.meta["n"], cfg, dist, quadrature, backend,
-                    rabi_convention, tuple(pairs), ladder.DEFAULT_RTOL,
-                    ladder.DEFAULT_ATOL)
-            p = _map_node(args)
+            p = _map_node((tau, om, *setting))
             _, _, res, paras = criterion.evaluate(p.values)
             refined = True
     ratio = res / max(max(paras), 1e-12) if paras else np.inf
@@ -336,12 +337,14 @@ def pulse_area_labels(map_result, pair):
 
 
 def spot_check(cfg, map_result, dist, n_nodes=5, seed=0, tol=1e-3,
-               quadrature=None, grid_opts=None):
+               rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
+               grid_opts=gridprop.GridOptions()):
     """Cross-validate random map nodes against the grid backend.
 
-    Compares plane-wave class populations (all inputs 0..n) between the
-    ladder and split-step backends at n_nodes nodes drawn by a seeded
-    RNG; records the worst absolute deviation.
+    Runs `validation.oracle_diff` (plane-wave inputs 0..n, ladder vs
+    split-step) at n_nodes nodes drawn by a seeded RNG; records the worst
+    absolute deviation.  The map's distribution `dist` plays no part: the
+    comparison is per plane wave.
     """
     rng = np.random.default_rng(seed)
     ok_points = [p for p in map_result.points if not p.failed]
@@ -350,15 +353,12 @@ def spot_check(cfg, map_result, dist, n_nodes=5, seed=0, tol=1e-3,
     conv = map_result.meta.get("rabi_convention", "avg")
     worst = 0.0
     details = []
-    delta = MomentumDistribution("delta", 0.0, 0.0)
     for ipick in sorted(int(i) for i in picks):
         pt = ok_points[ipick]
         kwarg = {"rabi_peak" if conv == "peak" else "rabi_avg": pt.params["rabi"]}
         pulse = Pulse.on_resonance(cfg, n, pt.params["tau"], **kwarg)
-        rec_l = reflectivity_matrix(pulse, delta, cfg, order=n, backend="ladder")
-        rec_g = reflectivity_matrix(pulse, delta, cfg, order=n, backend="grid",
-                                    grid_opts=grid_opts)
-        dev = float(np.max(np.abs(rec_l.matrix - rec_g.matrix)))
+        dev = oracle_diff(pulse, cfg, grid_opts=grid_opts, tol=tol, rtol=rtol,
+                          atol=atol)["max_abs_dev"]
         worst = max(worst, dev)
         details.append({"tau": pt.params["tau"], "rabi": pt.params["rabi"],
                         "max_abs_dev": dev})

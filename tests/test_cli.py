@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from braggsim import ladder
 from braggsim.cli import main
+from braggsim.results import ResultTable
 
 FAST_OVERRIDES = ["--set", "ensemble.nodes=7"]
 
@@ -15,14 +17,24 @@ def _cfg(tmp_path, body=""):
     return path
 
 
+def _reads_back(path):
+    """Read a table the CLI wrote; writing it again must give the same bytes."""
+    table = ResultTable.read(path)
+    table.write(path + ".again", table.provenance)
+    assert open(path + ".again", "rb").read() == open(path, "rb").read()
+    return table
+
+
 def test_check_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"[output]\ndir = {tmp_path}/out\n")
     code = main(["check", "-c", cfg])
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    assert os.path.exists(f"{tmp_path}/out/check.tsv")
     assert os.path.exists(f"{tmp_path}/out/check_manifest.json")
+    table = _reads_back(f"{tmp_path}/out/check.tsv")
+    assert table.rows[0][:2] == ("unit_round_trip", 1.0)
+    assert all(isinstance(row[2], str) for row in table.rows)
 
 
 def test_oracle_diff_command(tmp_path, capsys):
@@ -103,7 +115,32 @@ def test_mzi_path_resolved(tmp_path, capsys):
     assert main(["mzi", "-c", cfg, "--path-resolved"]) == 0
     out = capsys.readouterr().out
     assert "branch" in out
-    assert os.path.exists(f"{tmp_path}/out/mzi_paths.tsv")
+    table = _reads_back(f"{tmp_path}/out/mzi_paths.tsv")
+    assert table.rows[0][0] == "0>0" and isinstance(table.rows[0][1], float)
+
+
+def test_path_resolved_rejects_grid_backend(tmp_path, capsys):
+    cfg = _cfg(tmp_path, f"[sequence]\nt_free = 0.4\n[ensemble]\nnodes = 5\n"
+                         f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["mzi", "-c", cfg, "--path-resolved", "--propagator.backend", "grid"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+
+def test_commands_use_configured_ladder_tolerances(tmp_path, capsys, monkeypatch):
+    seen = []
+    propagate_batch = ladder.propagate_batch
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return propagate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ladder, "propagate_batch", recording)
+    cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
+    for command in ("mzi", "robustness", "mirror-response"):
+        seen.clear()
+        assert main([command, "-c", cfg, "--propagator.ladder_rtol", "1e-4",
+                     "--propagator.ladder_atol", "1e-6"]) == 0
+        assert seen and set(seen) == {(1e-4, 1e-6)}, command
 
 
 def test_override_flags_dotted(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import braggsim
 from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
+from braggsim.gridprop import Grid, GridOptions
 from braggsim.results import ResultTable, RunManifest, manifest_hash
+from braggsim.splitting import STRANG
 
 TWO_PI = 2 * np.pi
 
@@ -67,6 +72,25 @@ class TestParseConfig:
     def test_bad_override_target(self):
         with pytest.raises(ConfigurationError):
             parse_config(text="", overrides=["propagator.speed=11"])
+
+    def test_pairs_checked_under_optimize(self):
+        # python -O strips assert statements; the pairs check must not be one
+        code = ("from braggsim.config import parse_config\n"
+                "parse_config(None, overrides=['scan.pairs=0-3-1,1-2'])")
+        src = os.path.dirname(os.path.dirname(braggsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode != 0
+        assert "ConfigurationError" in out.stderr and "scan.pairs" in out.stderr
+
+    def test_grid_options_from_propagator_section(self):
+        rc = parse_config(text="", overrides=["propagator.grid_points=256",
+                                              "propagator.grid_periods=4",
+                                              "propagator.scheme=strang",
+                                              "propagator.tol=1e-9"])
+        assert rc.grid_opts() == GridOptions(Grid(256, 4), STRANG, 1e-9)
+        assert parse_config(text="").grid_opts() == GridOptions()
 
     def test_pulse_factory_uses_avg_convention(self, rb87):
         rc = parse_config(text='[pulse]\norder = 3\ntau = "120 us"\nomega = 21\n')

@@ -6,7 +6,7 @@ from braggsim.errors import ParameterError
 from braggsim.ladder import (LadderState, default_j_window, free_evolve,
                              integrate_ladder, ladder_hamiltonian, ladder_state,
                              propagate_batch, propagate_sequence, truncation_check)
-from braggsim.pulses import FreeEvolution, Pulse, PulseSequence
+from braggsim.pulses import Envelope, FreeEvolution, Pulse, PulseSequence
 
 TWO_PI = 2 * np.pi
 
@@ -140,6 +140,37 @@ class TestIntegrate:
             for col, cls in enumerate((0, 1)):
                 single = integrate_ladder(ladder_state(cls, q, order=3), mirror, rb87)
                 assert np.max(np.abs(batch[:, iq, col] - single.amps)) < 5e-9
+
+    def test_comb_relabelling(self, rb87, mirror):
+        # the Hamiltonian depends on q + j only, so class j at q on window W
+        # evolves like class j-1 at q+1 on window W-1
+        j_min, j_max = default_j_window(3)
+        qs = np.array([-0.4, -0.1, 0.2, 0.35])
+        c0 = np.zeros((j_max - j_min + 1, len(qs), 2), dtype=complex)
+        c0[0 - j_min, :, 0] = 1.0
+        c0[2 - j_min, :, 1] = 1.0
+        here = propagate_batch(qs, c0, mirror, rb87, j_window=(j_min, j_max))
+        relabelled = propagate_batch(qs + 1, c0, mirror, rb87,
+                                     j_window=(j_min - 1, j_max - 1))
+        assert np.max(np.abs(np.abs(here) ** 2 - np.abs(relabelled) ** 2)) <= 1e-12
+
+    def test_unitarity_on_identity_basis(self, rb87, mirror):
+        j_min, j_max = default_j_window(3)
+        dim = j_max - j_min + 1
+        qs = np.array([-0.3, 0.0, 0.25])
+        c0 = np.repeat(np.eye(dim, dtype=complex)[:, None, :], len(qs), axis=1)
+        U = propagate_batch(qs, c0, mirror, rb87)                    # (dim, nq, dim)
+        for iq in range(len(qs)):
+            u = U[:, iq, :]
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-9
+
+    def test_scalar_blackman_matches_envelope_bitwise(self):
+        # the right-hand side's math.cos envelope and the numpy envelope
+        # share one formula and round alike, inside and outside [0, 1]
+        env = Envelope("blackman", 90e-6)
+        f = ladder._envelope_scalar(env)
+        for u in np.linspace(-0.25, 1.25, 1201).tolist() + [0.0, 0.5, 1.0]:
+            assert f(u) == env.value_frac(u)
 
     def test_unknown_frame(self, rb87, mirror):
         with pytest.raises(ParameterError):

@@ -6,6 +6,7 @@ import pytest
 from braggsim import ladder
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import IntegrationError, ParameterError
+from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
 from braggsim.scans import (DmpCriterion, ScanPoint, ScanResult, find_dmp,
                             first_maximum, pulse_area_labels, rabi_scan,
                             reflectivity_map, spot_check)
@@ -114,6 +115,23 @@ class TestReflectivityMap:
                                    quadrature=FAST, cache_path=cache)
         for pf, pr in zip(full.points, resumed.points):
             assert pf.values == pr.values
+
+    def test_cache_keyed_by_physics(self, rb87, cloud9, tmp_path):
+        k39 = PhysicalConfig(atom_mass=38.9637 * ATOMIC_MASS_KG, wavelength=766.7e-9,
+                             label="K-39")
+        taus = np.array([90e-6, 105e-6])
+        oms = TWO_PI * 1e3 * np.array([18.0, 21.0])
+
+        def values(cfg, cache_path):
+            res = reflectivity_map(cfg, 3, taus, oms, [(0, 3), (1, 2)], cloud9,
+                                   quadrature=FAST, cache_path=cache_path)
+            return [pt.values for pt in res.points]
+
+        cache = os.path.join(tmp_path, "shared.jsonl")
+        rb = values(rb87, cache)
+        k_shared = values(k39, cache)
+        assert k_shared == values(k39, None)
+        assert k_shared != rb
 
     def test_zero_rabi_row_is_identity(self, rb87, cloud9):
         taus = np.array([90e-6, 120e-6])
