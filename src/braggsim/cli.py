@@ -48,7 +48,7 @@ def _build_parser():
     command("map", cmd_map, "2D (tau, Rabi) reflectivity map")
     p = command("dmp-find", cmd_dmp_find, "locate the dichroic operating point")
     p.add_argument("--refine", choices=("none", "local"), default=None)
-    command("mirror-response", cmd_mirror_response, "before/after populations per input class")
+    command("mirror-response", cmd_mirror_response, "populations after the mirror per input class")
     p = command("mzi", cmd_mzi, "Mach-Zehnder interferometer run")
     p.add_argument("--path-resolved", action="store_true")
     p.add_argument("--split-after", default="0,1",
@@ -118,7 +118,9 @@ def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
     if grid[0] == 0.0:
         grid = grid[1:]
     res = scans.rabi_scan(cfg, n, tau, grid, rc.distribution(),
-                          quadrature=rc.quadrature(), **rc.propagator())
+                          quadrature=rc.quadrature(),
+                          rabi_convention=rc.get("pulse", "omega_convention"),
+                          **rc.propagator())
     cols = [("omega_over_2pi_kHz", "kHz")] + [(f"P{c}", "probability")
                                               for c in range(n + 1)]
     table = ResultTable(cols)
@@ -148,6 +150,7 @@ def _map(args, rc, outdir, manifest, jobs):
         oms[0] = 0.5 * (oms[0] + oms[1]) * 1e-6  # avoid the degenerate zero node
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
                                  quadrature=rc.quadrature(), jobs=jobs,
+                                 rabi_convention=rc.get("pulse", "omega_convention"),
                                  cache_path=os.path.join(outdir, "map_cache.jsonl"),
                                  **rc.propagator())
     manifest.failures.extend(res.meta["failures"])
@@ -187,9 +190,7 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
                                   min_resonant=sc["min_resonant"],
                                   max_parasitic=sc["max_parasitic"])
     refine = args.refine if args.refine is not None else sc["refine"]
-    rep = scans.find_dmp(res, crit, refine=refine, cfg=rc.physical(),
-                         dist=rc.distribution(), quadrature=rc.quadrature(),
-                         **rc.propagator())
+    rep = scans.find_dmp(res, crit, refine=refine)
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
                "resonant_reflectivity": rep.resonant,

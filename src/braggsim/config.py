@@ -29,7 +29,7 @@ import re
 from . import gridprop, ladder
 from .errors import ConfigurationError
 from .physics import PhysicalConfig, default_rb87
-from .pulses import Pulse, mach_zehnder_sequence
+from .pulses import Pulse, mach_zehnder_sequence, rabi_kwarg
 from .ensemble import MomentumDistribution, Quadrature
 from .splitting import PP34A, SCHEMES, get_scheme
 
@@ -228,11 +228,10 @@ class RunConfig:
     def pulse(self, cfg=None) -> Pulse:
         cfg = cfg or self.physical()
         p = self.sections["pulse"]
-        kw = {"rabi_peak" if p["omega_convention"] == "peak" else "rabi_avg": p["omega"]}
-        units = cfg.units()
-        p0_si = p["p0"] * units.momentum_unit
+        p0_si = p["p0"] * cfg.units().momentum_unit
         return Pulse.on_resonance(cfg, p["order"], p["tau"], phase=p["phase"],
-                                  p0=p0_si, envelope_kind=p["envelope"], **kw)
+                                  p0=p0_si, envelope_kind=p["envelope"],
+                                  **rabi_kwarg(p["omega_convention"], p["omega"]))
 
     def distribution(self) -> MomentumDistribution:
         e = self.sections["ensemble"]

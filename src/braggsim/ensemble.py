@@ -10,10 +10,17 @@ Momenta in this module are in units of hbar*k_eff.  Classes are indexed
 on each sample's own comb (class i sits at momentum q + i), matching the
 far-field analysis of shifted clouds and keeping the grid and ladder
 backends consistent for every quasimomentum.
+
+One computation, ``_class_masses``, backs every result here: prepare a
+plane wave in input class a on each quadrature momentum, run the pulse or
+sequence, read the class populations and weight them over the
+distribution.  ``ensemble_average`` is one input row of it and
+``reflectivity_matrix`` the square matrix over classes 0..n; it is the
+only place that chooses between the ladder and grid backends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,7 +101,6 @@ class ClassPopulations:
     raw: dict
     norm_set: tuple
     bin_halfwidth: float = DEFAULT_BIN_HALFWIDTH
-    meta: dict = field(default_factory=dict)
 
     def __getitem__(self, cls):
         return self.probs.get(cls, 0.0)
@@ -140,28 +146,40 @@ def _sequence_pulses(pulse_or_seq):
     return pulse_or_seq
 
 
-def _ladder_batch_populations(seq, qs, input_classes, cfg, order, rtol, atol,
-                              j_window=None):
-    """Class populations (dim, nq, ni) after a sequence, batched over momenta."""
-    if j_window is None:
-        j_window = ladder.default_j_window(order)
-    j_min, j_max = j_window
-    dim = j_max - j_min + 1
-    nq, ni = len(qs), len(input_classes)
-    c = np.zeros((dim, nq, ni), dtype=complex)
-    for col, cls in enumerate(input_classes):
-        if not j_min <= cls <= j_max:
-            raise ParameterError(f"input class {cls} outside window {j_window}")
-        c[cls - j_min, :, col] = 1.0
-    c = ladder.run_sequence(qs, c, seq.items, cfg, j_window, rtol=rtol, atol=atol)
-    return np.abs(c) ** 2, j_min
+def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, atol,
+                  grid_opts):
+    """Distribution-weighted class populations, shape (len(inputs), len(classes)).
+
+    Row a is the cloud prepared in class inputs[a]; column b is its mass
+    ending in class classes[b].  The ladder propagates every momentum and
+    input as one batch on the window of the sequence's order; the grid
+    runs one plane wave at a time.
+    """
+    qs, wts = dist.nodes(quadrature)
+    if backend == "ladder":
+        j_window = ladder.default_j_window(seq.order_hint)
+        outside = [c for c in (*inputs, *classes) if not j_window[0] <= c <= j_window[1]]
+        if outside:
+            raise ParameterError(f"classes {outside} outside the ladder window {j_window}")
+        c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs),
+                                seq.items, cfg, j_window, rtol=rtol, atol=atol)
+        pops = np.abs(c[np.subtract(classes, j_window[0])].T) ** 2   # (inputs, nq, classes)
+    elif backend == "grid":
+        def masses(a, q):
+            st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid, a, q),
+                                       seq.items, cfg, grid_opts)
+            raw = class_populations(st, classes).raw
+            return [raw[c] for c in classes]
+        pops = np.array([[masses(a, q) for q in qs] for a in inputs])
+    else:
+        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
+    return np.tensordot(wts, pops, axes=(0, 1))
 
 
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
                      quadrature=Quadrature(), backend="ladder",
                      input_class=0, rtol=ladder.DEFAULT_RTOL,
-                     atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions(),
-                     return_samples=False):
+                     atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
     """Average class populations over the momentum distribution.
 
     The distribution's p0 is interpreted relative to class `input_class`
@@ -170,40 +188,13 @@ def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
     fixed-seed monte-carlo.
     """
     seq = _sequence_pulses(pulse_or_seq)
-    order = seq.order_hint
-    if classes is None:
-        classes = tuple(range(order + 1))
-    qs, wts = dist.nodes(quadrature)
-    if backend == "ladder":
-        pops, j_min = _ladder_batch_populations(seq, qs, (input_class,), cfg,
-                                                order, rtol, atol)
-        per_sample = pops[:, :, 0]                    # (dim, nq)
-        raw = {c: float(np.dot(wts, per_sample[c - j_min])) for c in classes}
-        samples = [{c: float(per_sample[c - j_min, i]) for c in classes}
-                   for i in range(len(qs))] if return_samples else None
-    elif backend == "grid":
-        raws = []
-        for q in qs:
-            st = gridprop.plane_wave(grid_opts.grid, input_class, q)
-            for item in seq.items:
-                if isinstance(item, Pulse):
-                    st = gridprop.propagate_pulse(st, item, cfg, scheme=grid_opts.scheme,
-                                                  tol=grid_opts.tol)
-                else:
-                    st = gridprop.free_evolve(st, item.duration, cfg)
-            cp = class_populations(st, classes)
-            raws.append(cp.raw)
-        raw = {c: float(np.dot(wts, [r[c] for r in raws])) for c in classes}
-        samples = raws if return_samples else None
-    else:
-        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
+    classes = tuple(range(seq.order_hint + 1) if classes is None else classes)
+    masses = _class_masses(seq, dist, cfg, (input_class,), classes, quadrature, backend,
+                           rtol, atol, grid_opts)[0]
+    raw = {c: float(m) for c, m in zip(classes, masses)}
     total = sum(raw.values())
-    probs = {c: raw[c] / total for c in classes}
-    cp = ClassPopulations(probs=probs, raw=raw, norm_set=tuple(classes),
-                          meta={"backend": backend, "quadrature": quadrature.kind,
-                                "n_nodes": len(qs), "dp": dist.dp,
-                                "input_class": input_class})
-    return (cp, samples) if return_samples else cp
+    return ClassPopulations(probs={c: raw[c] / total for c in classes}, raw=raw,
+                            norm_set=classes)
 
 
 @dataclass(frozen=True)
@@ -245,25 +236,8 @@ def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
     """
     n = mirror.order_hint if order is None else order
     classes = tuple(range(n + 1))
-    if backend == "ladder":
-        qs, wts = dist.nodes(quadrature)
-        seq = _sequence_pulses(mirror)
-        pops, j_min = _ladder_batch_populations(seq, qs, classes, cfg, n, rtol, atol)
-        raw = np.empty((n + 1, n + 1))
-        for col, a in enumerate(classes):
-            w = np.tensordot(wts, pops[:, :, col].T, axes=(0, 0))   # (dim,)
-            for b in classes:
-                raw[a, b] = w[b - j_min]
-    elif backend == "grid":
-        raw = np.empty((n + 1, n + 1))
-        for a in classes:
-            cp = ensemble_average(mirror, dist, cfg, classes=classes,
-                                  quadrature=quadrature, backend="grid",
-                                  input_class=a, grid_opts=grid_opts)
-            for b in classes:
-                raw[a, b] = cp.raw[b]
-    else:
-        raise ParameterError(f"unknown backend {backend!r}")
+    raw = _class_masses(_sequence_pulses(mirror), dist, cfg, classes, classes, quadrature,
+                        backend, rtol, atol, grid_opts)
     norm = raw.sum(axis=1, keepdims=True)
     if np.any(norm <= 0):
         raise ParameterError("an input class lost all population from the class set")

@@ -13,7 +13,7 @@ estimate of the scheme per unit time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -233,15 +233,6 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
     return GridState(state.grid, psi, state.q, state.time + tau)
 
 
-def kinetic_phase(state, duration):
-    """Exact kinetic factor exp(-i (k+q)^2 * duration) (dimensionless time)."""
-    if duration == 0.0:
-        return state.copy()
-    k = state.grid.k + state.q
-    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * duration))
-    return GridState(state.grid, psi, state.q, state.time + duration)
-
-
 def potential_phase(state, pulse, cfg, t, duration):
     """Pointwise lattice phase exp(-i V(x, t) * duration) at frozen time t.
 
@@ -253,11 +244,26 @@ def potential_phase(state, pulse, cfg, t, duration):
 
 
 def free_evolve(state, T, cfg=None):
-    """Exact lattice-off evolution for duration T.
+    """Exact lattice-off evolution, the kinetic factor exp(-i (k+q)^2 T).
 
     T in seconds when cfg is given, else dimensionless.
     """
     if T < 0:
         raise ParameterError(f"free evolution must be nonnegative, got {T}")
     T_t = cfg.units().to_dimensionless(T, "time") if cfg is not None else T
-    return kinetic_phase(state, T_t)
+    if T_t == 0.0:
+        return state.copy()
+    k = state.grid.k + state.q
+    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T_t))
+    return GridState(state.grid, psi, state.q, state.time + T_t)
+
+
+def run_sequence(state, items, cfg, opts):
+    """Grid state after the pulses and free evolutions of a sequence's items;
+    pulses step with the scheme and tolerance of opts."""
+    for item in items:
+        if isinstance(item, Pulse):
+            state = propagate_pulse(state, item, cfg, scheme=opts.scheme, tol=opts.tol)
+        else:
+            state = free_evolve(state, item.duration, cfg)
+    return state

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ladder
-from .ensemble import Quadrature, ensemble_average
+from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
 from .pulses import FreeEvolution, Pulse, PulseSequence
 
@@ -64,16 +64,9 @@ def _expected_ports(seq):
 
 def run_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
     """Coherent propagation through the full sequence; no path splitting."""
-    n = seq.order_hint
-    ports = _expected_ports(seq)
-    classes = tuple(range(n + 1))
-    cp = ensemble_average(seq, dist, cfg, classes=classes, quadrature=quadrature,
-                          backend=backend, **kw)
-    port_mass = {p: cp.raw[p] for p in ports}
-    undetected = 1.0 - sum(port_mass.values())
-    return PortReport(ports=port_mass, undetected=undetected,
-                      meta={"backend": backend, "dp": dist.dp,
-                            "normalized_ports": {p: cp[p] for p in ports}})
+    cp = ensemble_average(seq, dist, cfg, quadrature=quadrature, backend=backend, **kw)
+    port_mass = {p: cp.raw[p] for p in _expected_ports(seq)}
+    return PortReport(ports=port_mass, undetected=1.0 - sum(port_mass.values()))
 
 
 def _pulse_indices(seq):
@@ -180,12 +173,6 @@ def _walk_branches(items, qs, C, histories, cfg, split_after, keep_classes, j_wi
     return split.histories, C, split.pruned_per_q
 
 
-def _class_zero_columns(dim, nq, j_min):
-    C = np.zeros((dim, nq, 1), dtype=complex)
-    C[0 - j_min, :, 0] = 1.0
-    return C
-
-
 def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
                       split_after=(0, 1), keep_classes=None,
                       max_branches=DEFAULT_MAX_BRANCHES,
@@ -208,7 +195,7 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)
     histories, C, pruned_per_q = _walk_branches(
-        seq.items, qs, _class_zero_columns(j_max - j_min + 1, len(qs), j_min), [()], cfg,
+        seq.items, qs, ladder.unit_columns((j_min, j_max), len(qs), (0,)), [()], cfg,
         split_after, keep_classes, (j_min, j_max), rtol, atol)
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
@@ -275,19 +262,17 @@ def branch_summary(tree, level=0):
 
 def mirror_response(input_classes, mirror, dist, cfg, quadrature=Quadrature(),
                     backend="ladder", **kw):
-    """Before/after class populations for each prepared input class."""
+    """Class populations 0..n after the mirror for each prepared input class:
+    rows of the mirror's reflectivity matrix."""
     n = mirror.order_hint
-    classes = tuple(range(n + 1))
-    out = []
+    input_classes = tuple(input_classes)
     for cls in input_classes:
         if not 0 <= cls <= n:
             raise ParameterError(f"input class {cls} outside 0..{n}")
-        before = {c: (1.0 if c == cls else 0.0) for c in classes}
-        cp = ensemble_average(mirror, dist, cfg, classes=classes,
-                              quadrature=quadrature, backend=backend,
-                              input_class=cls, **kw)
-        out.append({"input": cls, "before": before, "after": dict(cp.probs)})
-    return out
+    rec = reflectivity_matrix(mirror, dist, cfg, quadrature=quadrature, backend=backend,
+                              **kw)
+    return [{"input": cls, "after": {b: float(rec.matrix[cls, b]) for b in rec.classes}}
+            for cls in input_classes]
 
 
 @dataclass(frozen=True)
@@ -400,7 +385,7 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after,
     dim, nq, nphi = len(jj), len(qs), len(phis)
 
     histories, C, _ = _walk_branches(
-        seq.items[:last], qs, _class_zero_columns(dim, nq, j_min), [()], cfg,
+        seq.items[:last], qs, ladder.unit_columns((j_min, j_max), nq, (0,)), [()], cfg,
         split_after, keep_classes, (j_min, j_max), rtol, atol)
     final_closes = closes
     if n_prefix not in split_after:

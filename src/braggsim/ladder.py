@@ -15,11 +15,12 @@ with W the peak two-photon Rabi frequency and dw the beam frequency
 difference.  The raising matrix element <j+1|H|j> carries
 e^{-i(dw*t - phi)}.
 
-Integration runs by default in the interaction picture of the static
+Integration runs in the interaction picture of the static
 kinetic diagonal (c_j = e^{-i(q+j)^2 t} a_j), an exact reformulation that
 removes the fastest phases; the oscillating lattice coupling itself is
 integrated directly (no co-moving or rotating-wave transformation).  The
-bare frame is available for cross-checks via frame="bare".
+dense bare-frame ``ladder_hamiltonian`` is the reference the tests
+integrate this right-hand side against.
 
 The lattice phase is a gauge.  With Lambda(phi) = diag(e^{i j phi}) on the
 window, H(phi) = Lambda(phi) H(0) Lambda(phi)^dagger (the raising element
@@ -93,9 +94,6 @@ class LadderState:
             return 0.0
         return float(np.abs(self.amps[j - self.j_min]) ** 2)
 
-    def populations(self):
-        return {int(j): float(p) for j, p in zip(self.j, np.abs(self.amps) ** 2)}
-
 
 def ladder_state(cls=0, q=0.0, order=None, j_window=None):
     """Unit-population state in class `cls` with a default or explicit window."""
@@ -107,6 +105,16 @@ def ladder_state(cls=0, q=0.0, order=None, j_window=None):
     amps = np.zeros(j_max - j_min + 1, dtype=complex)
     amps[cls - j_min] = 1.0
     return LadderState(float(q), j_min, j_max, amps)
+
+
+def unit_columns(j_window, nq, classes):
+    """Amplitudes of shape (dim, nq, len(classes)): column k is unit population
+    in class classes[k] at every quasimomentum."""
+    j_min, j_max = j_window
+    c = np.zeros((j_max - j_min + 1, nq, len(classes)), dtype=complex)
+    for col, cls in enumerate(classes):
+        c[cls - j_min, :, col] = 1.0
+    return c
 
 
 def ladder_hamiltonian(q, pulse, cfg, t, j_window):
@@ -140,7 +148,7 @@ def _envelope_scalar(envelope):
 
 
 def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    j_window=None, frame="interaction"):
+                    j_window=None):
     """Propagate amplitudes c0 of shape (dim, nq, ni) through one pulse.
 
     qs has shape (nq,); all quasimomenta share one integration (their
@@ -165,35 +173,19 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         out = c0 * np.exp(-1j * K * tau)[:, :, None]
         return out
 
-    if frame == "interaction":
-        wbond = (K[1:] - K[:-1]) - dw            # (dim-1, nq) bond j -> j+1
+    wbond = (K[1:] - K[:-1]) - dw                # (dim-1, nq) bond j -> j+1
 
-        def rhs(t, y):
-            a = y.reshape(dim, nq, ni)
-            f = env(t / tau)
-            P = np.exp(1j * (t * wbond)) * eiphi
-            da = np.empty_like(a)
-            da[1:] = P[:, :, None] * a[:-1]
-            da[0] = 0.0
-            da[:-1] += np.conj(P)[:, :, None] * a[1:]
-            da += 2.0 * a
-            da *= -0.5j * (W * f)
-            return da.ravel()
-    elif frame == "bare":
-        def rhs(t, y):
-            c = y.reshape(dim, nq, ni)
-            f = env(t / tau)
-            P = complex(np.exp(-1j * (dw * t - phi)))
-            dc = np.empty_like(c)
-            dc[1:] = P * c[:-1]
-            dc[0] = 0.0
-            dc[:-1] += np.conj(P) * c[1:]
-            dc *= 0.5 * W * f
-            dc += (K[:, :, None] + W * f) * c
-            dc *= -1j
-            return dc.ravel()
-    else:
-        raise ParameterError(f"unknown frame {frame!r}; use 'interaction' or 'bare'")
+    def rhs(t, y):
+        a = y.reshape(dim, nq, ni)
+        f = env(t / tau)
+        P = np.exp(1j * (t * wbond)) * eiphi
+        da = np.empty_like(a)
+        da[1:] = P[:, :, None] * a[:-1]
+        da[0] = 0.0
+        da[:-1] += np.conj(P)[:, :, None] * a[1:]
+        da += 2.0 * a
+        da *= -0.5j * (W * f)
+        return da.ravel()
 
     # t_eval keeps only the end state: memory grows with the batch, not the steps
     sol = solve_ivp(rhs, (0.0, tau), np.ascontiguousarray(c0).ravel(), method="DOP853",
@@ -202,28 +194,16 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if not sol.success:
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})
-    a = sol.y[:, -1].reshape(dim, nq, ni)
-    if frame == "interaction":
-        a = a * np.exp(-1j * K * tau)[:, :, None]
-    return a
+    return sol.y[:, -1].reshape(dim, nq, ni) * np.exp(-1j * K * tau)[:, :, None]
 
 
-def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                     frame="interaction"):
+def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Advance one LadderState through a pulse."""
     c0 = state.amps.reshape(state.dim, 1, 1)
     c = propagate_batch(np.array([state.q]), c0, pulse, cfg, rtol=rtol, atol=atol,
-                        j_window=(state.j_min, state.j_max), frame=frame)
+                        j_window=(state.j_min, state.j_max))
     return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0],
                        state.time + pulse.dimensionless(cfg.units())[0])
-
-
-def free_evolve(state, T, cfg=None):
-    """Exact lattice-off phases for duration T (seconds if cfg given)."""
-    T_t = cfg.units().to_dimensionless(T, "time") if cfg is not None else T
-    phases = np.exp(-1j * (state.q + state.j) ** 2 * T_t)
-    return LadderState(state.q, state.j_min, state.j_max, state.amps * phases,
-                       state.time + T_t)
 
 
 def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,

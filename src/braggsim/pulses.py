@@ -234,6 +234,14 @@ class PulseSequence:
         return max((p.order_hint for p in self.pulses), default=1)
 
 
+def rabi_kwarg(convention, omega):
+    """Keyword argument of ``Pulse.on_resonance`` for a Rabi frequency quoted
+    in `convention`: "avg" (envelope-averaged) or "peak"."""
+    if convention not in ("avg", "peak"):
+        raise ParameterError(f"unknown Rabi convention {convention!r}; use 'avg' or 'peak'")
+    return {f"rabi_{convention}": omega}
+
+
 def mach_zehnder_sequence(cfg, n, tau_bs, omega_bs, tau_mirror, omega_mirror,
                           t_free, phi1=0.0, phi2=0.0, phi3=0.0, p0=0.0,
                           rabi_convention="peak"):
@@ -246,12 +254,10 @@ def mach_zehnder_sequence(cfg, n, tau_bs, omega_bs, tau_mirror, omega_mirror,
         raise ParameterError("pulse durations must be positive")
     if t_free < 0:
         raise ParameterError("free evolution time must be nonnegative")
-    kw = {"rabi_peak" if rabi_convention == "peak" else "rabi_avg": None}
 
     def mk(tau, omega, phi):
-        kwargs = dict(kw)
-        kwargs[next(iter(kwargs))] = omega
-        return Pulse.on_resonance(cfg, n, tau, phase=phi, p0=p0, **kwargs)
+        return Pulse.on_resonance(cfg, n, tau, phase=phi, p0=p0,
+                                  **rabi_kwarg(rabi_convention, omega))
 
     items = [mk(tau_bs, omega_bs, phi1)]
     if t_free > 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -20,7 +21,7 @@ from scipy.optimize import minimize
 from . import __version__, ensemble, gridprop, ladder
 from .ensemble import Quadrature, reflectivity_matrix
 from .errors import BraggSimError, ParameterError
-from .pulses import Pulse
+from .pulses import Pulse, rabi_kwarg
 from .validation import oracle_diff
 
 
@@ -75,8 +76,8 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
     points = []
     for om in rabi_grid:
         params = {"rabi": float(om)}
+        kwarg = rabi_kwarg(rabi_convention, om)   # a bad convention raises, no failed point
         try:
-            kwarg = {"rabi_peak" if rabi_convention == "peak" else "rabi_avg": om}
             pulse = Pulse.on_resonance(cfg, n, tau, phase=phase, **kwarg)
             cp = ensemble.ensemble_average(pulse, dist, cfg, classes=classes,
                                            quadrature=quadrature, backend=backend,
@@ -117,8 +118,8 @@ def _map_node(args):
     (tau, om, n, cfg, dist, quadrature, backend, rabi_convention, pairs,
      rtol, atol, grid_opts) = args
     params = {"tau": float(tau), "rabi": float(om)}
+    kwarg = rabi_kwarg(rabi_convention, om)   # a bad convention raises, no failed node
     try:
-        kwarg = {"rabi_peak" if rabi_convention == "peak" else "rabi_avg": om}
         pulse = Pulse.on_resonance(cfg, n, tau, **kwarg)
         rec = reflectivity_matrix(pulse, dist, cfg, order=n, quadrature=quadrature,
                                   backend=backend, rtol=rtol, atol=atol,
@@ -136,12 +137,14 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                      quadrature=Quadrature(), backend="ladder",
                      rabi_convention="avg", jobs=1, cache_path=None,
                      rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
-                     grid_opts=gridprop.GridOptions(), progress=None):
+                     grid_opts=gridprop.GridOptions()):
     """2D reflectivity map over (tau, rabi) for the given class pairs.
 
-    Node results are cached in cache_path (JSON lines) under a hash of
-    every `_map_node` argument and the code version; resuming a partial
-    map reproduces a fresh run exactly.
+    Each finished node is appended to cache_path (JSON lines) under a hash
+    of every `_map_node` argument and the code version, so an interrupted
+    map resumes where it stopped and reproduces a fresh run exactly.  The
+    `_map_node` arguments other than (tau, rabi) are kept as
+    meta["setting"] for refinement.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
@@ -167,25 +170,20 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     todo = [i for i, h in enumerate(hashes) if h not in cached]
 
     args = [(*node_params[i], *setting) for i in todo]
-    if jobs > 1 and len(args) > 1:
-        with Pool(processes=jobs) as pool:
-            fresh = pool.map(_map_node, args, chunksize=max(1, len(args) // (4 * jobs)))
-    else:
-        fresh = []
-        for k, a in enumerate(args):
-            fresh.append(_map_node(a))
-            if progress and (k + 1) % 25 == 0:
-                progress(k + 1, len(args))
-
-    new_lines = []
-    for i, pt in zip(todo, fresh):
-        rec = {"hash": hashes[i], "params": pt.params, "values": pt.values,
-               "failed": pt.failed, "error": pt.error}
-        cached[hashes[i]] = rec
-        new_lines.append(json.dumps(rec, sort_keys=True))
-    if cache_path and new_lines:
-        with open(cache_path, "a") as fh:
-            fh.write("\n".join(new_lines) + "\n")
+    with ExitStack() as stack:
+        if jobs > 1 and len(args) > 1:
+            pool = stack.enter_context(Pool(processes=jobs))
+            fresh = pool.imap(_map_node, args, chunksize=max(1, len(args) // (4 * jobs)))
+        else:
+            fresh = map(_map_node, args)
+        sink = stack.enter_context(open(cache_path, "a")) if cache_path else None
+        for i, pt in zip(todo, fresh):
+            rec = {"hash": hashes[i], "params": pt.params, "values": pt.values,
+                   "failed": pt.failed, "error": pt.error}
+            cached[hashes[i]] = rec
+            if sink:
+                sink.write(json.dumps(rec, sort_keys=True) + "\n")
+                sink.flush()
 
     points = []
     for i, h in enumerate(hashes):
@@ -199,7 +197,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                       meta={"n": n, "backend": backend, "pairs": list(map(tuple, pairs)),
                             "dp": dist.dp, "rabi_convention": rabi_convention,
                             "failures": failures, "quadrature": quadrature.kind,
-                            "quad_n": quadrature.n})
+                            "quad_n": quadrature.n, "setting": setting})
 
 
 @dataclass(frozen=True)
@@ -247,16 +245,13 @@ class DmpReport:
     message: str = ""
 
 
-def find_dmp(map_result, criterion: DmpCriterion, refine="none", cfg=None,
-             dist=None, quadrature=Quadrature(), backend="ladder",
-             rabi_convention="avg", max_refine_evals=60,
-             rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
-             grid_opts=gridprop.GridOptions()):
+def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_evals=60):
     """Best feasible node of a reflectivity map under the criterion.
 
     refine="local" polishes (tau, rabi) with a derivative-free simplex
-    running fresh simulations around the best node (needs cfg and dist),
-    with the given backend settings.
+    running fresh map nodes around the best node, under the map's own
+    meta["setting"] (physics, distribution, quadrature, backend, Rabi
+    convention, tolerances and grid options).
     """
     best = None
     for pt in map_result.points:
@@ -272,10 +267,10 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", cfg=None,
     tau, om = pt.params["tau"], pt.params["rabi"]
     refined = False
     if refine == "local":
-        if cfg is None or dist is None:
-            raise ParameterError("refine='local' needs cfg and dist")
-        setting = (map_result.meta["n"], cfg, dist, quadrature, backend, rabi_convention,
-                   (criterion.resonant, *criterion.parasitic), rtol, atol, grid_opts)
+        setting = map_result.meta.get("setting")
+        if setting is None:
+            raise ParameterError("refine='local' needs a map from reflectivity_map, "
+                                 "whose meta['setting'] it reruns nodes with")
 
         def neg_obj(x):
             t, o = x
@@ -355,8 +350,8 @@ def spot_check(cfg, map_result, dist, n_nodes=5, seed=0, tol=1e-3,
     details = []
     for ipick in sorted(int(i) for i in picks):
         pt = ok_points[ipick]
-        kwarg = {"rabi_peak" if conv == "peak" else "rabi_avg": pt.params["rabi"]}
-        pulse = Pulse.on_resonance(cfg, n, pt.params["tau"], **kwarg)
+        pulse = Pulse.on_resonance(cfg, n, pt.params["tau"],
+                                   **rabi_kwarg(conv, pt.params["rabi"]))
         dev = oracle_diff(pulse, cfg, grid_opts=grid_opts, tol=tol, rtol=rtol,
                           atol=atol)["max_abs_dev"]
         worst = max(worst, dev)

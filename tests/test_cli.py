@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from braggsim import ladder
+from braggsim import ladder, scans
 from braggsim.cli import main
+from braggsim.config import parse_config
 from braggsim.results import ResultTable
 
 FAST_OVERRIDES = ["--set", "ensemble.nodes=7"]
@@ -35,6 +37,26 @@ def test_check_command(tmp_path, capsys):
     table = _reads_back(f"{tmp_path}/out/check.tsv")
     assert table.rows[0][:2] == ("unit_round_trip", 1.0)
     assert all(isinstance(row[2], str) for row in table.rows)
+
+
+def test_rabi_scan_follows_omega_convention(tmp_path, capsys):
+    # peak Rabi values reach P3's first maximum at about 54 kHz, avg at 23 kHz
+    cfg = _cfg(tmp_path, "[scan]\nomega_min = 10\nomega_max = 80\nomega_count = 15\n"
+                         "[ensemble]\nnodes = 3\n")
+    probs = {}
+    for conv in ("avg", "peak"):
+        assert main(["rabi-scan", "-c", cfg, "-o", f"{tmp_path}/{conv}",
+                     "--set", f"pulse.omega_convention={conv}"]) == 0
+        table = ResultTable.read(f"{tmp_path}/{conv}/rabi_scan.tsv")
+        probs[conv] = [row[1:] for row in table.rows]
+    assert probs["peak"] != probs["avg"]
+    rc = parse_config(cfg, overrides=["pulse.omega_convention=peak"])
+    sc = rc["scan"]
+    res = scans.rabi_scan(rc.physical(), sc["order"], rc.get("pulse", "tau"),
+                          np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"]),
+                          rc.distribution(), quadrature=rc.quadrature(),
+                          rabi_convention="peak", **rc.propagator())
+    assert probs["peak"] == [tuple(pt.values[f"P{c}"] for c in range(4)) for pt in res.points]
 
 
 def test_oracle_diff_command(tmp_path, capsys):

@@ -146,6 +146,18 @@ class TestEnsembleAverage:
         with pytest.raises(ParameterError):
             ensemble_average(mirror, cloud, rb87, backend="tensor")
 
+    def test_classes_outside_ladder_window_rejected(self, rb87, mirror, monkeypatch):
+        # the order-3 window is [-7, 10]: class -20 must not wrap onto class -2
+        def never(*args, **kwargs):
+            raise AssertionError("integrated before checking the classes")
+        monkeypatch.setattr(ladder, "propagate_batch", never)
+        delta = MomentumDistribution("delta", 0.0, 0.0)
+        for classes in ((-20, 0, 1, 2, 3), (0, 30)):
+            with pytest.raises(ParameterError):
+                ensemble_average(mirror, delta, rb87, classes=classes)
+        with pytest.raises(ParameterError):
+            ensemble_average(mirror, delta, rb87, input_class=11)
+
 
 class TestReflectivity:
     def test_zero_rabi_identity(self, rb87, cloud):
@@ -180,6 +192,31 @@ class TestReflectivity:
         rl = reflectivity_matrix(mirror, delta, rb87, backend="ladder")
         rg = reflectivity_matrix(mirror, delta, rb87, backend="grid")
         assert np.max(np.abs(rl.matrix - rg.matrix)) < 1e-4
+
+
+class TestReciprocity:
+    """A time-symmetric envelope gives P(a -> b) = P(b -> a) exactly."""
+
+    @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (5, 150e-6, 40.0)])
+    def test_symmetric_envelope_symmetric_matrix(self, rb87, cloud, n, tau, rabi_khz):
+        pulse = Pulse.on_resonance(rb87, n, tau, rabi_avg=TWO_PI * rabi_khz * 1e3)
+        for dist in (MomentumDistribution("delta", 0.0, 0.0), cloud):
+            raw = reflectivity_matrix(pulse, dist, rb87,
+                                      quadrature=Quadrature("gauss-hermite", 9)).raw_matrix
+            assert np.max(np.abs(raw - raw.T)) <= 1e-12
+
+    def test_asymmetric_envelope_control(self, rb87):
+        # a linear ramp-down has no time symmetry, so reciprocity is lost; the
+        # matrix is not symmetric, so matching row 1 pins (input, class) order
+        pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3,
+                                   envelope_kind="tabulated",
+                                   samples=((0.0, 1.0), (90e-6, 0.0)))
+        raw = reflectivity_matrix(pulse, MomentumDistribution("delta", 0.0, 0.0),
+                                  rb87).raw_matrix
+        assert np.max(np.abs(raw - raw.T)) > 1e-2
+        single = ladder.integrate_ladder(ladder.ladder_state(1, 0.0, order=3), pulse, rb87)
+        for b in range(4):
+            assert raw[1, b] == pytest.approx(single.population(b), abs=1e-12)
 
 
 class TestRobustness:

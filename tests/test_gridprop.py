@@ -3,7 +3,7 @@ import pytest
 
 from braggsim import gridprop, ladder
 from braggsim.errors import ParameterError
-from braggsim.gridprop import Grid, free_evolve, kinetic_phase, plane_wave, \
+from braggsim.gridprop import Grid, free_evolve, plane_wave, \
     momentum_populations, potential_phase, propagate_pulse, propagate_pulse_fixed
 from braggsim.pulses import Pulse
 from braggsim.splitting import PP34A, STRANG
@@ -36,13 +36,13 @@ class TestGrid:
 class TestKinetic:
     def test_identity_on_zero_momentum(self):
         st = plane_wave(Grid(), 0, 0.0)
-        out = kinetic_phase(st, 0.37)
+        out = free_evolve(st, 0.37)
         assert np.allclose(out.psi, st.psi, atol=1e-14)
 
     def test_global_phase_on_recoil_state(self):
         st = plane_wave(Grid(), 1, 0.0)
         t = 0.83
-        out = kinetic_phase(st, t)
+        out = free_evolve(st, t)
         assert np.allclose(out.psi, st.psi * np.exp(-1j * t), atol=1e-12)
 
     def test_gaussian_spreading_law(self):
@@ -55,7 +55,7 @@ class TestKinetic:
         psi /= np.linalg.norm(psi)
         st = gridprop.GridState(g, psi, 0.0, 0.0)
         t = 1.5
-        out = kinetic_phase(st, t)
+        out = free_evolve(st, t)
         prob = np.abs(out.psi) ** 2
         prob /= prob.sum()
         mean = float(np.sum(x * prob))
@@ -110,7 +110,7 @@ class TestPropagatePulse:
         st = plane_wave(Grid(), 2, 0.1)
         out = propagate_pulse(st, pulse, rb87)
         tau_t = rb87.units().to_dimensionless(90e-6, "time")
-        ref = kinetic_phase(st, tau_t)
+        ref = free_evolve(st, tau_t)
         assert np.max(np.abs(out.psi - ref.psi)) < 1e-9
 
     def test_final_time_exact(self, rb87, mirror):

@@ -7,7 +7,7 @@ from braggsim.errors import ParameterError
 from braggsim.physics import HBAR
 from braggsim.pulses import (Envelope, FreeEvolution, Pulse, PulseSequence,
                              blackman, mach_zehnder_sequence, rabi_from_power,
-                             resonance_delta_omega)
+                             rabi_kwarg, resonance_delta_omega)
 
 TWO_PI = 2 * np.pi
 
@@ -165,6 +165,14 @@ class TestSequence:
         mirror = seq.pulses[1]
         assert mirror.duration == 120e-6
         assert mirror.rabi_avg == pytest.approx(TWO_PI * 21e3, rel=1e-12)
+
+    def test_unknown_rabi_convention_rejected(self, rb87):
+        assert rabi_kwarg("peak", 2.0) == {"rabi_peak": 2.0}
+        with pytest.raises(ParameterError):
+            rabi_kwarg("Peak", 1.0)
+        with pytest.raises(ParameterError):
+            mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, 9e4, 1e-3,
+                                  rabi_convention="Peak")
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ParameterError):

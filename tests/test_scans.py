@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from braggsim import ladder
+from braggsim import ladder, scans
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
@@ -133,6 +133,32 @@ class TestReflectivityMap:
         assert k_shared == values(k39, None)
         assert k_shared != rb
 
+    def test_interrupted_map_resumes(self, rb87, cloud9, tmp_path, monkeypatch):
+        # each finished node is in the cache before the next one starts
+        taus = np.array([90e-6, 105e-6])
+        oms = TWO_PI * 1e3 * np.array([18.0, 21.0])
+        cache = os.path.join(tmp_path, "c.jsonl")
+
+        def run(cache_path):
+            return reflectivity_map(rb87, 3, taus, oms, [(0, 3), (1, 2)], cloud9,
+                                    quadrature=FAST, cache_path=cache_path)
+
+        node, calls = scans._map_node, []
+
+        def interrupted(args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return node(args)
+
+        monkeypatch.setattr(scans, "_map_node", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(cache)
+        monkeypatch.undo()
+        with open(cache) as fh:
+            assert len(fh.readlines()) == 2
+        assert [p.values for p in run(cache).points] == [p.values for p in run(None).points]
+
     def test_zero_rabi_row_is_identity(self, rb87, cloud9):
         taus = np.array([90e-6, 120e-6])
         oms = np.array([1e-9, TWO_PI * 18e3])
@@ -188,6 +214,20 @@ class TestFindDmp:
         crit = DmpCriterion((0, 3), ((1, 2),), min_resonant=1.5)
         rep = find_dmp(m, crit)
         assert not rep.found and "no" in rep.message.lower()
+
+    def test_local_refinement_reruns_the_map_setting(self, rb87):
+        delta = MomentumDistribution("delta", 0.0, 0.0)
+        m = reflectivity_map(rb87, 3, np.array([90e-6, 120e-6]),
+                             TWO_PI * 1e3 * np.array([40.0, 56.0]), [(0, 3), (1, 2)], delta,
+                             rabi_convention="peak")
+        crit = DmpCriterion.for_order(3, min_resonant=0.0, max_parasitic=1.0)
+        rep = find_dmp(m, crit, refine="local", max_refine_evals=8)
+        assert rep.refined
+        objective, _, res, paras = crit.evaluate(
+            scans._map_node((rep.tau, rep.rabi, *m.meta["setting"])).values)
+        assert (rep.objective, rep.resonant, rep.parasitic) == (objective, res, tuple(paras))
+        with pytest.raises(ParameterError):
+            find_dmp(_synth_map(), crit, refine="local")
 
     def test_for_order_parasitic_pairs(self):
         assert DmpCriterion.for_order(3).parasitic == ((1, 2),)
