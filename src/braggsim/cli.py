@@ -155,10 +155,8 @@ def _map(args, rc, outdir, manifest, jobs):
                                  **rc.propagator())
     manifest.failures.extend(res.meta["failures"])
     if sc["spot_check_nodes"] > 0:
-        manifest.spot_check = scans.spot_check(cfg, res, rc.distribution(),
-                                               n_nodes=sc["spot_check_nodes"],
-                                               seed=rc.get("ensemble", "seed"),
-                                               **_oracle_settings(rc))
+        manifest.spot_check = scans.spot_check(res, n_nodes=sc["spot_check_nodes"],
+                                               seed=rc.get("ensemble", "seed"))
     pair_cols = []
     for a, b in sc["pairs"]:
         pair_cols += [f"R_{a}_{b}", f"R_{a}_{b}_fwd", f"R_{a}_{b}_rev"]
@@ -264,16 +262,17 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
                              ("port_coupled_mass", "probability"),
                              ("port_class_fraction", "ratio"),
                              ("port_coupled_fraction", "ratio")])
-        for key, r in sorted(rep.per_branch.items()):
-            table.add(key, r["weight"], r["port_class_mass"], r["port_coupled_mass"],
-                      r["port_class_fraction"], r["port_coupled_fraction"])
+        tree = sorted(tree, key=lambda nd: nd.key)
+        for nd in tree:
+            table.add(nd.key, nd.weight, nd.port_class_mass, nd.port_coupled_mass,
+                      nd.port_class_fraction, nd.port_coupled_fraction)
         table.write(os.path.join(outdir, "mzi_paths.tsv"),
                     manifest.provenance(order=n, split_after=args.split_after))
         print(f"ports {dict((k, round(v, 4)) for k, v in rep.ports.items())}, "
               f"undetected {rep.undetected:.4f}, pruned {rep.pruned:.2e}")
-        for key, r in sorted(rep.per_branch.items()):
-            print(f"  branch {key}: weight {r['weight']:.4f}, coupled into ports "
-                  f"{r['port_coupled_fraction']:.3f} of branch mass")
+        for nd in tree:
+            print(f"  branch {nd.key}: weight {nd.weight:.4f}, coupled into ports "
+                  f"{nd.port_coupled_fraction:.3f} of branch mass")
         return 0
     rep = interferometer.run_mzi(seq, dist, cfg, quadrature=rc.quadrature(), **prop)
     table = ResultTable([("port", "class"), ("probability", "probability")])

@@ -20,6 +20,9 @@ manifest.  Command-line overrides use ``--section.key value``.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
+``[pulse]`` order, omega_convention and p0 (the momentum the pulses are
+tuned to) also set the ``mzi`` sequence, whose durations, Rabi
+frequencies, phases and free time come from ``[sequence]``.
 """
 from __future__ import annotations
 
@@ -244,15 +247,14 @@ class RunConfig:
         e = self.sections["ensemble"]
         return Quadrature(kind=e["quadrature"], n=e["nodes"], seed=e["seed"])
 
-    def mzi_sequence(self, cfg=None, order=None):
-        cfg = cfg or self.physical()
+    def mzi_sequence(self, cfg):
         s = self.sections["sequence"]
-        n = order if order is not None else self.sections["pulse"]["order"]
-        conv = self.sections["pulse"]["omega_convention"]
-        return mach_zehnder_sequence(cfg, n, s["tau_bs"], s["omega_bs"],
+        p = self.sections["pulse"]
+        return mach_zehnder_sequence(cfg, p["order"], s["tau_bs"], s["omega_bs"],
                                      s["tau_mirror"], s["omega_mirror"], s["t_free"],
                                      s["phi1"], s["phi2"], s["phi3"],
-                                     rabi_convention=conv)
+                                     p0=p["p0"] * cfg.units().momentum_unit,
+                                     rabi_convention=p["omega_convention"])
 
     def grid_opts(self) -> gridprop.GridOptions:
         pr = self.sections["propagator"]

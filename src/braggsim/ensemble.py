@@ -9,7 +9,8 @@ which the tests verify against the grid backend).
 Momenta in this module are in units of hbar*k_eff.  Classes are indexed
 on each sample's own comb (class i sits at momentum q + i), matching the
 far-field analysis of shifted clouds and keeping the grid and ladder
-backends consistent for every quasimomentum.
+backends consistent for every quasimomentum.  Grid states are binned by
+``gridprop.momentum_populations`` into [c - 1/2, c + 1/2).
 
 One computation, ``_class_masses``, backs every result here: prepare a
 plane wave in input class a on each quadrature momentum, run the pulse or
@@ -20,7 +21,7 @@ only place that chooses between the ladder and grid backends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from . import gridprop, ladder
 from .errors import ParameterError
 from .pulses import Pulse, PulseSequence
 
-DEFAULT_BIN_HALFWIDTH = 0.5
 DEFAULT_GH_NODES = 41
 
 
@@ -70,9 +70,6 @@ class MomentumDistribution:
             if len(w) == 0 or np.any(w < 0) or w.sum() <= 0:
                 raise ParameterError("tabulated distribution needs nonnegative weights")
 
-    def shifted(self, delta):
-        return replace(self, p0=self.p0 + delta)
-
     def nodes(self, quadrature: Quadrature):
         """(momenta, weights) with weights summing to 1."""
         if self.kind == "tabulated":
@@ -91,53 +88,36 @@ class MomentumDistribution:
 
 @dataclass(frozen=True)
 class ClassPopulations:
-    """Momentum-class probabilities, normalized over a class set.
-
-    raw holds the unnormalized bin masses (including any classes outside
-    the normalization set that were requested).
-    """
+    """Momentum-class probabilities normalized over the requested classes;
+    raw holds the unnormalized class masses."""
 
     probs: dict
     raw: dict
-    norm_set: tuple
-    bin_halfwidth: float = DEFAULT_BIN_HALFWIDTH
 
     def __getitem__(self, cls):
         return self.probs.get(cls, 0.0)
 
 
-def class_populations(state, classes, bin_halfwidth=DEFAULT_BIN_HALFWIDTH,
-                      norm_set=None):
+def _normalized(raw):
+    """ClassPopulations of the class masses raw = {class: mass}."""
+    total = sum(raw.values())
+    if total <= 0:
+        raise ParameterError("no population in the requested classes")
+    return ClassPopulations(probs={c: m / total for c, m in raw.items()}, raw=raw)
+
+
+def class_populations(state, classes):
     """Bin a state's momentum density into classes and normalize.
 
-    Ladder states use |c_j|^2 directly; grid states integrate |psi(p)|^2
-    over [q + i - b, q + i + b).  Bins must not overlap (b <= class
-    spacing / 2).
+    Ladder states use |c_j|^2 directly; grid states use
+    gridprop.momentum_populations, which bins |psi(p)|^2 over
+    [c - 1/2, c + 1/2).
     """
     classes = tuple(int(c) for c in classes)
-    if bin_halfwidth <= 0 or bin_halfwidth > 0.5:
-        raise ParameterError(
-            f"bin halfwidth must lie in (0, 0.5] so class bins cannot overlap, "
-            f"got {bin_halfwidth}")
-    if norm_set is None:
-        norm_set = classes
-    raw = {}
     if isinstance(state, ladder.LadderState):
-        for c in classes:
-            raw[c] = state.population(c)  # comb classes are exact points
-    else:
-        pk = np.abs(np.fft.fft(state.psi)) ** 2
-        pk /= pk.sum()
-        k = state.grid.k
-        for c in classes:
-            sel = (k >= c - bin_halfwidth) & (k < c + bin_halfwidth)
-            raw[c] = float(pk[sel].sum())
-    total = sum(raw[c] for c in norm_set)
-    if total <= 0:
-        raise ParameterError("no population in the normalization set")
-    probs = {c: raw[c] / total for c in norm_set}
-    return ClassPopulations(probs=probs, raw=raw, norm_set=tuple(norm_set),
-                            bin_halfwidth=bin_halfwidth)
+        return _normalized({c: state.population(c) for c in classes})
+    binned = gridprop.momentum_populations(state)
+    return _normalized({c: binned.get(c, 0.0) for c in classes})
 
 
 def _sequence_pulses(pulse_or_seq):
@@ -163,7 +143,7 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
             raise ParameterError(f"classes {outside} outside the ladder window {j_window}")
         c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs),
                                 seq.items, cfg, j_window, rtol=rtol, atol=atol)
-        pops = np.abs(c[np.subtract(classes, j_window[0])].T) ** 2   # (inputs, nq, classes)
+        pops = np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2  # (inputs, nq, classes)
     elif backend == "grid":
         def masses(a, q):
             st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid, a, q),
@@ -191,10 +171,7 @@ def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
     classes = tuple(range(seq.order_hint + 1) if classes is None else classes)
     masses = _class_masses(seq, dist, cfg, (input_class,), classes, quadrature, backend,
                            rtol, atol, grid_opts)[0]
-    raw = {c: float(m) for c, m in zip(classes, masses)}
-    total = sum(raw.values())
-    return ClassPopulations(probs={c: raw[c] / total for c in classes}, raw=raw,
-                            norm_set=classes)
+    return _normalized({c: float(m) for c, m in zip(classes, masses)})
 
 
 @dataclass(frozen=True)
@@ -206,14 +183,6 @@ class ReflectivityRecord:
     per-direction and direction-averaged.
     """
 
-    order: int
-    tau: float                # s
-    rabi_peak: float          # rad/s
-    rabi_avg: float           # rad/s
-    delta_omega: float        # rad/s
-    phase: float
-    dp: float                 # hbar*k_eff
-    backend: str
     classes: tuple
     matrix: np.ndarray        # normalized, shape (n+1, n+1)
     raw_matrix: np.ndarray
@@ -241,22 +210,19 @@ def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
     norm = raw.sum(axis=1, keepdims=True)
     if np.any(norm <= 0):
         raise ParameterError("an input class lost all population from the class set")
-    return ReflectivityRecord(order=n, tau=mirror.duration, rabi_peak=mirror.rabi_peak,
-                              rabi_avg=mirror.rabi_avg, delta_omega=mirror.delta_omega,
-                              phase=mirror.phase, dp=dist.dp, backend=backend,
-                              classes=classes, matrix=raw / norm, raw_matrix=raw)
+    return ReflectivityRecord(classes=classes, matrix=raw / norm, raw_matrix=raw)
 
 
 def robustness_curve(mirror, dp_grid, cfg, order=None, quadrature=Quadrature(),
-                     backend="ladder", base_dist=None, **kw):
-    """One ReflectivityRecord per momentum spread in dp_grid (ascending)."""
+                     backend="ladder", **kw):
+    """One ReflectivityRecord per momentum spread in dp_grid (ascending) of a
+    cloud centred on p = 0."""
     dp_grid = list(dp_grid)
     if not dp_grid or any(b < a for a, b in zip(dp_grid, dp_grid[1:])):
         raise ParameterError("dp grid must be nonempty and ascending")
-    base = base_dist or MomentumDistribution("gaussian", 0.0, 0.0)
     out = []
     for dp in dp_grid:
-        dist = replace(base, dp=float(dp), kind="delta" if dp == 0 else "gaussian")
+        dist = MomentumDistribution("delta" if dp == 0 else "gaussian", 0.0, float(dp))
         out.append(reflectivity_matrix(mirror, dist, cfg, order=order,
                                        quadrature=quadrature, backend=backend, **kw))
     return out

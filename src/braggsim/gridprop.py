@@ -79,15 +79,14 @@ class GridOptions:
 
 @dataclass
 class GridState:
-    """Periodic amplitude array plus quasimomentum offset and clock time."""
+    """Periodic amplitude array plus quasimomentum offset."""
 
     grid: Grid
     psi: np.ndarray            # complex, sum |psi|^2 = 1
     q: float = 0.0             # hbar*k_eff
-    time: float = 0.0          # dimensionless
 
     def copy(self):
-        return GridState(self.grid, self.psi.copy(), self.q, self.time)
+        return GridState(self.grid, self.psi.copy(), self.q)
 
     @property
     def norm(self):
@@ -97,7 +96,7 @@ class GridState:
 def plane_wave(grid, j=0, q=0.0):
     """Plane wave at momentum q + j (hbar*k_eff), unit norm."""
     psi = np.exp(1j * j * grid.x) / np.sqrt(grid.num_points)
-    return GridState(grid, psi.astype(complex), q=float(q), time=0.0)
+    return GridState(grid, psi.astype(complex), q=float(q))
 
 
 def momentum_populations(state, comb_only=False):
@@ -162,7 +161,7 @@ class _Stepper:
 
 
 def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
-                    tol=DEFAULT_TOL, max_dt_frac=1 / 200):
+                    tol=DEFAULT_TOL):
     """Advance a grid state through one pulse with adaptive splitting steps.
 
     tol bounds the embedded-pair error estimate per unit dimensionless
@@ -178,7 +177,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
     st = _Stepper(state, dl, pulse.envelope)
     psi = state.psi.copy()
     t = 0.0
-    h = tau * max_dt_frac
+    h = tau * (1 / 200)        # first trial step; tau / 200 can round differently
     h_min = tau * 1e-9
     expo = 1.0 / (scheme.err_order + 1)
     while t < tau:
@@ -199,7 +198,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
                 "step size underflow in split-step propagation",
                 context={"t": t, "tau": tau, "h": h, "tol": tol,
                          "rabi_peak": pulse.rabi_peak, "duration": pulse.duration})
-    return GridState(state.grid, psi, state.q, state.time + tau)
+    return GridState(state.grid, psi, state.q)
 
 
 def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
@@ -222,7 +221,7 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
         for i in range(n_steps - 1, -1, -1):
             t_end = (i + 1) * h
             psi = st.step(psi, t_end, -h, scheme, swap_roles=swap_roles)
-        return GridState(state.grid, psi, state.q, state.time - tau)
+        return GridState(state.grid, psi, state.q)
     for i in range(n_steps):
         t = i * h
         if mode == "average":
@@ -230,7 +229,7 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
                          + st.step(psi, t, h, scheme, swap_roles=True))
         else:
             psi = st.step(psi, t, h, scheme, swap_roles=swap_roles)
-    return GridState(state.grid, psi, state.q, state.time + tau)
+    return GridState(state.grid, psi, state.q)
 
 
 def potential_phase(state, pulse, cfg, t, duration):
@@ -239,8 +238,7 @@ def potential_phase(state, pulse, cfg, t, duration):
     t and duration in dimensionless units; norm is preserved exactly.
     """
     st = _Stepper(state, pulse.dimensionless(cfg.units()), pulse.envelope)
-    return GridState(state.grid, st.potential(state.psi.copy(), t, duration),
-                     state.q, state.time)
+    return GridState(state.grid, st.potential(state.psi.copy(), t, duration), state.q)
 
 
 def free_evolve(state, T, cfg=None):
@@ -255,7 +253,7 @@ def free_evolve(state, T, cfg=None):
         return state.copy()
     k = state.grid.k + state.q
     psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T_t))
-    return GridState(state.grid, psi, state.q, state.time + T_t)
+    return GridState(state.grid, psi, state.q)
 
 
 def run_sequence(state, items, cfg, opts):

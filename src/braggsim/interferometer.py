@@ -7,7 +7,9 @@ pulses and propagates each branch independently; because propagation is
 linear, the coherent sum of all branches reproduces the unsplit run
 exactly (up to pruned mass).
 
-Two per-branch delivery metrics are reported:
+Each branch is one frozen ``PathNode``, the one per-branch record: its
+class history (``key`` joins it with ">"), its mass and two delivery
+metrics, each also as a fraction of the branch mass:
 
 * port_class_mass - branch mass ending in the port classes {0, n}
   (final momentum binning).
@@ -17,6 +19,8 @@ Two per-branch delivery metrics are reported:
   A mirror that redirects class c to n - c closes the path; this is the
   quantity the path-resolved population plots visualize, and it does not
   depend on the free-evolution time.
+
+``branch_summary`` sums branches into the same record per class.
 """
 from __future__ import annotations
 
@@ -24,22 +28,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ladder
+from . import gridprop, ladder
 from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
-from .pulses import FreeEvolution, Pulse, PulseSequence
+from .pulses import Pulse, PulseSequence
 
-DEFAULT_MAX_BRANCHES = 64
+MAX_BRANCHES = 64   # cap on (n+1)^splits, the branch columns of one batch
 
 
 @dataclass(frozen=True)
 class PortReport:
-    """Detected-port probabilities of an interferometer run."""
+    """Detected-port probabilities of an interferometer run; a path-resolved
+    run adds meta["ports_closing"], the ports of the closing-path detector."""
 
     ports: dict                  # class -> probability
     undetected: float
     pruned: float = 0.0
-    per_branch: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -47,14 +51,29 @@ class PortReport:
         return sum(self.ports.values()) + self.undetected
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathNode:
-    """One branch of the path tree, keyed by its class history."""
+    """One branch of a path-resolved run, keyed by its class history."""
 
     history: tuple               # class after each splitting pulse
     weight: float                # branch mass at the last split
     port_class_mass: float = 0.0
     port_coupled_mass: float = 0.0
+
+    @property
+    def key(self):
+        return ">".join(map(str, self.history))
+
+    def _fraction(self, mass):
+        return mass / self.weight if self.weight > 0 else 0.0
+
+    @property
+    def port_class_fraction(self):
+        return self._fraction(self.port_class_mass)
+
+    @property
+    def port_coupled_fraction(self):
+        return self._fraction(self.port_coupled_mass)
 
 
 def _expected_ports(seq):
@@ -73,22 +92,7 @@ def _pulse_indices(seq):
     return [i for i, it in enumerate(seq.items) if isinstance(it, Pulse)]
 
 
-def _free_displacement_after(seq):
-    """Free-flight displacement per unit class for each segment between splits."""
-    # segments: free-evolution durations after each pulse
-    segs = []
-    cur = 0.0
-    for it in seq.items:
-        if isinstance(it, FreeEvolution):
-            cur += it.duration
-        else:
-            segs.append(cur)
-            cur = 0.0
-    segs.append(cur)
-    return segs  # segs[k] = free time before pulse k; segs[-1] after last
-
-
-def _branch_plan(seq, split_after, keep_classes, max_branches):
+def _branch_plan(seq, split_after):
     """Validated split ordinals and the trajectory-closing test on histories."""
     n = seq.order_hint
     n_pulses = len(_pulse_indices(seq))
@@ -97,20 +101,21 @@ def _branch_plan(seq, split_after, keep_classes, max_branches):
         if s not in range(n_pulses):
             raise ParameterError(f"split_after index {s} out of range for "
                                  f"{n_pulses} pulses")
-    if len(keep_classes) ** len(split_after) > max_branches:
+    if (n + 1) ** len(split_after) > MAX_BRANCHES:
         raise ParameterError(
-            f"splitting into {len(keep_classes)}^{len(split_after)} branches exceeds "
-            f"max_branches={max_branches}; split after fewer pulses or raise the limit")
+            f"splitting into {n + 1}^{len(split_after)} branches exceeds "
+            f"{MAX_BRANCHES}; split after fewer pulses")
 
-    # free-evolution time between consecutive pulses, for the closing test
-    gaps = _free_displacement_after(seq)
+    # free time after each pulse: a branch in class c drifts c times as far
+    free_after = []
+    for it in seq.items:
+        if isinstance(it, Pulse):
+            free_after.append(0.0)
+        elif free_after:
+            free_after[-1] += it.duration
 
     def displacement(history):
-        # drift accumulated in the gaps following each split pulse
-        d = 0.0
-        for k, cls in enumerate(history):
-            d += cls * gaps[split_after[k] + 1] if split_after[k] + 1 < len(gaps) else 0.0
-        return d
+        return sum(cls * free_after[s] for s, cls in zip(split_after, history))
 
     ref_lower = displacement(tuple(0 if k % 2 == 0 else n for k in range(len(split_after))))
     ref_upper = displacement(tuple(n if k % 2 == 0 else 0 for k in range(len(split_after))))
@@ -127,13 +132,13 @@ class _BranchSplitter:
     """after_pulse hook of ladder.run_sequence: class-branch splitting.
 
     After each pulse whose ordinal is in split_after, every column is
-    replaced by its projections onto keep_classes (one new column per
-    class, in class order); the mass outside keep_classes is pruned.
+    replaced by its projections onto classes 0..n (one new column per
+    class, in class order); the mass outside them is pruned.
     """
 
-    def __init__(self, split_after, keep_classes, j_min, histories, nq):
+    def __init__(self, split_after, n, j_min, histories, nq):
         self.split_after = split_after
-        self.keep_classes = keep_classes
+        self.classes = range(n + 1)
         self.j_min = j_min
         self.histories = list(histories)
         self.pruned_per_q = np.zeros(nq)
@@ -145,12 +150,11 @@ class _BranchSplitter:
         dim, nq, _ = C.shape
         before = np.sum(np.abs(C) ** 2, axis=0)                     # (nq, nb)
         new_histories = []
-        Cn = np.zeros((dim, nq, len(self.histories) * len(self.keep_classes)),
-                      dtype=complex)
+        Cn = np.zeros((dim, nq, len(self.histories) * len(self.classes)), dtype=complex)
         col = 0
         kept = np.zeros_like(before)
         for b, h in enumerate(self.histories):
-            for cls in self.keep_classes:
+            for cls in self.classes:
                 Cn[cls - j_min, :, col] = C[cls - j_min, :, b]
                 kept[:, b] += np.abs(C[cls - j_min, :, b]) ** 2
                 new_histories.append(h + (cls,))
@@ -160,104 +164,82 @@ class _BranchSplitter:
         return Cn
 
 
-def _walk_branches(items, qs, C, histories, cfg, split_after, keep_classes, j_window,
-                   rtol, atol):
+def _walk_branches(items, qs, C, histories, cfg, split_after, n, j_window, rtol, atol):
     """Run items on branch columns C, splitting after the pulses in split_after.
 
     Returns (histories, C, pruned_per_q).  Pulse ordinals count the pulses
     of `items` only.
     """
-    split = _BranchSplitter(split_after, keep_classes, j_window[0], histories, len(qs))
+    split = _BranchSplitter(split_after, n, j_window[0], histories, len(qs))
     C = ladder.run_sequence(qs, C, items, cfg, j_window, rtol=rtol, atol=atol,
                             after_pulse=split)
     return split.histories, C, split.pruned_per_q
 
 
+def _port_probs(wts, C, ports, j_min):
+    """Distribution-weighted port probabilities of amplitudes C (dim, nq), and
+    the rest of their norm under "undetected"."""
+    pops = np.abs(C) ** 2
+    out = {p: float(np.dot(wts, pops[p - j_min])) for p in ports}
+    out["undetected"] = float(np.dot(wts, pops.sum(axis=0))) - sum(out.values())
+    return out
+
+
 def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
-                      split_after=(0, 1), keep_classes=None,
-                      max_branches=DEFAULT_MAX_BRANCHES,
-                      rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL):
+                      split_after=(0, 1), rtol=ladder.DEFAULT_RTOL,
+                      atol=ladder.DEFAULT_ATOL):
     """Split the state into class branches after designated pulses.
 
     split_after lists pulse ordinals (0-based, counting pulses only).
     Branch results are ensemble-averaged over the momentum distribution;
     all branches and quadrature nodes propagate in one batch.  Only the
-    ladder backend supports branch tracking.
+    ladder backend supports branch tracking.  Returns the list of
+    PathNode branches and the PortReport.
     """
     if backend != "ladder":
         raise ParameterError("path-resolved runs support the ladder backend only")
     n = seq.order_hint
     ports = _expected_ports(seq)
-    if keep_classes is None:
-        keep_classes = tuple(range(n + 1))
-    split_after, closes = _branch_plan(seq, split_after, keep_classes, max_branches)
+    split_after, closes = _branch_plan(seq, split_after)
 
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)
     histories, C, pruned_per_q = _walk_branches(
         seq.items, qs, ladder.unit_columns((j_min, j_max), len(qs), (0,)), [()], cfg,
-        split_after, keep_classes, (j_min, j_max), rtol, atol)
+        split_after, n, (j_min, j_max), rtol, atol)
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
     branch_mass = np.tensordot(wts, pops.sum(axis=0), axes=(0, 0))   # (nb,)
     port_rows = [p - j_min for p in ports]
     port_mass_b = np.tensordot(wts, pops[port_rows].sum(axis=0), axes=(0, 0))
-    pruned_total = float(np.dot(wts, pruned_per_q))
-
-    tree = []
-    for b, h in enumerate(histories):
-        tree.append(PathNode(history=h, weight=float(branch_mass[b]),
-                             port_class_mass=float(port_mass_b[b]),
-                             port_coupled_mass=float(branch_mass[b]) if closes(h) else 0.0))
+    tree = [PathNode(history=h, weight=float(branch_mass[b]),
+                     port_class_mass=float(port_mass_b[b]),
+                     port_coupled_mass=float(branch_mass[b]) if closes(h) else 0.0)
+            for b, h in enumerate(histories)]
 
     # coherent recombination of branches (exact by linearity)
-    total = C.sum(axis=2)                                            # (dim, nq)
-    pops_coh = np.abs(total) ** 2
-    coherent_final = {p: float(np.dot(wts, pops_coh[p - j_min])) for p in ports}
-    coherent_final["undetected"] = float(np.dot(wts, pops_coh.sum(axis=0))) \
-        - sum(coherent_final[p] for p in ports)
-
+    coherent = _port_probs(wts, C.sum(axis=2), ports, j_min)
     # detector model: only trajectory-closing paths overlap the port spots
     closing_cols = [b for b, nd in enumerate(tree) if nd.port_coupled_mass > 0]
-    total_closing = C[:, :, closing_cols].sum(axis=2)
-    pops_closing = np.abs(total_closing) ** 2
-    ports_closing = {p: float(np.dot(wts, pops_closing[p - j_min])) for p in ports}
-    per_branch = {">".join(map(str, nd.history)): {
-        "weight": nd.weight,
-        "port_class_mass": nd.port_class_mass,
-        "port_coupled_mass": nd.port_coupled_mass,
-        "port_class_fraction": nd.port_class_mass / nd.weight if nd.weight > 0 else 0.0,
-        "port_coupled_fraction": nd.port_coupled_mass / nd.weight if nd.weight > 0 else 0.0,
-    } for nd in tree}
-    report = PortReport(ports={p: coherent_final[p] for p in ports},
-                        undetected=coherent_final["undetected"],
-                        pruned=pruned_total, per_branch=per_branch,
-                        meta={"split_after": split_after, "ports": ports,
-                              "dp": dist.dp, "ports_closing": ports_closing})
+    ports_closing = _port_probs(wts, C[:, :, closing_cols].sum(axis=2), ports, j_min)
+    report = PortReport(ports={p: coherent[p] for p in ports},
+                        undetected=coherent["undetected"],
+                        pruned=float(np.dot(wts, pruned_per_q)),
+                        meta={"ports_closing": ports_closing})
     return tree, report
 
 
 def branch_summary(tree, level=0):
-    """Aggregate path-tree leaves by the class taken at one split level.
-
-    Returns {class: {weight, port_class_mass, port_coupled_mass,
-    port_class_fraction, port_coupled_fraction}}.
-    """
-    agg = {}
+    """Path-tree branches summed by the class taken at one split level:
+    {class: PathNode((class,), summed weight and masses)}."""
+    sums = {}
     for nd in tree:
-        if level >= len(nd.history):
-            continue
-        key = nd.history[level]
-        rec = agg.setdefault(key, {"weight": 0.0, "port_class_mass": 0.0,
-                                   "port_coupled_mass": 0.0})
-        rec["weight"] += nd.weight
-        rec["port_class_mass"] += nd.port_class_mass
-        rec["port_coupled_mass"] += nd.port_coupled_mass
-    for rec in agg.values():
-        w = rec["weight"]
-        rec["port_class_fraction"] = rec["port_class_mass"] / w if w > 0 else 0.0
-        rec["port_coupled_fraction"] = rec["port_coupled_mass"] / w if w > 0 else 0.0
-    return agg
+        if level < len(nd.history):
+            s = sums.setdefault(nd.history[level], [0.0, 0.0, 0.0])
+            s[0] += nd.weight
+            s[1] += nd.port_class_mass
+            s[2] += nd.port_coupled_mass
+    return {cls: PathNode((cls,), *s) for cls, s in sums.items()}
 
 
 def mirror_response(input_classes, mirror, dist, cfg, quadrature=Quadrature(),
@@ -303,8 +285,8 @@ def fit_fringe(phis, values, harmonic):
 
 def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
                 backend="ladder", detected="closing", split_after=(0, 1),
-                keep_classes=None, max_branches=DEFAULT_MAX_BRANCHES,
-                rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL, grid_opts=None):
+                rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
+                grid_opts=gridprop.GridOptions()):
     """Port probabilities versus the final pulse's lattice phase.
 
     The grid must span at least 2*pi (as a periodic sampling).  Returns
@@ -340,10 +322,8 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     n = seq.order_hint
     ports = _expected_ports(seq)
     if backend == "ladder":
-        if keep_classes is None:
-            keep_classes = tuple(range(n + 1))
         port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, detected,
-                                   split_after, keep_classes, max_branches, rtol, atol)
+                                   split_after, rtol, atol)
     elif detected == "closing":
         raise ParameterError("path-resolved runs support the ladder backend only")
     else:
@@ -369,14 +349,13 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     return rows, fits
 
 
-def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after,
-                   keep_classes, max_branches, rtol, atol):
+def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after, rtol, atol):
     """{port: probabilities at each phase} from one run of the shared prefix."""
     n = seq.order_hint
     if detected == "all":
         split_after, closes = (), (lambda h: True)
     else:
-        split_after, closes = _branch_plan(seq, split_after, keep_classes, max_branches)
+        split_after, closes = _branch_plan(seq, split_after)
     pulse_ids = _pulse_indices(seq)
     last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
     qs, wts = dist.nodes(quadrature)
@@ -386,7 +365,7 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after,
 
     histories, C, _ = _walk_branches(
         seq.items[:last], qs, ladder.unit_columns((j_min, j_max), nq, (0,)), [()], cfg,
-        split_after, keep_classes, (j_min, j_max), rtol, atol)
+        split_after, n, (j_min, j_max), rtol, atol)
     final_closes = closes
     if n_prefix not in split_after:
         # the detector's branch sum commutes with the last pulse
@@ -401,7 +380,7 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after,
     items = (replace(seq.items[last], phase=float(phis[0])), *seq.items[last + 1:])
     last_split = (0,) if n_prefix in split_after else ()
     histories, C, _ = _walk_branches(items, qs, C, histories * nphi, cfg, last_split,
-                                     keep_classes, (j_min, j_max), rtol, atol)
+                                     n, (j_min, j_max), rtol, atol)
     m = len(histories) // nphi
     C = C.reshape(dim, nq, nphi, m) * gauge[:, None, :, None]
     detected_cols = np.array([final_closes(h) for h in histories[:m]], dtype=bool)

@@ -65,7 +65,6 @@ class LadderState:
     j_min: int
     j_max: int
     amps: np.ndarray
-    time: float = 0.0   # dimensionless
 
     def __post_init__(self):
         if self.j_max <= self.j_min:
@@ -83,7 +82,7 @@ class LadderState:
         return np.arange(self.j_min, self.j_max + 1)
 
     def copy(self):
-        return LadderState(self.q, self.j_min, self.j_max, self.amps.copy(), self.time)
+        return LadderState(self.q, self.j_min, self.j_max, self.amps.copy())
 
     @property
     def norm(self):
@@ -154,7 +153,8 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     qs has shape (nq,); all quasimomenta share one integration (their
     dynamics are independent, the batching only amortizes solver
     overhead).  Returns the bare-frame amplitudes at the end of the
-    pulse.
+    pulse.  The solver restarts at each of the envelope's breakpoints, so
+    no step straddles a jump in a tabulated envelope's derivatives.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if j_window is None:
@@ -187,14 +187,17 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         da *= -0.5j * (W * f)
         return da.ravel()
 
-    # t_eval keeps only the end state: memory grows with the batch, not the steps
-    sol = solve_ivp(rhs, (0.0, tau), np.ascontiguousarray(c0).ravel(), method="DOP853",
-                    t_eval=[tau], rtol=rtol, atol=atol, first_step=tau / 1000,
-                    max_step=tau / 50)
-    if not sol.success:
-        raise IntegrationError(f"ladder integration failed: {sol.message}",
-                               context={"tau": tau, "rabi_peak": pulse.rabi_peak})
-    return sol.y[:, -1].reshape(dim, nq, ni) * np.exp(-1j * K * tau)[:, :, None]
+    y = np.ascontiguousarray(c0).ravel()
+    edges = [u * tau for u in pulse.envelope.breakpoints]
+    for t0, t1 in zip(edges, edges[1:]):
+        # t_eval keeps only the end state: memory grows with the batch, not the steps
+        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", t_eval=[t1], rtol=rtol,
+                        atol=atol, first_step=min(tau / 1000, t1 - t0), max_step=tau / 50)
+        if not sol.success:
+            raise IntegrationError(f"ladder integration failed: {sol.message}",
+                                   context={"tau": tau, "rabi_peak": pulse.rabi_peak})
+        y = sol.y[:, -1]
+    return y.reshape(dim, nq, ni) * np.exp(-1j * K * tau)[:, :, None]
 
 
 def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -202,8 +205,7 @@ def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     c0 = state.amps.reshape(state.dim, 1, 1)
     c = propagate_batch(np.array([state.q]), c0, pulse, cfg, rtol=rtol, atol=atol,
                         j_window=(state.j_min, state.j_max))
-    return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0],
-                       state.time + pulse.dimensionless(cfg.units())[0])
+    return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0])
 
 
 def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
@@ -239,10 +241,7 @@ def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,
     """Run a full pulse sequence on one ladder state (a 1x1 run_sequence batch)."""
     c = run_sequence(np.array([state.q]), state.amps.reshape(state.dim, 1, 1), seq.items,
                      cfg, (state.j_min, state.j_max), rtol=rtol, atol=atol)
-    units = cfg.units()
-    time = sum((units.to_dimensionless(it.duration, "time") for it in seq.items),
-               state.time)
-    return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0], time)
+    return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -253,17 +252,17 @@ class TruncationReport:
     passes: bool
 
 
-def truncation_check(state, pulse, cfg, widen=2, threshold=1e-8,
-                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Re-run with the window widened on both sides; report the change.
+def truncation_check(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Re-run with the window widened by 2 classes on both sides; report the
+    change.
 
-    Passes when no class population moves by more than `threshold`.
+    Passes when no class population moves by more than 1e-8.
     """
     base = integrate_ladder(state, pulse, cfg, rtol=rtol, atol=atol)
-    wide_min, wide_max = state.j_min - widen, state.j_max + widen
+    wide_min, wide_max = state.j_min - 2, state.j_max + 2
     amps = np.zeros(wide_max - wide_min + 1, dtype=complex)
     amps[state.j_min - wide_min:state.j_max - wide_min + 1] = state.amps
-    wide0 = LadderState(state.q, wide_min, wide_max, amps, state.time)
+    wide0 = LadderState(state.q, wide_min, wide_max, amps)
     wide = integrate_ladder(wide0, pulse, cfg, rtol=rtol, atol=atol)
     changes = [abs(base.population(j) - wide.population(j))
                for j in range(state.j_min, state.j_max + 1)]
@@ -273,4 +272,4 @@ def truncation_check(state, pulse, cfg, widen=2, threshold=1e-8,
     return TruncationReport(window=(state.j_min, state.j_max),
                             widened_window=(wide_min, wide_max),
                             max_population_change=float(max_change),
-                            passes=bool(max_change < threshold))
+                            passes=bool(max_change < 1e-8))

@@ -87,10 +87,18 @@ class Envelope:
         out = np.where((u >= 0) & (u <= 1), val, 0.0)
         return out if out.ndim else float(out)
 
-    def value(self, t, duration=None):
-        """Envelope at time t (same unit as duration; SI by default)."""
-        tau = self.duration if duration is None else duration
-        return self.value_frac(np.asarray(t, dtype=float) / tau)
+    def value(self, t):
+        """Envelope at time t, in the unit of the duration."""
+        return self.value_frac(np.asarray(t, dtype=float) / self.duration)
+
+    @property
+    def breakpoints(self):
+        """Fractional times that bound the smooth pieces of the envelope: 0
+        and 1, plus a tabulated envelope's sample times, where the
+        interpolant's second derivative jumps."""
+        if self.kind != "tabulated":
+            return (0.0, 1.0)
+        return tuple(sorted({0.0, 1.0, *map(float, self._interp.x)}))
 
     @property
     def mean(self):

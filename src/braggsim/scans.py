@@ -60,8 +60,7 @@ def _node_hash(payload):
 
 
 def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
-              backend="ladder", rabi_convention="avg", phase=0.0,
-              input_class=0, **kw):
+              backend="ladder", rabi_convention="avg", **kw):
     """Class populations 0..n versus Rabi frequency at fixed duration.
 
     rabi_grid in rad/s, ascending, interpreted per rabi_convention
@@ -78,17 +77,14 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
         params = {"rabi": float(om)}
         kwarg = rabi_kwarg(rabi_convention, om)   # a bad convention raises, no failed point
         try:
-            pulse = Pulse.on_resonance(cfg, n, tau, phase=phase, **kwarg)
+            pulse = Pulse.on_resonance(cfg, n, tau, **kwarg)
             cp = ensemble.ensemble_average(pulse, dist, cfg, classes=classes,
-                                           quadrature=quadrature, backend=backend,
-                                           input_class=input_class, **kw)
+                                           quadrature=quadrature, backend=backend, **kw)
             points.append(ScanPoint(params, {f"P{c}": cp[c] for c in classes}))
         except BraggSimError as exc:  # propagation failures recorded per point
             points.append(ScanPoint(params, {}, failed=True, error=str(exc)))
     return ScanResult(axes=(("rabi", tuple(float(v) for v in rabi_grid)),),
-                      points=points,
-                      meta={"n": n, "tau": tau, "backend": backend,
-                            "rabi_convention": rabi_convention, "dp": dist.dp})
+                      points=points)
 
 
 def first_maximum(xs, ys):
@@ -144,7 +140,8 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     of every `_map_node` argument and the code version, so an interrupted
     map resumes where it stopped and reproduces a fresh run exactly.  The
     `_map_node` arguments other than (tau, rabi) are kept as
-    meta["setting"] for refinement.
+    meta["setting"] for refinement and the spot check; meta["failures"]
+    lists the params of failed nodes.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
@@ -193,11 +190,18 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     failures = [p.params for p in points if p.failed]
     return ScanResult(axes=(("tau", tuple(float(v) for v in tau_grid)),
                             ("rabi", tuple(float(v) for v in rabi_grid))),
-                      points=points,
-                      meta={"n": n, "backend": backend, "pairs": list(map(tuple, pairs)),
-                            "dp": dist.dp, "rabi_convention": rabi_convention,
-                            "failures": failures, "quadrature": quadrature.kind,
-                            "quad_n": quadrature.n, "setting": setting})
+                      points=points, meta={"failures": failures, "setting": setting})
+
+
+def _setting(map_result):
+    """The `_map_node` arguments other than (tau, rabi) that made the map:
+    (n, cfg, dist, quadrature, backend, rabi_convention, pairs, rtol, atol,
+    grid_opts)."""
+    setting = map_result.meta.get("setting")
+    if setting is None:
+        raise ParameterError("this needs a map from reflectivity_map, whose "
+                             "meta['setting'] holds how its nodes were computed")
+    return setting
 
 
 @dataclass(frozen=True)
@@ -267,10 +271,7 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
     tau, om = pt.params["tau"], pt.params["rabi"]
     refined = False
     if refine == "local":
-        setting = map_result.meta.get("setting")
-        if setting is None:
-            raise ParameterError("refine='local' needs a map from reflectivity_map, "
-                                 "whose meta['setting'] it reruns nodes with")
+        setting = _setting(map_result)
 
         def neg_obj(x):
             t, o = x
@@ -331,21 +332,18 @@ def pulse_area_labels(map_result, pair):
     return labels
 
 
-def spot_check(cfg, map_result, dist, n_nodes=5, seed=0, tol=1e-3,
-               rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
-               grid_opts=gridprop.GridOptions()):
+def spot_check(map_result, n_nodes=5, seed=0, tol=1e-3):
     """Cross-validate random map nodes against the grid backend.
 
     Runs `validation.oracle_diff` (plane-wave inputs 0..n, ladder vs
-    split-step) at n_nodes nodes drawn by a seeded RNG; records the worst
-    absolute deviation.  The map's distribution `dist` plays no part: the
-    comparison is per plane wave.
+    split-step) at n_nodes nodes drawn by a seeded RNG, under the map's own
+    physics, Rabi convention, ladder tolerances and grid options; records
+    the worst absolute deviation.
     """
+    n, cfg, _, _, _, conv, _, rtol, atol, grid_opts = _setting(map_result)
     rng = np.random.default_rng(seed)
     ok_points = [p for p in map_result.points if not p.failed]
     picks = rng.choice(len(ok_points), size=min(n_nodes, len(ok_points)), replace=False)
-    n = map_result.meta["n"]
-    conv = map_result.meta.get("rabi_convention", "avg")
     worst = 0.0
     details = []
     for ipick in sorted(int(i) for i in picks):

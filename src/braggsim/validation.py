@@ -99,7 +99,7 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
                            rtol=rtol, atol=atol)
     cpb = ensemble_average(pulse, dist, cfg, quadrature=Quadrature("gauss-hermite", 49),
                            rtol=rtol, atol=atol)
-    qdev = max(abs(cpa[c] - cpb[c]) for c in cpa.norm_set)
+    qdev = max(abs(cpa[c] - cpb[c]) for c in cpa.probs)
     record("quadrature_convergence", qdev < 1e-4, f"max class change {qdev:.2e}")
 
     # truncation window

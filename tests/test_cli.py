@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from braggsim import ladder, scans
+from braggsim import interferometer, ladder, scans
 from braggsim.cli import main
 from braggsim.config import parse_config
+from braggsim.pulses import mach_zehnder_sequence
 from braggsim.results import ResultTable
 
 FAST_OVERRIDES = ["--set", "ensemble.nodes=7"]
@@ -139,6 +140,28 @@ def test_mzi_path_resolved(tmp_path, capsys):
     assert "branch" in out
     table = _reads_back(f"{tmp_path}/out/mzi_paths.tsv")
     assert table.rows[0][0] == "0>0" and isinstance(table.rows[0][1], float)
+
+
+def test_mzi_follows_pulse_p0(tmp_path, capsys):
+    # [pulse] p0 tunes every interferometer pulse to a moving cloud
+    cfg = _cfg(tmp_path, "[ensemble]\nnodes = 3\n")
+    ports = {}
+    for p0 in ("0", "0.3"):
+        assert main(["mzi", "-c", cfg, "-o", f"{tmp_path}/{p0}",
+                     "--set", f"pulse.p0={p0}"]) == 0
+        ports[p0] = ResultTable.read(f"{tmp_path}/{p0}/mzi_ports.tsv").rows
+    assert ports["0.3"] != ports["0"]
+    rc = parse_config(cfg)
+    cfg_phys = rc.physical()
+    s = rc["sequence"]
+    seq = mach_zehnder_sequence(cfg_phys, 3, s["tau_bs"], s["omega_bs"], s["tau_mirror"],
+                                s["omega_mirror"], s["t_free"],
+                                p0=0.3 * cfg_phys.units().momentum_unit,
+                                rabi_convention="avg")
+    rep = interferometer.run_mzi(seq, rc.distribution(), cfg_phys,
+                                 quadrature=rc.quadrature())
+    assert ports["0.3"] == [(0.0, rep.ports[0]), (3.0, rep.ports[3]),
+                            (-1.0, rep.undetected)]
 
 
 def test_path_resolved_rejects_grid_backend(tmp_path, capsys):

@@ -53,7 +53,7 @@ class TestKinetic:
         sigma0 = 2.0
         psi = np.exp(-((x - x0) ** 2) / (4 * sigma0**2)).astype(complex)
         psi /= np.linalg.norm(psi)
-        st = gridprop.GridState(g, psi, 0.0, 0.0)
+        st = gridprop.GridState(g, psi, 0.0)
         t = 1.5
         out = free_evolve(st, t)
         prob = np.abs(out.psi) ** 2
@@ -112,12 +112,6 @@ class TestPropagatePulse:
         tau_t = rb87.units().to_dimensionless(90e-6, "time")
         ref = free_evolve(st, tau_t)
         assert np.max(np.abs(out.psi - ref.psi)) < 1e-9
-
-    def test_final_time_exact(self, rb87, mirror):
-        st = plane_wave(Grid(), 0, 0.0)
-        out = propagate_pulse(st, mirror, rb87)
-        tau_t = rb87.units().to_dimensionless(90e-6, "time")
-        assert out.time == pytest.approx(tau_t, rel=1e-15)
 
     def test_norm_drift(self, rb87, mirror):
         st = plane_wave(Grid(), 0, 0.0)

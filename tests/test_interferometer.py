@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from braggsim import ladder
+from braggsim import gridprop, ladder
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import ParameterError
 from braggsim.interferometer import (branch_summary, fit_fringe, fringe_scan,
@@ -69,10 +69,11 @@ class TestPathResolved:
         assert len(live) == 1 and live[0].history == (0,)
 
     def test_branch_explosion_guard(self, rb87):
-        seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16e3, 120e-6,
+        # order 5 split after all three pulses: 6^3 = 216 branches > MAX_BRANCHES
+        seq = mach_zehnder_sequence(rb87, 5, 90e-6, TWO_PI * 16e3, 120e-6,
                                     TWO_PI * 21e3, 1e-4, rabi_convention="avg")
         with pytest.raises(ParameterError):
-            path_resolved_mzi(seq, DELTA, rb87, split_after=(0, 1), max_branches=3)
+            path_resolved_mzi(seq, DELTA, rb87, split_after=(0, 1, 2))
 
     def test_weights_account_for_everything(self, rb87, cloud):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
@@ -98,8 +99,8 @@ class TestPathResolved:
             tree, _ = path_resolved_mzi(seq, DELTA, rb87)
             out[T] = branch_summary(tree, 0)
         for cls in (1, 2):
-            assert out[3e-4][cls]["port_coupled_fraction"] == pytest.approx(
-                out[8e-4][cls]["port_coupled_fraction"], abs=1e-9)
+            assert out[3e-4][cls].port_coupled_fraction == pytest.approx(
+                out[8e-4][cls].port_coupled_fraction, abs=1e-9)
 
 
 class TestMirrorResponse:
@@ -197,6 +198,26 @@ class TestFringe:
         with pytest.raises(ParameterError):
             fringe_scan(_ideal_two_level_mzi(rb87), np.linspace(0, TWO_PI, 4, endpoint=False),
                         DELTA, rb87, backend="grid")
+
+    def test_grid_fringe_equals_ladder(self, rb87):
+        # the grid reruns the sequence per phase; a plane wave needs only the
+        # one-period comb grid
+        seq = _ideal_two_level_mzi(rb87)
+        phis = np.linspace(0, TWO_PI, 4, endpoint=False)
+        opts = gridprop.GridOptions(grid=gridprop.Grid(64, 1))
+        ladder_rows, _ = fringe_scan(seq, phis, DELTA, rb87, detected="all")
+        grid_rows, _ = fringe_scan(seq, phis, DELTA, rb87, backend="grid", detected="all",
+                                   grid_opts=opts)
+        for lr, gr in zip(ladder_rows, grid_rows):
+            for key in ("port_0", "port_1", "undetected"):
+                assert gr[key] == pytest.approx(lr[key], abs=1e-8)
+
+    def test_grid_fringe_default_options(self, rb87):
+        p0 = Pulse.on_resonance(rb87, 1, 90e-6, rabi_peak=0.0)
+        seq = PulseSequence((p0, FreeEvolution(1e-4), p0, FreeEvolution(1e-4), p0))
+        rows, _ = fringe_scan(seq, np.linspace(0, TWO_PI, 4, endpoint=False), DELTA,
+                              rb87, backend="grid", detected="all")
+        assert all(r["port_0"] == pytest.approx(1.0, abs=1e-10) for r in rows)
 
     def test_multipath_residual_plain_vs_dichroic(self, rb87, cloud):
         phis = np.linspace(0, TWO_PI, 10, endpoint=False)

@@ -1,4 +1,7 @@
+import json
 import os
+
+import numpy as np
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -15,3 +18,19 @@ def test_every_traced_name_exists(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+def test_reference_rows_still_compute(monkeypatch):
+    # the benchmark gate recomputes reference rows through the package API;
+    # row 1 of every gated table must still match the stored seed-0 reference
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from braggsim.config import parse_config
+    from reference import STORED, TABLES
+    from workloads import WORKLOADS
+    stored = json.load(open(STORED))["tables"]
+    for wl in WORKLOADS.values():
+        overrides = {label: ov for label, _, ov in wl.commands(0)}
+        for label, table in wl.tables:
+            _, _, row = TABLES[table](parse_config(overrides=overrides[label]))
+            want = stored[wl.name][table]["rows"]["1"]
+            assert np.max(np.abs(np.subtract(row(1), want))) <= 1e-12, table

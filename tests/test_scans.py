@@ -247,6 +247,10 @@ class TestPulseAreaLabels:
 class TestSpotCheck:
     def test_passes_on_tiny_map(self, rb87, cloud9, tmp_path):
         res = _tiny_map(rb87, cloud9, tmp_path)
-        rep = spot_check(rb87, res, cloud9, n_nodes=2, seed=1)
+        rep = spot_check(res, n_nodes=2, seed=1)
         assert rep["passes"], rep
         assert rep["max_abs_dev"] < 1e-3
+
+    def test_needs_the_map_setting(self):
+        with pytest.raises(ParameterError):
+            spot_check(_synth_map(), n_nodes=1)
