@@ -5,27 +5,27 @@ resonant momentum classes while transmitting the parasitic ones)."""
 __version__ = "0.1.0"
 
 from .physics import PhysicalConfig, UnitSystem, default_rb87
-from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, blackman,
-                     mach_zehnder_sequence, rabi_from_power, resonance_delta_omega)
+from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec, blackman,
+                     mach_zehnder_sequence, resonance_delta_omega)
 from .splitting import PP34A, STRANG, SplittingScheme, get_scheme
 from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
                        ReflectivityRecord, class_populations, ensemble_average,
                        reflectivity_matrix, robustness_curve)
 from .scans import (DmpCriterion, DmpReport, ScanResult, find_dmp, first_maximum,
-                    pulse_area_labels, rabi_scan, reflectivity_map)
+                    rabi_scan, reflectivity_map)
 from .interferometer import (PortReport, branch_summary, fringe_scan,
                              mirror_response, path_resolved_mzi, run_mzi)
 from .config import RunConfig, parse_config
 
 __all__ = [
     "PhysicalConfig", "UnitSystem", "default_rb87",
-    "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "blackman",
-    "mach_zehnder_sequence", "rabi_from_power", "resonance_delta_omega",
+    "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec", "blackman",
+    "mach_zehnder_sequence", "resonance_delta_omega",
     "PP34A", "STRANG", "SplittingScheme", "get_scheme",
     "ClassPopulations", "MomentumDistribution", "Quadrature", "ReflectivityRecord",
     "class_populations", "ensemble_average", "reflectivity_matrix", "robustness_curve",
     "DmpCriterion", "DmpReport", "ScanResult", "find_dmp", "first_maximum",
-    "pulse_area_labels", "rabi_scan", "reflectivity_map",
+    "rabi_scan", "reflectivity_map",
     "PortReport", "branch_summary", "fringe_scan", "mirror_response",
     "path_resolved_mzi", "run_mzi",
     "RunConfig", "parse_config",

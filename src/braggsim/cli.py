@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, interferometer, scans, validation
 from .config import parse_config
 from .ensemble import robustness_curve
-from .errors import BraggSimError, ConfigurationError
+from .errors import BraggSimError, ConfigurationError, ParameterError
 from .results import ResultTable, RunManifest, output_dir
 from .scans import DmpCriterion
 
@@ -118,8 +118,7 @@ def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
     if grid[0] == 0.0:
         grid = grid[1:]
     res = scans.rabi_scan(cfg, n, tau, grid, rc.distribution(),
-                          quadrature=rc.quadrature(),
-                          rabi_convention=rc.get("pulse", "omega_convention"),
+                          quadrature=rc.quadrature(), spec=rc.pulse_spec(),
                           **rc.propagator())
     cols = [("omega_over_2pi_kHz", "kHz")] + [(f"P{c}", "probability")
                                               for c in range(n + 1)]
@@ -131,9 +130,13 @@ def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
         table.add(_khz(pt.params["rabi"]), *[pt.values[f"P{c}"] for c in range(n + 1)])
     table.write(os.path.join(outdir, "rabi_scan.tsv"),
                 manifest.provenance(order=n, tau_us=tau * 1e6))
-    om_pk, p_pk = scans.first_maximum([pt.params["rabi"] for pt in res.points],
-                                      [pt.values.get(f"P{n}", np.nan)
-                                       for pt in res.points])
+    try:
+        om_pk, p_pk = scans.first_maximum([pt.params["rabi"] for pt in res.points],
+                                          [pt.values.get(f"P{n}", np.nan)
+                                           for pt in res.points])
+    except ParameterError:
+        print(f"no interior maximum of P{n} in the scan range")
+        return 0
     print(f"first maximum of P{n}: {p_pk:.4f} at Omega = 2*pi*{_khz(om_pk):.2f} kHz")
     return 0
 
@@ -150,7 +153,7 @@ def _map(args, rc, outdir, manifest, jobs):
         oms[0] = 0.5 * (oms[0] + oms[1]) * 1e-6  # avoid the degenerate zero node
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
                                  quadrature=rc.quadrature(), jobs=jobs,
-                                 rabi_convention=rc.get("pulse", "omega_convention"),
+                                 spec=rc.pulse_spec(),
                                  cache_path=os.path.join(outdir, "map_cache.jsonl"),
                                  **rc.propagator())
     manifest.failures.extend(res.meta["failures"])
@@ -290,8 +293,8 @@ def cmd_robustness(args, rc, outdir, manifest, jobs):
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
     dps = np.linspace(0.0, 0.3, 21)
-    recs = robustness_curve(pulse, dps, cfg, order=n, quadrature=rc.quadrature(),
-                            **rc.propagator())
+    recs = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"), order=n,
+                            quadrature=rc.quadrature(), **rc.propagator())
     pairs = rc.get("scan", "pairs")
     table = ResultTable([("dp_hbark", "hbar*k_eff")]
                         + [(f"R_{a}_{b}", "probability") for a, b in pairs])

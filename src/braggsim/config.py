@@ -20,9 +20,11 @@ manifest.  Command-line overrides use ``--section.key value``.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
-``[pulse]`` order, omega_convention and p0 (the momentum the pulses are
-tuned to) also set the ``mzi`` sequence, whose durations, Rabi
-frequencies, phases and free time come from ``[sequence]``.
+``[pulse]`` envelope, omega_convention, p0 (the momentum the pulses are
+tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
+every command that makes one; ``mzi`` takes its phases, durations, Rabi
+frequencies and free time from ``[sequence]``.  ``[ensemble]`` p0
+centres every cloud, the ``robustness`` clouds of each spread included.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import re
 from . import gridprop, ladder
 from .errors import ConfigurationError
 from .physics import PhysicalConfig, default_rb87
-from .pulses import Pulse, mach_zehnder_sequence, rabi_kwarg
+from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
 from .ensemble import MomentumDistribution, Quadrature
 from .splitting import PP34A, SCHEMES, get_scheme
 
@@ -129,7 +131,7 @@ _SCHEMA = {
         "phi3": ("quantity:angle:rad", 0.0, None),
     },
     "ensemble": {
-        "kind": ("str", "gaussian", ("gaussian", "delta", "tabulated")),
+        "kind": ("str", "gaussian", ("gaussian", "delta")),
         "dp": ("quantity:momentum_hbark:hbark", 0.13, _nonnegative),
         "p0": ("quantity:momentum_hbark:hbark", 0.0, None),
         "quadrature": ("str", "gauss-hermite", ("gauss-hermite", "monte-carlo")),
@@ -228,13 +230,14 @@ class RunConfig:
         return PhysicalConfig(atom_mass=p["atom_mass"], wavelength=p["wavelength"],
                               label=p["label"])
 
+    def pulse_spec(self) -> PulseSpec:
+        p = self.sections["pulse"]
+        return PulseSpec(p["envelope"], p["omega_convention"], p["p0"], p["phase"])
+
     def pulse(self, cfg=None) -> Pulse:
         cfg = cfg or self.physical()
         p = self.sections["pulse"]
-        p0_si = p["p0"] * cfg.units().momentum_unit
-        return Pulse.on_resonance(cfg, p["order"], p["tau"], phase=p["phase"],
-                                  p0=p0_si, envelope_kind=p["envelope"],
-                                  **rabi_kwarg(p["omega_convention"], p["omega"]))
+        return self.pulse_spec().build(cfg, p["order"], p["tau"], p["omega"])
 
     def distribution(self) -> MomentumDistribution:
         e = self.sections["ensemble"]
@@ -249,12 +252,10 @@ class RunConfig:
 
     def mzi_sequence(self, cfg):
         s = self.sections["sequence"]
-        p = self.sections["pulse"]
-        return mach_zehnder_sequence(cfg, p["order"], s["tau_bs"], s["omega_bs"],
-                                     s["tau_mirror"], s["omega_mirror"], s["t_free"],
-                                     s["phi1"], s["phi2"], s["phi3"],
-                                     p0=p["p0"] * cfg.units().momentum_unit,
-                                     rabi_convention=p["omega_convention"])
+        return mach_zehnder_sequence(cfg, self.get("pulse", "order"), s["tau_bs"],
+                                     s["omega_bs"], s["tau_mirror"], s["omega_mirror"],
+                                     s["t_free"], s["phi1"], s["phi2"], s["phi3"],
+                                     spec=self.pulse_spec())
 
     def grid_opts(self) -> gridprop.GridOptions:
         pr = self.sections["propagator"]

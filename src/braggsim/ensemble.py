@@ -213,16 +213,16 @@ def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
     return ReflectivityRecord(classes=classes, matrix=raw / norm, raw_matrix=raw)
 
 
-def robustness_curve(mirror, dp_grid, cfg, order=None, quadrature=Quadrature(),
+def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadrature(),
                      backend="ladder", **kw):
     """One ReflectivityRecord per momentum spread in dp_grid (ascending) of a
-    cloud centred on p = 0."""
+    cloud centred on p0 (hbar*k_eff)."""
     dp_grid = list(dp_grid)
     if not dp_grid or any(b < a for a, b in zip(dp_grid, dp_grid[1:])):
         raise ParameterError("dp grid must be nonempty and ascending")
     out = []
     for dp in dp_grid:
-        dist = MomentumDistribution("delta" if dp == 0 else "gaussian", 0.0, float(dp))
+        dist = MomentumDistribution("delta" if dp == 0 else "gaussian", p0, float(dp))
         out.append(reflectivity_matrix(mirror, dist, cfg, order=order,
                                        quadrature=quadrature, backend=backend, **kw))
     return out

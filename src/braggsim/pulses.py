@@ -1,4 +1,5 @@
-"""Pulse envelopes, resonance condition, pulse sequences and the
+"""Pulse envelopes, resonance condition, pulse specifications and pulse
+sequences.  Rabi frequencies enter as numbers; the module holds no
 power-to-Rabi-frequency calibration.
 
 Rabi-frequency conventions
@@ -12,17 +13,17 @@ Blackman pulse the average power of the pulse carries the factor
 mean(f) = 0.42, so power-calibrated numbers come out pre-multiplied by
 it).  Constructors accept either convention via ``rabi_peak=`` or
 ``rabi_avg=``; the two are related by ``rabi_peak = rabi_avg / mean(f)``.
+A ``PulseSpec`` names the convention once, for every pulse it builds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import ParameterError
-from .physics import HBAR, PhysicalConfig
+from .physics import PhysicalConfig
 
 BLACKMAN_MEAN = 0.42  # exact: the DC Fourier coefficient of the window
 
@@ -109,17 +110,6 @@ class Envelope:
             return 1.0
         return float(self._interp.integrate(0.0, 1.0))
 
-    def fwhm(self):
-        """Full width at half maximum, in the duration's unit."""
-        u = np.linspace(0.0, 1.0, 2001)
-        v = self.value_frac(u)
-        peak = v.max()
-        i_peak = int(v.argmax())
-        f = lambda x: self.value_frac(x) - 0.5 * peak
-        lo = brentq(f, 0.0, u[i_peak])
-        hi = brentq(f, u[i_peak], 1.0)
-        return (hi - lo) * self.duration
-
 
 def resonance_delta_omega(n, p0, cfg: PhysicalConfig):
     """Beam frequency difference for n-th order resonance at initial momentum p0.
@@ -129,20 +119,6 @@ def resonance_delta_omega(n, p0, cfg: PhysicalConfig):
     if n <= 0:
         raise ParameterError(f"diffraction order must be a positive integer, got {n}")
     return n * cfg.omega_k + p0 * cfg.k_eff / cfg.atom_mass
-
-
-def rabi_from_power(power, waist, dipole_factor, envelope_mean=BLACKMAN_MEAN):
-    """Two-photon Rabi frequency from beam power, lab convention.
-
-    envelope_mean * 4 * P * U0 / (hbar * pi * w0^2); the default
-    envelope_mean = 0.42 is the Blackman time average, making the result
-    the envelope-averaged Rabi frequency.
-    """
-    if waist <= 0:
-        raise ParameterError(f"beam waist must be positive, got {waist}")
-    if power < 0:
-        raise ParameterError(f"beam power must be nonnegative, got {power}")
-    return envelope_mean * 4 * power * dipole_factor / (HBAR * np.pi * waist**2)
 
 
 @dataclass(frozen=True)
@@ -199,6 +175,31 @@ class Pulse:
 
 
 @dataclass(frozen=True)
+class PulseSpec:
+    """How (order, duration, Rabi frequency) becomes a pulse: the envelope,
+    the Rabi convention ("avg" = envelope-averaged lab convention, "peak" =
+    peak of f(t)), the momentum p0 in hbar*k_eff the pulse is tuned to, and
+    the lattice phase.  The fields are the ``[pulse]`` config keys."""
+
+    envelope: str = "blackman"
+    convention: str = "avg"
+    p0: float = 0.0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if self.convention not in ("avg", "peak"):
+            raise ParameterError(f"unknown Rabi convention {self.convention!r}; "
+                                 "use 'avg' or 'peak'")
+
+    def build(self, cfg, n, tau, omega):
+        """n-th order pulse of duration tau (s) and Rabi frequency omega (rad/s)."""
+        return Pulse.on_resonance(cfg, n, tau, phase=self.phase,
+                                  p0=self.p0 * cfg.units().momentum_unit,
+                                  envelope_kind=self.envelope,
+                                  **{f"rabi_{self.convention}": omega})
+
+
+@dataclass(frozen=True)
 class FreeEvolution:
     """Lattice-off segment of a pulse sequence."""
 
@@ -242,36 +243,17 @@ class PulseSequence:
         return max((p.order_hint for p in self.pulses), default=1)
 
 
-def rabi_kwarg(convention, omega):
-    """Keyword argument of ``Pulse.on_resonance`` for a Rabi frequency quoted
-    in `convention`: "avg" (envelope-averaged) or "peak"."""
-    if convention not in ("avg", "peak"):
-        raise ParameterError(f"unknown Rabi convention {convention!r}; use 'avg' or 'peak'")
-    return {f"rabi_{convention}": omega}
-
-
 def mach_zehnder_sequence(cfg, n, tau_bs, omega_bs, tau_mirror, omega_mirror,
-                          t_free, phi1=0.0, phi2=0.0, phi3=0.0, p0=0.0,
-                          rabi_convention="peak"):
-    """pi/2 - pi - pi/2 sequence on the n-th order resonance for momentum p0.
+                          t_free, phi1=0.0, phi2=0.0, phi3=0.0, spec=PulseSpec()):
+    """pi/2 - pi - pi/2 sequence on the n-th order resonance.
 
-    omega_bs / omega_mirror follow rabi_convention ("peak" or "avg").
+    spec builds every pulse, with phi1, phi2, phi3 in place of its phase.
     t_free = 0 yields a valid back-to-back 3-pulse sequence.
     """
-    if tau_bs <= 0 or tau_mirror <= 0:
-        raise ParameterError("pulse durations must be positive")
-    if t_free < 0:
-        raise ParameterError("free evolution time must be nonnegative")
-
     def mk(tau, omega, phi):
-        return Pulse.on_resonance(cfg, n, tau, phase=phi, p0=p0,
-                                  **rabi_kwarg(rabi_convention, omega))
+        return replace(spec, phase=phi).build(cfg, n, tau, omega)
 
-    items = [mk(tau_bs, omega_bs, phi1)]
-    if t_free > 0:
-        items.append(FreeEvolution(t_free))
-    items.append(mk(tau_mirror, omega_mirror, phi2))
-    if t_free > 0:
-        items.append(FreeEvolution(t_free))
-    items.append(mk(tau_bs, omega_bs, phi3))
-    return PulseSequence(tuple(items))
+    gap = (FreeEvolution(t_free),) if t_free != 0 else ()  # FreeEvolution rejects t_free < 0
+    return PulseSequence((mk(tau_bs, omega_bs, phi1), *gap,
+                          mk(tau_mirror, omega_mirror, phi2), *gap,
+                          mk(tau_bs, omega_bs, phi3)))

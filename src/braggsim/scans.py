@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from . import __version__, ensemble, gridprop, ladder
 from .ensemble import Quadrature, reflectivity_matrix
 from .errors import BraggSimError, ParameterError
-from .pulses import Pulse, rabi_kwarg
+from .pulses import PulseSpec
 from .validation import oracle_diff
 
 
@@ -60,11 +60,11 @@ def _node_hash(payload):
 
 
 def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
-              backend="ladder", rabi_convention="avg", **kw):
+              backend="ladder", spec=PulseSpec(), **kw):
     """Class populations 0..n versus Rabi frequency at fixed duration.
 
-    rabi_grid in rad/s, ascending, interpreted per rabi_convention
-    ("avg" = envelope-averaged lab convention, "peak" = peak of f(t)).
+    rabi_grid in rad/s, ascending; spec builds each pulse and sets the Rabi
+    convention the grid is quoted in.
     Per-point failures (BraggSimError) are recorded, not raised; any other
     exception is a bug and propagates.
     """
@@ -75,9 +75,8 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
     points = []
     for om in rabi_grid:
         params = {"rabi": float(om)}
-        kwarg = rabi_kwarg(rabi_convention, om)   # a bad convention raises, no failed point
         try:
-            pulse = Pulse.on_resonance(cfg, n, tau, **kwarg)
+            pulse = spec.build(cfg, n, tau, om)
             cp = ensemble.ensemble_average(pulse, dist, cfg, classes=classes,
                                            quadrature=quadrature, backend=backend, **kw)
             points.append(ScanPoint(params, {f"P{c}": cp[c] for c in classes}))
@@ -111,12 +110,11 @@ def first_maximum(xs, ys):
 
 def _map_node(args):
     """Worker: one (tau, rabi) node of a reflectivity map."""
-    (tau, om, n, cfg, dist, quadrature, backend, rabi_convention, pairs,
+    (tau, om, n, cfg, dist, quadrature, backend, spec, pairs,
      rtol, atol, grid_opts) = args
     params = {"tau": float(tau), "rabi": float(om)}
-    kwarg = rabi_kwarg(rabi_convention, om)   # a bad convention raises, no failed node
     try:
-        pulse = Pulse.on_resonance(cfg, n, tau, **kwarg)
+        pulse = spec.build(cfg, n, tau, om)
         rec = reflectivity_matrix(pulse, dist, cfg, order=n, quadrature=quadrature,
                                   backend=backend, rtol=rtol, atol=atol,
                                   grid_opts=grid_opts)
@@ -131,7 +129,7 @@ def _map_node(args):
 
 def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                      quadrature=Quadrature(), backend="ladder",
-                     rabi_convention="avg", jobs=1, cache_path=None,
+                     spec=PulseSpec(), jobs=1, cache_path=None,
                      rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                      grid_opts=gridprop.GridOptions()):
     """2D reflectivity map over (tau, rabi) for the given class pairs.
@@ -153,7 +151,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
             raise ParameterError(f"pair ({a},{b}) outside classes 0..{n}")
 
     node_params = [(float(tau), float(om)) for tau in tau_grid for om in rabi_grid]
-    setting = (n, cfg, dist, quadrature, backend, rabi_convention, tuple(pairs),
+    setting = (n, cfg, dist, quadrature, backend, spec, tuple(pairs),
                rtol, atol, grid_opts)
     hashes = [_node_hash({"setting": setting, "version": __version__, "tau": t,
                           "rabi": om}) for t, om in node_params]
@@ -195,8 +193,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
 
 def _setting(map_result):
     """The `_map_node` arguments other than (tau, rabi) that made the map:
-    (n, cfg, dist, quadrature, backend, rabi_convention, pairs, rtol, atol,
-    grid_opts)."""
+    (n, cfg, dist, quadrature, backend, spec, pairs, rtol, atol, grid_opts)."""
     setting = map_result.meta.get("setting")
     if setting is None:
         raise ParameterError("this needs a map from reflectivity_map, whose "
@@ -254,8 +251,8 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
 
     refine="local" polishes (tau, rabi) with a derivative-free simplex
     running fresh map nodes around the best node, under the map's own
-    meta["setting"] (physics, distribution, quadrature, backend, Rabi
-    convention, tolerances and grid options).
+    meta["setting"] (physics, distribution, quadrature, backend, pulse spec,
+    tolerances and grid options).
     """
     best = None
     for pt in map_result.points:
@@ -304,43 +301,15 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
                      refined=refined)
 
 
-def pulse_area_labels(map_result, pair):
-    """Label reflectivity extrema along each tau row with pi multiples.
-
-    Counting from rabi = 0: the k-th maximum of the pair reflectivity is
-    "(2k-1)pi", the k-th minimum after a maximum is "2k pi".
-    """
-    key = f"R_{pair[0]}_{pair[1]}"
-    taus = map_result.axes[0][1]
-    oms = np.asarray(map_result.axes[1][1])
-    grid = map_result.value_grid(key)
-    labels = []
-    for i, tau in enumerate(taus):
-        row = grid[i]
-        n_max = n_min = 0
-        for jj in range(1, len(oms) - 1):
-            if np.isnan(row[jj - 1]) or np.isnan(row[jj]) or np.isnan(row[jj + 1]):
-                continue
-            if row[jj] >= row[jj - 1] and row[jj] > row[jj + 1]:
-                n_max += 1
-                labels.append({"tau": float(tau), "rabi": float(oms[jj]),
-                               "kind": "max", "label": f"{2 * n_max - 1}pi"})
-            elif n_max > 0 and row[jj] <= row[jj - 1] and row[jj] < row[jj + 1]:
-                n_min += 1
-                labels.append({"tau": float(tau), "rabi": float(oms[jj]),
-                               "kind": "min", "label": f"{2 * n_min}pi"})
-    return labels
-
-
 def spot_check(map_result, n_nodes=5, seed=0, tol=1e-3):
     """Cross-validate random map nodes against the grid backend.
 
     Runs `validation.oracle_diff` (plane-wave inputs 0..n, ladder vs
     split-step) at n_nodes nodes drawn by a seeded RNG, under the map's own
-    physics, Rabi convention, ladder tolerances and grid options; records
+    physics, pulse spec, ladder tolerances and grid options; records
     the worst absolute deviation.
     """
-    n, cfg, _, _, _, conv, _, rtol, atol, grid_opts = _setting(map_result)
+    n, cfg, _, _, _, spec, _, rtol, atol, grid_opts = _setting(map_result)
     rng = np.random.default_rng(seed)
     ok_points = [p for p in map_result.points if not p.failed]
     picks = rng.choice(len(ok_points), size=min(n_nodes, len(ok_points)), replace=False)
@@ -348,8 +317,7 @@ def spot_check(map_result, n_nodes=5, seed=0, tol=1e-3):
     details = []
     for ipick in sorted(int(i) for i in picks):
         pt = ok_points[ipick]
-        pulse = Pulse.on_resonance(cfg, n, pt.params["tau"],
-                                   **rabi_kwarg(conv, pt.params["rabi"]))
+        pulse = spec.build(cfg, n, pt.params["tau"], pt.params["rabi"])
         dev = oracle_diff(pulse, cfg, grid_opts=grid_opts, tol=tol, rtol=rtol,
                           atol=atol)["max_abs_dev"]
         worst = max(worst, dev)

@@ -7,7 +7,7 @@ import pytest
 from braggsim import interferometer, ladder, scans
 from braggsim.cli import main
 from braggsim.config import parse_config
-from braggsim.pulses import mach_zehnder_sequence
+from braggsim.pulses import PulseSpec, mach_zehnder_sequence
 from braggsim.results import ResultTable
 
 FAST_OVERRIDES = ["--set", "ensemble.nodes=7"]
@@ -56,8 +56,34 @@ def test_rabi_scan_follows_omega_convention(tmp_path, capsys):
     res = scans.rabi_scan(rc.physical(), sc["order"], rc.get("pulse", "tau"),
                           np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"]),
                           rc.distribution(), quadrature=rc.quadrature(),
-                          rabi_convention="peak", **rc.propagator())
+                          spec=PulseSpec(convention="peak"), **rc.propagator())
     assert probs["peak"] == [tuple(pt.values[f"P{c}"] for c in range(4)) for pt in res.points]
+
+
+def test_rabi_scan_without_maximum_writes_manifest(tmp_path, capsys):
+    cfg = _cfg(tmp_path, f"[scan]\nomega_count = 2\n[ensemble]\nnodes = 3\n"
+                         f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["rabi-scan", "-c", cfg]) == 0
+    assert "no interior maximum of P3 in the scan range" in capsys.readouterr().out
+    man = json.load(open(f"{tmp_path}/out/rabi_scan_manifest.json"))
+    table = ResultTable.read(f"{tmp_path}/out/rabi_scan.tsv")
+    assert table.provenance["manifest_hash"] == man["manifest_hash"]
+
+
+@pytest.mark.parametrize("command, table, override", [
+    ("rabi-scan", "rabi_scan.tsv", "pulse.envelope=rectangular"),
+    ("mzi", "mzi_ports.tsv", "pulse.envelope=rectangular"),
+    ("map", "map.tsv", "pulse.p0=0.2"),
+    ("robustness", "robustness.tsv", "ensemble.p0=0.2"),
+])
+def test_data_rows_follow_pulse_and_cloud_keys(tmp_path, capsys, command, table, override):
+    cfg = _cfg(tmp_path, "[scan]\ntau_count = 2\nomega_count = 7\nspot_check_nodes = 0\n"
+                         "[ensemble]\nnodes = 3\n")
+    rows = {}
+    for name, sets in (("default", []), ("set", ["--set", override])):
+        assert main([command, "-c", cfg, "-o", f"{tmp_path}/{name}", *sets]) == 0
+        rows[name] = ResultTable.read(f"{tmp_path}/{name}/{table}").rows
+    assert rows["set"] != rows["default"]
 
 
 def test_oracle_diff_command(tmp_path, capsys):
@@ -156,8 +182,7 @@ def test_mzi_follows_pulse_p0(tmp_path, capsys):
     s = rc["sequence"]
     seq = mach_zehnder_sequence(cfg_phys, 3, s["tau_bs"], s["omega_bs"], s["tau_mirror"],
                                 s["omega_mirror"], s["t_free"],
-                                p0=0.3 * cfg_phys.units().momentum_unit,
-                                rabi_convention="avg")
+                                spec=PulseSpec(p0=0.3))
     rep = interferometer.run_mzi(seq, rc.distribution(), cfg_phys,
                                  quadrature=rc.quadrature())
     assert ports["0.3"] == [(0.0, rep.ports[0]), (3.0, rep.ports[3]),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import braggsim
+from braggsim import config
 from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
 from braggsim.gridprop import Grid, GridOptions
@@ -97,6 +98,15 @@ class TestParseConfig:
         p = rc.pulse()
         assert p.rabi_avg == pytest.approx(TWO_PI * 21e3, rel=1e-12)
         assert p.rabi_peak == pytest.approx(TWO_PI * 21e3 / 0.42, rel=1e-12)
+
+    @pytest.mark.parametrize("section, key, value", [
+        (sec, key, v) for sec, key in (("pulse", "envelope"), ("pulse", "omega_convention"),
+                                       ("ensemble", "kind"), ("ensemble", "quadrature"),
+                                       ("propagator", "scheme"))
+        for v in config._SCHEMA[sec][key][2]])
+    def test_every_enumerated_value_builds(self, rb87, section, key, value):
+        rc = parse_config(text="", overrides=[f"{section}.{key}={value}"])
+        rc.pulse(rb87), rc.distribution(), rc.quadrature(), rc.grid_opts()
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):

@@ -21,7 +21,7 @@ def _ideal_two_level_mzi(cfg, phi3=0.0, t_free=2e-4):
     tau = 250e-6
     om_pi = np.pi / tau
     return mach_zehnder_sequence(cfg, 1, tau, om_pi / 2, tau, om_pi, t_free,
-                                 phi3=phi3, rabi_convention="avg")
+                                 phi3=phi3)
 
 
 class TestRunMzi:
@@ -34,8 +34,7 @@ class TestRunMzi:
 
     def test_ports_plus_undetected_is_one(self, rb87, cloud):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3,
-                                    120e-6, TWO_PI * 21e3, 5e-4,
-                                    rabi_convention="avg")
+                                    120e-6, TWO_PI * 21e3, 5e-4)
         rep = run_mzi(seq, cloud, rb87, quadrature=FAST)
         assert rep.total == pytest.approx(1.0, abs=1e-9)
 
@@ -71,20 +70,20 @@ class TestPathResolved:
     def test_branch_explosion_guard(self, rb87):
         # order 5 split after all three pulses: 6^3 = 216 branches > MAX_BRANCHES
         seq = mach_zehnder_sequence(rb87, 5, 90e-6, TWO_PI * 16e3, 120e-6,
-                                    TWO_PI * 21e3, 1e-4, rabi_convention="avg")
+                                    TWO_PI * 21e3, 1e-4)
         with pytest.raises(ParameterError):
             path_resolved_mzi(seq, DELTA, rb87, split_after=(0, 1, 2))
 
     def test_weights_account_for_everything(self, rb87, cloud):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
-                                    TWO_PI * 21e3, 5e-4, rabi_convention="avg")
+                                    TWO_PI * 21e3, 5e-4)
         tree, rep = path_resolved_mzi(seq, cloud, rb87, quadrature=FAST)
         total = sum(nd.weight for nd in tree)
         assert total + rep.pruned == pytest.approx(1.0, abs=2 * rep.pruned + 1e-9)
 
     def test_coherent_recombination_matches_unsplit_run(self, rb87):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
-                                    TWO_PI * 21e3, 5e-4, rabi_convention="avg")
+                                    TWO_PI * 21e3, 5e-4)
         tree, rep = path_resolved_mzi(seq, DELTA, rb87, split_after=(0, 1))
         direct = run_mzi(seq, DELTA, rb87)
         for p in rep.ports:
@@ -95,7 +94,7 @@ class TestPathResolved:
         out = {}
         for T in (3e-4, 8e-4):
             seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
-                                        TWO_PI * 21e3, T, rabi_convention="avg")
+                                        TWO_PI * 21e3, T)
             tree, _ = path_resolved_mzi(seq, DELTA, rb87)
             out[T] = branch_summary(tree, 0)
         for cls in (1, 2):
@@ -178,8 +177,7 @@ class TestFringe:
     def test_one_propagation_matches_per_phase_loop(self, rb87, cloud, detected,
                                                     trailing_free, split_after, uniform):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
-                                    TWO_PI * 21e3, 3e-4, phi1=0.4321,
-                                    rabi_convention="avg")
+                                    TWO_PI * 21e3, 3e-4, phi1=0.4321)
         if trailing_free:
             seq = PulseSequence(seq.items + (FreeEvolution(2e-4),))
         if uniform:
@@ -223,9 +221,9 @@ class TestFringe:
         phis = np.linspace(0, TWO_PI, 10, endpoint=False)
         fast = Quadrature("gauss-hermite", 7)
         seq_plain = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 90e-6,
-                                          TWO_PI * 23e3, 4e-4, rabi_convention="avg")
+                                          TWO_PI * 23e3, 4e-4)
         seq_dmp = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
-                                        TWO_PI * 21e3, 4e-4, rabi_convention="avg")
+                                        TWO_PI * 21e3, 4e-4)
         _, fit_plain = fringe_scan(seq_plain, phis, cloud, rb87, quadrature=fast)
         _, fit_dmp = fringe_scan(seq_dmp, phis, cloud, rb87, quadrature=fast)
         assert fit_plain[0].max_residual > fit_dmp[0].max_residual

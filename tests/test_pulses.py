@@ -5,9 +5,8 @@ from scipy.optimize import brentq
 
 from braggsim.errors import ParameterError
 from braggsim.physics import HBAR
-from braggsim.pulses import (Envelope, FreeEvolution, Pulse, PulseSequence,
-                             blackman, mach_zehnder_sequence, rabi_from_power,
-                             rabi_kwarg, resonance_delta_omega)
+from braggsim.pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
+                             blackman, mach_zehnder_sequence, resonance_delta_omega)
 
 TWO_PI = 2 * np.pi
 
@@ -37,8 +36,6 @@ class TestBlackman:
         lo = brentq(lambda t: blackman(t, tau) - 0.5, 0.0, 0.5)
         hi = brentq(lambda t: blackman(t, tau) - 0.5, 0.5, 1.0)
         assert (hi - lo) == pytest.approx(0.405, abs=0.002)
-        assert Envelope("blackman", 90e-6).fwhm() == pytest.approx(0.405 * 90e-6,
-                                                                   abs=0.002 * 90e-6)
 
     def test_mean_by_quadrature(self):
         val, _ = quad(lambda t: blackman(t, 1.0), 0.0, 1.0)
@@ -101,26 +98,6 @@ class TestResonance:
             resonance_delta_omega(0, 0.0, rb87)
 
 
-class TestRabiFromPower:
-    def test_zero_power(self):
-        assert rabi_from_power(0.0, 1.17e-3, 1e-36) == 0.0
-
-    def test_linearity(self):
-        a = rabi_from_power(0.1, 1.17e-3, 1e-36)
-        b = rabi_from_power(0.2, 1.17e-3, 1e-36)
-        assert b == pytest.approx(2 * a, rel=1e-14)
-
-    def test_default_envelope_mean_is_blackman_average(self):
-        mean, _ = quad(lambda t: blackman(t, 1.0), 0.0, 1.0)
-        got = rabi_from_power(0.1, 1e-3, 1e-36)
-        ref = rabi_from_power(0.1, 1e-3, 1e-36, envelope_mean=mean)
-        assert got == pytest.approx(ref, rel=1e-9)
-
-    def test_invalid_waist(self):
-        with pytest.raises(ParameterError):
-            rabi_from_power(0.1, 0.0, 1e-36)
-
-
 class TestPulse:
     def test_avg_peak_conversion(self, rb87):
         p = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3)
@@ -160,24 +137,24 @@ class TestSequence:
         assert all(isinstance(i, Pulse) for i in seq.items)
 
     def test_mirror_matches_dichroic_parameters(self, rb87):
-        seq = mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, TWO_PI * 21e3,
-                                    1e-3, rabi_convention="avg")
+        seq = mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, TWO_PI * 21e3, 1e-3)
         mirror = seq.pulses[1]
         assert mirror.duration == 120e-6
         assert mirror.rabi_avg == pytest.approx(TWO_PI * 21e3, rel=1e-12)
 
     def test_unknown_rabi_convention_rejected(self, rb87):
-        assert rabi_kwarg("peak", 2.0) == {"rabi_peak": 2.0}
+        assert PulseSpec(convention="peak").build(rb87, 3, 90e-6, 2.0).rabi_peak == 2.0
         with pytest.raises(ParameterError):
-            rabi_kwarg("Peak", 1.0)
-        with pytest.raises(ParameterError):
-            mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, 9e4, 1e-3,
-                                  rabi_convention="Peak")
+            PulseSpec(convention="Peak")
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ParameterError):
             PulseSequence(())
 
-    def test_negative_free_evolution_rejected(self):
+    def test_negative_free_evolution_rejected(self, rb87):
         with pytest.raises(ParameterError):
             FreeEvolution(-1e-6)
+        with pytest.raises(ParameterError):
+            mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, 9e4, -1e-6)
+        with pytest.raises(ParameterError):
+            mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, -120e-6, 9e4, 1e-3)

@@ -7,9 +7,9 @@ from braggsim import ladder, scans
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
+from braggsim.pulses import PulseSpec
 from braggsim.scans import (DmpCriterion, ScanPoint, ScanResult, find_dmp,
-                            first_maximum, pulse_area_labels, rabi_scan,
-                            reflectivity_map, spot_check)
+                            first_maximum, rabi_scan, reflectivity_map, spot_check)
 
 TWO_PI = 2 * np.pi
 
@@ -116,22 +116,29 @@ class TestReflectivityMap:
         for pf, pr in zip(full.points, resumed.points):
             assert pf.values == pr.values
 
+    @staticmethod
+    def _values(cfg, cloud, cache_path, spec=PulseSpec()):
+        res = reflectivity_map(cfg, 3, np.array([90e-6, 105e-6]),
+                               TWO_PI * 1e3 * np.array([18.0, 21.0]), [(0, 3), (1, 2)],
+                               cloud, quadrature=FAST, spec=spec, cache_path=cache_path)
+        return [pt.values for pt in res.points]
+
     def test_cache_keyed_by_physics(self, rb87, cloud9, tmp_path):
         k39 = PhysicalConfig(atom_mass=38.9637 * ATOMIC_MASS_KG, wavelength=766.7e-9,
                              label="K-39")
-        taus = np.array([90e-6, 105e-6])
-        oms = TWO_PI * 1e3 * np.array([18.0, 21.0])
-
-        def values(cfg, cache_path):
-            res = reflectivity_map(cfg, 3, taus, oms, [(0, 3), (1, 2)], cloud9,
-                                   quadrature=FAST, cache_path=cache_path)
-            return [pt.values for pt in res.points]
-
         cache = os.path.join(tmp_path, "shared.jsonl")
-        rb = values(rb87, cache)
-        k_shared = values(k39, cache)
-        assert k_shared == values(k39, None)
+        rb = self._values(rb87, cloud9, cache)
+        k_shared = self._values(k39, cloud9, cache)
+        assert k_shared == self._values(k39, cloud9, None)
         assert k_shared != rb
+
+    def test_cache_keyed_by_pulse_spec(self, rb87, cloud9, tmp_path):
+        rect = PulseSpec(envelope="rectangular")
+        cache = os.path.join(tmp_path, "shared.jsonl")
+        blackman = self._values(rb87, cloud9, cache)
+        rect_shared = self._values(rb87, cloud9, cache, rect)
+        assert rect_shared == self._values(rb87, cloud9, None, rect)
+        assert rect_shared != blackman
 
     def test_interrupted_map_resumes(self, rb87, cloud9, tmp_path, monkeypatch):
         # each finished node is in the cache before the next one starts
@@ -219,7 +226,7 @@ class TestFindDmp:
         delta = MomentumDistribution("delta", 0.0, 0.0)
         m = reflectivity_map(rb87, 3, np.array([90e-6, 120e-6]),
                              TWO_PI * 1e3 * np.array([40.0, 56.0]), [(0, 3), (1, 2)], delta,
-                             rabi_convention="peak")
+                             spec=PulseSpec(convention="peak"))
         crit = DmpCriterion.for_order(3, min_resonant=0.0, max_parasitic=1.0)
         rep = find_dmp(m, crit, refine="local", max_refine_evals=8)
         assert rep.refined
@@ -234,22 +241,24 @@ class TestFindDmp:
         assert DmpCriterion.for_order(5).parasitic == ((1, 4), (2, 3))
 
 
-class TestPulseAreaLabels:
-    def test_counting_convention(self):
-        m = _synth_map()
-        labels = pulse_area_labels(m, (0, 3))
-        first_row = [l for l in labels if l["tau"] == m.axes[0][1][0]]
-        assert first_row[0]["label"] == "1pi" and first_row[0]["kind"] == "max"
-        mins = [l for l in first_row if l["kind"] == "min"]
-        assert mins and mins[0]["label"] == "2pi"
-
-
 class TestSpotCheck:
     def test_passes_on_tiny_map(self, rb87, cloud9, tmp_path):
         res = _tiny_map(rb87, cloud9, tmp_path)
         rep = spot_check(res, n_nodes=2, seed=1)
         assert rep["passes"], rep
         assert rep["max_abs_dev"] < 1e-3
+
+    def test_follows_the_map_pulse_spec(self, rb87, monkeypatch):
+        spec = PulseSpec(envelope="rectangular")
+        m = reflectivity_map(rb87, 3, np.array([90e-6, 105e-6]),
+                             TWO_PI * 1e3 * np.array([18.0, 21.0]), [(0, 3)],
+                             MomentumDistribution("delta", 0.0, 0.0), spec=spec)
+        seen = []
+        monkeypatch.setattr(scans, "oracle_diff", lambda pulse, cfg, **kw:
+                            seen.append(pulse) or {"max_abs_dev": 0.0})
+        rep = spot_check(m, n_nodes=2, seed=1)
+        assert seen == [spec.build(rb87, 3, nd["tau"], nd["rabi"]) for nd in rep["nodes"]]
+        assert [p.envelope.kind for p in seen] == ["rectangular"] * 2
 
     def test_needs_the_map_setting(self):
         with pytest.raises(ParameterError):
