@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every subcommand reads a config file plus ``--section.key value``
-overrides, writes result tables and a run manifest into the output
-directory, and exits nonzero with a JSON error object on stderr when
-something fails.  Result tables for a fixed config and seed are byte
+Every subcommand reads a config file plus repeatable
+``--set section.key=value`` overrides, writes result tables and a run
+manifest into the output directory, and exits nonzero with a JSON error
+object on stderr when something fails; a bad option value exits 2 with a
+``ConfigurationError``.  Result tables for a fixed config and seed are byte
 identical across runs and worker counts.
 """
 from __future__ import annotations
@@ -46,39 +47,19 @@ def _build_parser():
 
     command("rabi-scan", cmd_rabi_scan, "class populations vs Rabi frequency")
     command("map", cmd_map, "2D (tau, Rabi) reflectivity map")
-    p = command("dmp-find", cmd_dmp_find, "locate the dichroic operating point")
-    p.add_argument("--refine", choices=("none", "local"), default=None)
+    command("dmp-find", cmd_dmp_find, "locate the dichroic operating point")
     command("mirror-response", cmd_mirror_response, "populations after the mirror per input class")
     p = command("mzi", cmd_mzi, "Mach-Zehnder interferometer run")
     p.add_argument("--path-resolved", action="store_true")
     p.add_argument("--split-after", default="0,1",
-                   help="pulse ordinals to split at (path-resolved)")
+                   help="pulse ordinals to split at (path-resolved runs and the "
+                        "closing-path detector of --phi3-scan)")
     p.add_argument("--phi3-scan", type=int, default=0, metavar="N",
                    help="scan the final pulse phase over [0, 2pi) with N points")
     command("robustness", cmd_robustness, "reflectivities vs momentum spread")
     command("check", cmd_check, "run the numerical invariant suite")
     command("oracle-diff", cmd_oracle_diff, "grid vs ladder backend comparison")
     return ap
-
-
-def _collect_overrides(args, extra):
-    ov = list(args.set)
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
-        if tok.startswith("--") and "." in tok:
-            key = tok[2:]
-            if "=" in key:
-                ov.append(key)
-                i += 1
-            elif i + 1 < len(extra):
-                ov.append(f"{key}={extra[i + 1]}")
-                i += 2
-            else:
-                raise ConfigurationError(f"override flag {tok} needs a value")
-        else:
-            raise ConfigurationError(f"unrecognized argument {tok!r}")
-    return ov
 
 
 def _jobs(args, rc):
@@ -115,8 +96,6 @@ def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
     n = sc["order"]
     tau = rc.get("pulse", "tau")
     grid = np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"])
-    if grid[0] == 0.0:
-        grid = grid[1:]
     res = scans.rabi_scan(cfg, n, tau, grid, rc.distribution(),
                           quadrature=rc.quadrature(), spec=rc.pulse_spec(),
                           **rc.propagator())
@@ -148,9 +127,6 @@ def _map(args, rc, outdir, manifest, jobs):
     n = sc["order"]
     taus = np.linspace(sc["tau_min"], sc["tau_max"], sc["tau_count"])
     oms = np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"])
-    if oms[0] == 0.0:
-        oms = oms.copy()
-        oms[0] = 0.5 * (oms[0] + oms[1]) * 1e-6  # avoid the degenerate zero node
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
                                  quadrature=rc.quadrature(), jobs=jobs,
                                  spec=rc.pulse_spec(),
@@ -190,8 +166,7 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
     crit = DmpCriterion.for_order(n, lambda_pen=sc["lambda_pen"],
                                   min_resonant=sc["min_resonant"],
                                   max_parasitic=sc["max_parasitic"])
-    refine = args.refine if args.refine is not None else sc["refine"]
-    rep = scans.find_dmp(res, crit, refine=refine)
+    rep = scans.find_dmp(res, crit, refine=sc["refine"])
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
                "resonant_reflectivity": rep.resonant,
@@ -232,6 +207,13 @@ def cmd_mirror_response(args, rc, outdir, manifest, jobs):
 
 
 def cmd_mzi(args, rc, outdir, manifest, jobs):
+    if args.phi3_scan < 0:
+        raise ConfigurationError(f"--phi3-scan needs a point count >= 0, got {args.phi3_scan}")
+    try:
+        split_after = tuple(int(x) for x in args.split_after.split(","))
+    except ValueError:
+        raise ConfigurationError(f"--split-after needs pulse ordinals like \"0,1\", "
+                                 f"got {args.split_after!r}") from None
     cfg = rc.physical()
     seq = rc.mzi_sequence(cfg)
     dist = rc.distribution()
@@ -240,7 +222,8 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
     if args.phi3_scan:
         phis = np.linspace(0.0, 2 * np.pi, args.phi3_scan, endpoint=False)
         rows, fits = interferometer.fringe_scan(seq, phis, dist, cfg,
-                                                quadrature=rc.quadrature(), **prop)
+                                                quadrature=rc.quadrature(),
+                                                split_after=split_after, **prop)
         table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
                              (f"port_{n}", "probability"),
                              ("undetected", "probability")])
@@ -254,7 +237,6 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
               f"max residual {f0.max_residual:.2e}")
         return 0
     if args.path_resolved:
-        split_after = tuple(int(x) for x in args.split_after.split(","))
         tree, rep = interferometer.path_resolved_mzi(seq, dist, cfg,
                                                      quadrature=rc.quadrature(),
                                                      split_after=split_after,
@@ -292,10 +274,11 @@ def cmd_robustness(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
+    pairs = rc.get("scan", "pairs")
+    scans.check_pairs(pairs, n)
     dps = np.linspace(0.0, 0.3, 21)
     recs = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"), order=n,
                             quadrature=rc.quadrature(), **rc.propagator())
-    pairs = rc.get("scan", "pairs")
     table = ResultTable([("dp_hbark", "hbar*k_eff")]
                         + [(f"R_{a}_{b}", "probability") for a, b in pairs])
     for dp, rec in zip(dps, recs):
@@ -334,11 +317,10 @@ def cmd_oracle_diff(args, rc, outdir, manifest, jobs):
 
 def main(argv=None):
     ap = _build_parser()
-    args, extra = ap.parse_known_args(argv)
+    args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        overrides = _collect_overrides(args, extra)
-        rc = parse_config(args.config, overrides=overrides)
+        rc = parse_config(args.config, overrides=args.set)
         jobs = _jobs(args, rc)
         outdir = output_dir(rc.get("output", "dir"), args.output)
         manifest = _manifest(args.command, rc, args, jobs)

@@ -16,7 +16,8 @@ follow the envelope-averaged lab convention unless
 ``omega_convention = "peak"``.
 
 Unknown keys are rejected; defaults are applied and echoed into the run
-manifest.  Command-line overrides use ``--section.key value``.
+manifest.  On the command line, ``--set section.key=value`` (repeatable)
+overrides a key after the file is read.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
@@ -24,7 +25,9 @@ tolerances and the grid settings reach each computation a command runs.
 tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
 every command that makes one; ``mzi`` takes its phases, durations, Rabi
 frequencies and free time from ``[sequence]``.  ``[ensemble]`` p0
-centres every cloud, the ``robustness`` clouds of each spread included.
+centres every cloud, the ``robustness`` clouds of each spread included;
+dp is the cloud's Gaussian spread, and ``dp = 0`` a point cloud.  A
+``[scan]`` Rabi grid may start at ``omega_min = 0``, the identity pulse.
 """
 from __future__ import annotations
 
@@ -131,7 +134,6 @@ _SCHEMA = {
         "phi3": ("quantity:angle:rad", 0.0, None),
     },
     "ensemble": {
-        "kind": ("str", "gaussian", ("gaussian", "delta")),
         "dp": ("quantity:momentum_hbark:hbark", 0.13, _nonnegative),
         "p0": ("quantity:momentum_hbark:hbark", 0.0, None),
         "quadrature": ("str", "gauss-hermite", ("gauss-hermite", "monte-carlo")),
@@ -241,10 +243,7 @@ class RunConfig:
 
     def distribution(self) -> MomentumDistribution:
         e = self.sections["ensemble"]
-        kind = e["kind"]
-        if e["dp"] == 0 and kind == "gaussian":
-            kind = "delta"
-        return MomentumDistribution(kind=kind, p0=e["p0"], dp=e["dp"])
+        return MomentumDistribution(p0=e["p0"], dp=e["dp"])
 
     def quadrature(self) -> Quadrature:
         e = self.sections["ensemble"]

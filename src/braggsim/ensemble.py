@@ -51,8 +51,9 @@ class Quadrature:
 class MomentumDistribution:
     """Initial momentum distribution (units hbar*k_eff).
 
-    dp is the standard deviation of the Gaussian; tabulated
-    distributions carry (momentum, weight) rows with nonnegative weights.
+    dp is the standard deviation of the Gaussian, which is the point cloud
+    p0 when dp = 0; tabulated distributions carry (momentum, weight) rows
+    with nonnegative weights.
     """
 
     kind: str = "gaussian"        # "gaussian" | "delta" | "tabulated"
@@ -222,7 +223,7 @@ def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadra
         raise ParameterError("dp grid must be nonempty and ascending")
     out = []
     for dp in dp_grid:
-        dist = MomentumDistribution("delta" if dp == 0 else "gaussian", p0, float(dp))
+        dist = MomentumDistribution(p0=p0, dp=float(dp))
         out.append(reflectivity_matrix(mirror, dist, cfg, order=order,
                                        quadrature=quadrature, backend=backend, **kw))
     return out

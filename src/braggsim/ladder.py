@@ -39,14 +39,13 @@ with projections onto classes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ParameterError
-from .pulses import FreeEvolution, Pulse, PulseSequence, blackman_frac
+from .pulses import FreeEvolution, Pulse, PulseSequence
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -136,16 +135,6 @@ def ladder_hamiltonian(q, pulse, cfg, t, j_window):
     return H
 
 
-def _envelope_scalar(envelope):
-    """Fast scalar envelope(u) on fractional time, 0 outside [0, 1]."""
-    kind = envelope.kind
-    if kind == "blackman":
-        return lambda u: blackman_frac(u, math.cos) if 0.0 <= u <= 1.0 else 0.0
-    if kind == "rectangular":
-        return lambda u: 1.0 if 0.0 <= u <= 1.0 else 0.0
-    return lambda u: float(envelope.value_frac(u))
-
-
 def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                     j_window=None):
     """Propagate amplitudes c0 of shape (dim, nq, ni) through one pulse.
@@ -165,7 +154,7 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     if dim != len(j) or nq != len(qs):
         raise ParameterError("c0 shape does not match window/quasimomentum batch")
     tau, W, dw, phi = pulse.dimensionless(cfg.units())
-    env = _envelope_scalar(pulse.envelope)
+    env = pulse.envelope.scalar
     K = (qs[None, :] + j[:, None]) ** 2          # (dim, nq)
     eiphi = complex(np.exp(1j * phi))
 

@@ -17,6 +17,7 @@ A ``PulseSpec`` names the convention once, for every pulse it builds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,9 +33,8 @@ def blackman_frac(u, cos=np.cos):
     """Blackman window 0.42 - 0.5*cos(2*pi*u) + 0.08*cos(4*pi*u) at fractional
     time u, without the cut to [0, 1].
 
-    The one place the formula is written.  Pass cos=math.cos to evaluate a
-    Python float without numpy overhead, as the ladder right-hand side
-    does once per call.
+    The one place the formula is written.  ``Envelope.scalar`` passes
+    cos=math.cos to evaluate a Python float without numpy overhead.
     """
     w = 2 * np.pi * u
     return 0.42 - 0.5 * cos(w) + 0.08 * cos(2 * w)
@@ -87,6 +87,18 @@ class Envelope:
             val = np.nan_to_num(self._interp(np.clip(u, 0.0, 1.0)), nan=0.0)
         out = np.where((u >= 0) & (u <= 1), val, 0.0)
         return out if out.ndim else float(out)
+
+    def scalar(self, u):
+        """``value_frac`` of one Python float u, without numpy overhead; the
+        ladder right-hand side and the grid's potential substep call it once
+        per evaluation."""
+        if not 0.0 <= u <= 1.0:
+            return 0.0
+        if self.kind == "blackman":
+            return blackman_frac(u, math.cos)
+        if self.kind == "rectangular":
+            return 1.0
+        return self.value_frac(u)
 
     def value(self, t):
         """Envelope at time t, in the unit of the duration."""

@@ -108,6 +108,13 @@ def first_maximum(xs, ys):
     raise ParameterError("no interior maximum found in scan range")
 
 
+def check_pairs(pairs, n):
+    """Raise ParameterError unless both classes of every (a, b) pair lie in 0..n."""
+    for a, b in pairs:
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise ParameterError(f"pair ({a},{b}) outside classes 0..{n}")
+
+
 def _map_node(args):
     """Worker: one (tau, rabi) node of a reflectivity map."""
     (tau, om, n, cfg, dist, quadrature, backend, spec, pairs,
@@ -136,19 +143,18 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
 
     Each finished node is appended to cache_path (JSON lines) under a hash
     of every `_map_node` argument and the code version, so an interrupted
-    map resumes where it stopped and reproduces a fresh run exactly.  The
-    `_map_node` arguments other than (tau, rabi) are kept as
-    meta["setting"] for refinement and the spot check; meta["failures"]
-    lists the params of failed nodes.
+    map resumes where it stopped and reproduces a fresh run exactly; the
+    node of a line that a kill cut short is recomputed.  The `_map_node`
+    arguments other than (tau, rabi) are kept as meta["setting"] for
+    refinement and the spot check; meta["failures"] lists the params of
+    failed nodes.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
     for g, name in ((tau_grid, "tau"), (rabi_grid, "rabi")):
         if len(g) < 2 or np.any(np.diff(g) <= 0):
             raise ParameterError(f"{name} grid must be ascending with >= 2 points")
-    for a, b in pairs:
-        if not (0 <= a <= n and 0 <= b <= n):
-            raise ParameterError(f"pair ({a},{b}) outside classes 0..{n}")
+    check_pairs(pairs, n)
 
     node_params = [(float(tau), float(om)) for tau in tau_grid for om in rabi_grid]
     setting = (n, cfg, dist, quadrature, backend, spec, tuple(pairs),
@@ -156,12 +162,17 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     hashes = [_node_hash({"setting": setting, "version": __version__, "tau": t,
                           "rabi": om}) for t, om in node_params]
 
-    cached = {}
+    text = ""
     if cache_path and os.path.exists(cache_path):
         with open(cache_path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                cached[rec["hash"]] = rec
+            text = fh.read()
+    cached = {}
+    for line in text.splitlines():
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:   # a record cut short by a kill mid-write
+            continue
+        cached[rec["hash"]] = rec
     todo = [i for i, h in enumerate(hashes) if h not in cached]
 
     args = [(*node_params[i], *setting) for i in todo]
@@ -172,6 +183,8 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
         else:
             fresh = map(_map_node, args)
         sink = stack.enter_context(open(cache_path, "a")) if cache_path else None
+        if sink and text and not text.endswith("\n"):
+            sink.write("\n")   # the next record starts on a line of its own
         for i, pt in zip(todo, fresh):
             rec = {"hash": hashes[i], "params": pt.params, "values": pt.values,
                    "failed": pt.failed, "error": pt.error}

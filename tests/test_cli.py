@@ -192,7 +192,7 @@ def test_mzi_follows_pulse_p0(tmp_path, capsys):
 def test_path_resolved_rejects_grid_backend(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"[sequence]\nt_free = 0.4\n[ensemble]\nnodes = 5\n"
                          f"[output]\ndir = {tmp_path}/out\n")
-    assert main(["mzi", "-c", cfg, "--path-resolved", "--propagator.backend", "grid"]) == 2
+    assert main(["mzi", "-c", cfg, "--path-resolved", "--set", "propagator.backend=grid"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
 
@@ -208,17 +208,66 @@ def test_commands_use_configured_ladder_tolerances(tmp_path, capsys, monkeypatch
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     for command in ("mzi", "robustness", "mirror-response"):
         seen.clear()
-        assert main([command, "-c", cfg, "--propagator.ladder_rtol", "1e-4",
-                     "--propagator.ladder_atol", "1e-6"]) == 0
+        assert main([command, "-c", cfg, "--set", "propagator.ladder_rtol=1e-4",
+                     "--set", "propagator.ladder_atol=1e-6"]) == 0
         assert seen and set(seen) == {(1e-4, 1e-6)}, command
 
 
 def test_override_flags_dotted(tmp_path, capsys):
+    # --set section.key=value is the one override spelling
     cfg = _cfg(tmp_path, f"[output]\ndir = {tmp_path}/out\n")
-    code = main(["oracle-diff", "-c", cfg, "--propagator.tol", "1e-9"])
-    assert code == 0
+    for dotted in (["--propagator.tol", "1e-9"], ["--propagator.tol=1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-diff", "-c", cfg, *dotted])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["oracle-diff", "-c", cfg, "--set", "propagator.tol=1e-9"]) == 0
     man = json.load(open(f"{tmp_path}/out/oracle_diff_manifest.json"))
     assert man["config"]["propagator"]["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["mzi", "--path-resolved", "--split-after", "0,x"], "ConfigurationError"),
+    (["mzi", "--phi3-scan", "-2"], "ConfigurationError"),
+    (["robustness", "--set", "pulse.order=1"], "ParameterError"),   # [scan] pairs 0-3
+], ids=["split-after", "phi3-scan", "pairs-beyond-order"])
+def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
+    cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
+    assert main([*argv, "-c", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_fringe_scan_follows_split_after(tmp_path, capsys):
+    # the closing-path detector depends on where the branches split
+    cfg = _cfg(tmp_path, "[ensemble]\nnodes = 3\n")
+    rows = {}
+    for split in ("0", "0,1"):
+        assert main(["mzi", "-c", cfg, "-o", f"{tmp_path}/{split}", "--phi3-scan", "4",
+                     "--split-after", split]) == 0
+        rows[split] = ResultTable.read(f"{tmp_path}/{split}/fringe_scan.tsv").rows
+    assert rows["0"] != rows["0,1"]
+    rc = parse_config(cfg)
+    cfg_phys = rc.physical()
+    lib, _ = interferometer.fringe_scan(rc.mzi_sequence(cfg_phys),
+                                        np.linspace(0.0, 2 * np.pi, 4, endpoint=False),
+                                        rc.distribution(), cfg_phys,
+                                        quadrature=rc.quadrature(), split_after=(0,))
+    assert rows["0"] == [(r["phi3"], r["port_0"], r["port_3"], r["undetected"])
+                         for r in lib]
+
+
+@pytest.mark.parametrize("command, table", [("rabi-scan", "rabi_scan.tsv"),
+                                            ("map", "map.tsv")])
+def test_zero_rabi_node_is_the_identity(tmp_path, capsys, command, table):
+    cfg = _cfg(tmp_path, "[scan]\nomega_min = 0\nomega_count = 4\ntau_count = 2\n"
+                         "spot_check_nodes = 0\n[ensemble]\nnodes = 3\n")
+    assert main([command, "-c", cfg, "-o", f"{tmp_path}/out"]) == 0
+    rows = ResultTable.read(f"{tmp_path}/out/{table}").rows
+    if command == "rabi-scan":
+        assert len(rows) == 4 and rows[0] == (0.0, 1.0, 0.0, 0.0, 0.0)
+    else:
+        off = [row for row in rows if row[1] == 0.0]
+        assert len(off) == 2 and all(row[2:] == (0.0,) * 7 for row in off)
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -101,12 +101,18 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         (sec, key, v) for sec, key in (("pulse", "envelope"), ("pulse", "omega_convention"),
-                                       ("ensemble", "kind"), ("ensemble", "quadrature"),
-                                       ("propagator", "scheme"))
+                                       ("ensemble", "quadrature"), ("propagator", "scheme"))
         for v in config._SCHEMA[sec][key][2]])
     def test_every_enumerated_value_builds(self, rb87, section, key, value):
         rc = parse_config(text="", overrides=[f"{section}.{key}={value}"])
         rc.pulse(rb87), rc.distribution(), rc.quadrature(), rc.grid_opts()
+
+    def test_zero_spread_is_a_point_cloud(self):
+        rc = parse_config(text="[ensemble]\ndp = 0\np0 = 0.2\n")
+        p, w = rc.distribution().nodes(rc.quadrature())
+        assert p.tolist() == [0.2] and w.tolist() == [1.0]
+        with pytest.raises(ConfigurationError):
+            parse_config(text="", overrides=["ensemble.kind=delta"])
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ from braggsim import gridprop, ladder
 from braggsim.ladder import (LadderState, default_j_window,
                              integrate_ladder, ladder_hamiltonian, ladder_state,
                              propagate_batch, propagate_sequence, truncation_check)
-from braggsim.pulses import Envelope, FreeEvolution, Pulse, PulseSequence
+from braggsim.pulses import FreeEvolution, Pulse, PulseSequence
 
 TWO_PI = 2 * np.pi
 
@@ -183,14 +183,6 @@ class TestIntegrate:
         for iq in range(len(qs)):
             u = U[:, iq, :]
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-9
-
-    def test_scalar_blackman_matches_envelope_bitwise(self):
-        # the right-hand side's math.cos envelope and the numpy envelope
-        # share one formula and round alike, inside and outside [0, 1]
-        env = Envelope("blackman", 90e-6)
-        f = ladder._envelope_scalar(env)
-        for u in np.linspace(-0.25, 1.25, 1201).tolist() + [0.0, 0.5, 1.0]:
-            assert f(u) == env.value_frac(u)
 
 
 class TestSequenceAndFree:

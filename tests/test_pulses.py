@@ -67,6 +67,16 @@ class TestEnvelope:
         assert env.value(1.0) == 1.0
         assert env.value(2.5) == 0.0
 
+    @pytest.mark.parametrize("kind", ["blackman", "rectangular", "tabulated"])
+    def test_scalar_matches_value_frac_bitwise(self, kind):
+        # the scalar evaluator of the ladder right-hand side and the grid
+        # potential rounds like the numpy envelope, inside and outside [0, 1];
+        # the tabulated samples leave [0, 0.1) and (0.9, 1] without a value
+        samples = ((0.1, 0.0), (0.4, 1.3), (0.7, 0.5), (0.9, 0.0))
+        env = Envelope(kind, 1.0, samples if kind == "tabulated" else ())
+        for u in np.linspace(-0.25, 1.25, 1201).tolist() + [0.0, 0.5, 1.0]:
+            assert env.scalar(u) == env.value_frac(u)
+
 
 class TestResonance:
     def test_third_order(self, rb87):

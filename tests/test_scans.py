@@ -166,6 +166,21 @@ class TestReflectivityMap:
             assert len(fh.readlines()) == 2
         assert [p.values for p in run(cache).points] == [p.values for p in run(None).points]
 
+    def test_torn_cache_line_is_recomputed(self, rb87, cloud9, tmp_path, monkeypatch):
+        # a kill during a write leaves the last record cut short
+        _tiny_map(rb87, cloud9, tmp_path, cache_name="torn.jsonl")
+        cache = os.path.join(tmp_path, "torn.jsonl")
+        lines = open(cache).readlines()
+        with open(cache, "w") as fh:
+            fh.write("".join(lines[:2]) + lines[2][:150])
+        fresh = [p.values for p in _tiny_map(rb87, cloud9, tmp_path).points]
+        resumed = _tiny_map(rb87, cloud9, tmp_path, cache_name="torn.jsonl")
+        assert [p.values for p in resumed.points] == fresh
+        node, calls = scans._map_node, []
+        monkeypatch.setattr(scans, "_map_node", lambda args: calls.append(args) or node(args))
+        again = _tiny_map(rb87, cloud9, tmp_path, cache_name="torn.jsonl")
+        assert calls == [] and [p.values for p in again.points] == fresh
+
     def test_zero_rabi_row_is_identity(self, rb87, cloud9):
         taus = np.array([90e-6, 120e-6])
         oms = np.array([1e-9, TWO_PI * 18e3])
