@@ -18,6 +18,13 @@ sequence, read the class populations and weight them over the
 distribution.  ``ensemble_average`` is one input row of it and
 ``reflectivity_matrix`` the square matrix over classes 0..n; it is the
 only place that chooses between the ladder and grid backends.
+
+``_class_masses`` propagates only the ladder nodes q >= p_c and fills the
+others by the momentum reflection of :mod:`braggsim.ladder` when the
+sequence is one pulse of order n resonant at p_c = dist.p0, the Gaussian's
+nodes are symmetric about p_c and the inputs and classes are closed under
+c -> n - c (each within 1e-12).  Otherwise, and always on the grid (the
+independent oracle), it runs the full batch.
 """
 from __future__ import annotations
 
@@ -127,6 +134,17 @@ def _sequence_pulses(pulse_or_seq):
     return pulse_or_seq
 
 
+def _mirror_order(seq, dist, cfg, qs, inputs, classes):
+    """The order n when the momentum reflection applies (module docstring), else None."""
+    if len(seq.pulses) != 1 or dist.kind != "gaussian":
+        return None
+    n = seq.order_hint
+    p_c = (seq.pulses[0].dimensionless(cfg.units())[2] - n) / 2
+    closed = all(n - x in cs for cs in (inputs, classes) for x in cs)
+    symmetric = np.all(np.abs(qs + qs[::-1] - 2 * p_c) <= 2e-12)   # so dist.p0 = p_c
+    return n if closed and symmetric else None
+
+
 def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, atol,
                   grid_opts):
     """Distribution-weighted class populations, shape (len(inputs), len(classes)).
@@ -142,9 +160,15 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
         outside = [c for c in (*inputs, *classes) if not j_window[0] <= c <= j_window[1]]
         if outside:
             raise ParameterError(f"classes {outside} outside the ladder window {j_window}")
-        c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs),
+        n = _mirror_order(seq, dist, cfg, qs, inputs, classes)
+        h = 0 if n is None else len(qs) // 2
+        c = ladder.run_sequence(qs[h:], ladder.unit_columns(j_window, len(qs) - h, inputs),
                                 seq.items, cfg, j_window, rtol=rtol, atol=atol)
         pops = np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2  # (inputs, nq, classes)
+        if h:   # P_{a->b}(q_k) = P_{n-a->n-b}(q_{nq-1-k}) for the nodes k < h
+            flip_in, flip_cl = ([cs.index(n - x) for x in cs] for cs in (inputs, classes))
+            low = pops[flip_in][:, ::-1][:, :h][:, :, flip_cl]
+            pops = np.concatenate([low, pops], axis=1)
     elif backend == "grid":
         def masses(a, q):
             st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid, a, q),

@@ -46,10 +46,6 @@ class PortReport:
     pruned: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    @property
-    def total(self):
-        return sum(self.ports.values()) + self.undetected
-
 
 @dataclass(frozen=True)
 class PathNode:

@@ -36,6 +36,14 @@ Lambda^dagger c0 once, at the reference phase, as columns of one batch.
 Lambda is diagonal with unit-modulus entries, so the final Lambda leaves
 every class population unchanged and commutes with free evolution and
 with projections onto classes.
+
+Momentum reflection about the resonant momentum p_c is exact too.  For a
+pulse of order n with dw = n + 2 p_c, j -> n - j, q -> 2 p_c - q shifts
+the co-moving diagonal (q+j)^2 - j*dw by a constant, conjugates the
+coupling (phi -> -phi, a gauge) and maps the window [-(n+4), 2n+4] onto
+itself, so for any envelope one pulse gives
+P_{a->b}(p_c + d) = P_{n-a->n-b}(p_c - d).  The relative phases of
+several pulses flip sign, so a sequence does not.
 """
 from __future__ import annotations
 
@@ -75,13 +83,6 @@ class LadderState:
     @property
     def dim(self):
         return self.j_max - self.j_min + 1
-
-    @property
-    def j(self):
-        return np.arange(self.j_min, self.j_max + 1)
-
-    def copy(self):
-        return LadderState(self.q, self.j_min, self.j_max, self.amps.copy())
 
     @property
     def norm(self):
@@ -235,8 +236,6 @@ def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,
 
 @dataclass(frozen=True)
 class TruncationReport:
-    window: tuple
-    widened_window: tuple
     max_population_change: float
     passes: bool
 
@@ -258,7 +257,5 @@ def truncation_check(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     outer = sum(wide.population(j) for j in list(range(wide_min, state.j_min))
                 + list(range(state.j_max + 1, wide_max + 1)))
     max_change = max(max(changes), outer)
-    return TruncationReport(window=(state.j_min, state.j_max),
-                            widened_window=(wide_min, wide_max),
-                            max_population_change=float(max_change),
+    return TruncationReport(max_population_change=float(max_change),
                             passes=bool(max_change < 1e-8))

@@ -40,7 +40,7 @@ class PhysicalConfig:
     wavelength: float           # m
     label: str = ""
     k_eff: float = field(init=False)
-    recoil_angular_frequency: float = field(init=False)
+    omega_k: float = field(init=False)    # two-photon recoil hbar*k_eff^2/(2m), rad/s
 
     def __post_init__(self):
         if self.atom_mass <= 0:
@@ -49,13 +49,7 @@ class PhysicalConfig:
             raise ParameterError(f"wavelength must be positive, got {self.wavelength}")
         k_eff = 2 * (2 * np.pi / self.wavelength)
         object.__setattr__(self, "k_eff", k_eff)
-        object.__setattr__(self, "recoil_angular_frequency",
-                           HBAR * k_eff**2 / (2 * self.atom_mass))
-
-    @property
-    def omega_k(self):
-        """Two-photon recoil angular frequency hbar*k_eff^2/(2m) in rad/s."""
-        return self.recoil_angular_frequency
+        object.__setattr__(self, "omega_k", HBAR * k_eff**2 / (2 * self.atom_mass))
 
     def units(self):
         return UnitSystem(self)

@@ -43,14 +43,6 @@ class ScanResult:
     points: list
     meta: dict = field(default_factory=dict)
 
-    def value_grid(self, key):
-        shape = tuple(len(v) for _, v in self.axes)
-        out = np.full(shape, np.nan)
-        for idx, pt in enumerate(self.points):
-            if not pt.failed:
-                out.flat[idx] = pt.values.get(key, np.nan)
-        return out
-
 
 def _node_hash(payload):
     # repr renders the frozen dataclasses (physics, distribution, grid

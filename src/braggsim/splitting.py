@@ -59,10 +59,6 @@ class SplittingScheme:
             raise ConfigurationError(f"scheme {self.name}: coefficients must each sum to 1")
 
     @property
-    def stages(self):
-        return len(self.a)
-
-    @property
     def is_palindromic(self):
         s = len(self.a)
         return all(abs(self.a[i] - self.b[s - 1 - i]) < 1e-14 for i in range(s))

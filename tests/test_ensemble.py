@@ -7,7 +7,7 @@ from braggsim.ensemble import (MomentumDistribution, Quadrature, class_populatio
                                ensemble_average, reflectivity_matrix,
                                robustness_curve)
 from braggsim.errors import ParameterError
-from braggsim.pulses import Pulse
+from braggsim.pulses import Pulse, PulseSequence
 
 TWO_PI = 2 * np.pi
 
@@ -231,3 +231,67 @@ class TestRobustness:
         recs = robustness_curve(dmp, [0.0, 0.1], rb87,
                                 quadrature=Quadrature("gauss-hermite", 21))
         assert recs[0].pair(0, 3) > recs[1].pair(0, 3)  # velocity selectivity
+
+
+class TestMomentumMirror:
+    """The ladder propagates the nodes q >= p_c only when the reflection holds."""
+
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        sizes, run = [], ladder.run_sequence
+
+        def spy(qs, c, *args, **kwargs):
+            sizes.append(len(qs))
+            return run(qs, c, *args, **kwargs)
+        monkeypatch.setattr(ladder, "run_sequence", spy)
+        return sizes
+
+    @staticmethod
+    def _full_batch(pulse, dist, cfg, quadrature, n):
+        qs, wts = dist.nodes(quadrature)
+        j_min, j_max = ladder.default_j_window(n)
+        c = ladder.propagate_batch(qs, ladder.unit_columns((j_min, j_max), len(qs),
+                                                           range(n + 1)), pulse, cfg)
+        pops = np.abs(c[np.arange(n + 1) - j_min]) ** 2           # (b, q, a)
+        return np.einsum("q,bqa->ab", wts, pops)
+
+    @pytest.mark.parametrize("n, p_c, nodes, half", [(3, 0.0, 41, 21), (3, 0.3, 40, 20),
+                                                     (4, 0.3, 41, 21), (4, 0.0, 40, 20)])
+    def test_centred_gauss_hermite_runs_half(self, rb87, batch_sizes, n, p_c, nodes, half):
+        pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
+                                   p0=p_c * rb87.units().momentum_unit)
+        dist = MomentumDistribution("gaussian", p_c, 0.13)
+        quad = Quadrature("gauss-hermite", nodes)
+        raw = reflectivity_matrix(pulse, dist, rb87, quadrature=quad).raw_matrix
+        assert batch_sizes == [half]
+        assert np.max(np.abs(raw - self._full_batch(pulse, dist, rb87, quad, n))) <= 1e-12
+
+    def test_full_batch_otherwise(self, rb87, batch_sizes, mirror, cloud):
+        gh = Quadrature("gauss-hermite", 9)
+        tilted = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3,
+                                    p0=0.3 * rb87.units().momentum_unit)
+        table = MomentumDistribution("tabulated", table=((-0.2, 1.0), (0.0, 2.0), (0.2, 1.0)))
+        runs = [
+            lambda: reflectivity_matrix(tilted, cloud, rb87, quadrature=gh),
+            lambda: reflectivity_matrix(mirror, cloud, rb87,
+                                        quadrature=Quadrature("monte-carlo", 9)),
+            lambda: reflectivity_matrix(mirror, table, rb87),
+            lambda: ensemble_average(mirror, cloud, rb87, quadrature=gh),
+            lambda: reflectivity_matrix(mirror, cloud, rb87, order=4, quadrature=gh),
+            lambda: reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87,
+                                        quadrature=gh),
+            lambda: reflectivity_matrix(mirror, MomentumDistribution(p0=0.0), rb87),
+        ]
+        for run in runs:
+            run()
+        assert batch_sizes == [9, 9, 3, 9, 9, 9, 1]
+
+    def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
+                                          monkeypatch):
+        qs = []
+        monkeypatch.setattr(gridprop, "run_sequence",
+                            lambda state, items, cfg, opts: qs.append(state.q) or state)
+        quad = Quadrature("gauss-hermite", 5)
+        reflectivity_matrix(mirror, cloud, rb87, quadrature=quad, backend="grid")
+        assert batch_sizes == []
+        assert qs == list(cloud.nodes(quad)[0]) * 4

@@ -64,7 +64,7 @@ class TestIntegrate:
         st.amps[1 - st.j_min] = 0.8
         out = integrate_ladder(st, pulse, rb87)
         tau_t = rb87.units().to_dimensionless(70e-6, "time")
-        ref = st.amps * np.exp(-1j * (st.q + st.j) ** 2 * tau_t)
+        ref = st.amps * np.exp(-1j * (st.q + np.arange(st.j_min, st.j_max + 1)) ** 2 * tau_t)
         assert np.max(np.abs(out.amps - ref)) < 1e-12
 
     def test_norm_conservation(self, rb87, mirror):
@@ -173,6 +173,28 @@ class TestIntegrate:
         relabelled = propagate_batch(qs + 1, c0, mirror, rb87,
                                      j_window=(j_min - 1, j_max - 1))
         assert np.max(np.abs(np.abs(here) ** 2 - np.abs(relabelled) ** 2)) <= 1e-12
+
+    @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (4, 120e-6, 30.0)])
+    @pytest.mark.parametrize("p_c", [0.0, 0.3])
+    @pytest.mark.parametrize("envelope", ["blackman", "rectangular", "tabulated"])
+    def test_momentum_reflection(self, rb87, n, tau, rabi_khz, p_c, envelope):
+        # a pulse resonant at p_c is symmetric under j -> n - j, q -> 2 p_c - q:
+        # P_{a->b}(p_c + d) = P_{n-a->n-b}(p_c - d) for any envelope and phase
+        u = np.linspace(0.0, 1.0, 9)
+        f = np.sin(np.pi * u) ** 2 * np.exp(-2.0 * u)
+        samples = tuple(zip(u * tau, f / f.max())) if envelope == "tabulated" else ()
+        pulse = Pulse.on_resonance(rb87, n, tau, rabi_avg=TWO_PI * rabi_khz * 1e3,
+                                   phase=0.7, p0=p_c * rb87.units().momentum_unit,
+                                   envelope_kind=envelope, samples=samples)
+        d = np.array([0.0, 0.15, 0.6])
+        j_min, j_max = default_j_window(n)
+        c = propagate_batch(np.concatenate([p_c + d, p_c - d]),
+                            ladder.unit_columns((j_min, j_max), 2 * len(d), range(n + 1)),
+                            pulse, rb87, rtol=1e-13, atol=1e-15)
+        P = np.abs(c[np.arange(n + 1) - j_min]) ** 2               # (b, q, a)
+        up, down = P[:, :len(d)], P[:, len(d):]
+        assert np.max(np.abs(up - down[::-1, :, ::-1])) <= 1e-12
+        assert np.max(np.abs(up - up[::-1, :, ::-1])) > 1e-3  # the flip is not trivial
 
     def test_unitarity_on_identity_basis(self, rb87, mirror):
         j_min, j_max = default_j_window(3)

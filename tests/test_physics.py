@@ -24,7 +24,7 @@ def test_k_eff_from_wavelength(rb87):
 
 def test_omega_k_two_ways(rb87):
     direct = HBAR * rb87.k_eff**2 / (2 * rb87.atom_mass)
-    assert abs(direct - rb87.recoil_angular_frequency) / direct < 1e-12
+    assert abs(direct - rb87.omega_k) / direct < 1e-12
 
 
 def test_to_dimensionless_momentum_unit(rb87):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from braggsim import ladder, scans
+from braggsim import ensemble, ladder, scans
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
@@ -93,9 +93,10 @@ class TestReflectivityMap:
     def test_values_and_shape(self, rb87, cloud9, tmp_path):
         res = _tiny_map(rb87, cloud9, tmp_path)
         assert len(res.points) == 9
-        grid = res.value_grid("R_0_3")
-        assert grid.shape == (3, 3)
-        assert not np.any(np.isnan(grid))
+        (_, taus), (_, oms) = res.axes
+        assert [pt.params for pt in res.points] == [{"tau": t, "rabi": o}
+                                                    for t in taus for o in oms]
+        assert all(not pt.failed and np.isfinite(pt.values["R_0_3"]) for pt in res.points)
 
     def test_jobs_bitwise_identical(self, rb87, cloud9, tmp_path):
         r1 = _tiny_map(rb87, cloud9, tmp_path)
@@ -180,6 +181,21 @@ class TestReflectivityMap:
         monkeypatch.setattr(scans, "_map_node", lambda args: calls.append(args) or node(args))
         again = _tiny_map(rb87, cloud9, tmp_path, cache_name="torn.jsonl")
         assert calls == [] and [p.values for p in again.points] == fresh
+
+    def test_cache_of_an_older_version_is_recomputed(self, rb87, cloud9, tmp_path,
+                                                     monkeypatch):
+        # rows from the full-batch code of 0.1.0 differ from the mirrored ones
+        # by ~1e-13, so a resumed map must not mix them in
+        monkeypatch.setattr(scans, "__version__", "0.1.0")
+        monkeypatch.setattr(ensemble, "_mirror_order", lambda *args: None)
+        _tiny_map(rb87, cloud9, tmp_path, cache_name="old.jsonl")
+        monkeypatch.undo()
+        node, calls = scans._map_node, []
+        monkeypatch.setattr(scans, "_map_node", lambda args: calls.append(args) or node(args))
+        resumed = _tiny_map(rb87, cloud9, tmp_path, cache_name="old.jsonl")
+        assert len(calls) == 9
+        assert [p.values for p in resumed.points] == [
+            p.values for p in _tiny_map(rb87, cloud9, tmp_path).points]
 
     def test_zero_rabi_row_is_identity(self, rb87, cloud9):
         taus = np.array([90e-6, 120e-6])

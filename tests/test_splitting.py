@@ -12,7 +12,7 @@ def test_coefficients_sum_to_one():
 
 
 def test_pp34a_is_palindromic():
-    s = PP34A.stages
+    s = len(PP34A.a)
     for i in range(s):
         assert PP34A.a[i] == pytest.approx(PP34A.b[s - 1 - i], abs=1e-15)
     assert PP34A.is_palindromic
@@ -49,8 +49,8 @@ def test_strang_is_order_two():
 def test_substeps_swap():
     subs = PP34A.substeps()
     swapped = PP34A.substeps(swap_roles=True)
-    assert [s for s, _ in subs] == ["A", "B"] * PP34A.stages
-    assert [s for s, _ in swapped] == ["B", "A"] * PP34A.stages
+    assert [s for s, _ in subs] == ["A", "B"] * len(PP34A.a)
+    assert [s for s, _ in swapped] == ["B", "A"] * len(PP34A.a)
     assert [w for _, w in subs] == [w for _, w in swapped]
 
 
