@@ -10,7 +10,7 @@ Momenta in this module are in units of hbar*k_eff.  Classes are indexed
 on each sample's own comb (class i sits at momentum q + i), matching the
 far-field analysis of shifted clouds and keeping the grid and ladder
 backends consistent for every quasimomentum.  Grid states are binned by
-``gridprop.momentum_populations`` into [c - 1/2, c + 1/2).
+``gridprop.class_masses`` into [c - 1/2, c + 1/2).
 
 One computation, ``_class_masses``, backs every result here: prepare a
 plane wave in input class a on each quadrature momentum, run the pulse or
@@ -24,7 +24,10 @@ others by the momentum reflection of :mod:`braggsim.ladder` when the
 sequence is one pulse of order n resonant at p_c = dist.p0, the Gaussian's
 nodes are symmetric about p_c and the inputs and classes are closed under
 c -> n - c (each within 1e-12).  Otherwise, and always on the grid (the
-independent oracle), it runs the full batch.
+independent oracle), it runs the full batch: on the grid, one state whose
+rows are every input at every node, on the one-period ``Grid.comb``, which
+holds plane waves exactly.  Inputs and classes must lie in the backend's
+window: the ladder's truncation window or the grid's [-nyquist, nyquist).
 """
 from __future__ import annotations
 
@@ -118,14 +121,12 @@ def class_populations(state, classes):
     """Bin a state's momentum density into classes and normalize.
 
     Ladder states use |c_j|^2 directly; grid states use
-    gridprop.momentum_populations, which bins |psi(p)|^2 over
-    [c - 1/2, c + 1/2).
+    gridprop.class_masses, which bins |psi(p)|^2 over [c - 1/2, c + 1/2).
     """
     classes = tuple(int(c) for c in classes)
     if isinstance(state, ladder.LadderState):
         return _normalized({c: state.population(c) for c in classes})
-    binned = gridprop.momentum_populations(state)
-    return _normalized({c: binned.get(c, 0.0) for c in classes})
+    return _normalized(dict(zip(classes, gridprop.class_masses(state, classes).tolist())))
 
 
 def _sequence_pulses(pulse_or_seq):
@@ -152,14 +153,17 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
     Row a is the cloud prepared in class inputs[a]; column b is its mass
     ending in class classes[b].  The ladder propagates every momentum and
     input as one batch on the window of the sequence's order; the grid
-    runs one plane wave at a time.
+    propagates them as the rows of one state on the comb grid.
     """
+    if backend not in ("ladder", "grid"):
+        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
+    nyq = int(grid_opts.grid.nyquist)
+    j_window = ladder.default_j_window(seq.order_hint) if backend == "ladder" else (-nyq, nyq - 1)
+    outside = [c for c in (*inputs, *classes) if not j_window[0] <= c <= j_window[1]]
+    if outside:
+        raise ParameterError(f"classes {outside} outside the {backend} window {j_window}")
     qs, wts = dist.nodes(quadrature)
     if backend == "ladder":
-        j_window = ladder.default_j_window(seq.order_hint)
-        outside = [c for c in (*inputs, *classes) if not j_window[0] <= c <= j_window[1]]
-        if outside:
-            raise ParameterError(f"classes {outside} outside the ladder window {j_window}")
         n = _mirror_order(seq, dist, cfg, qs, inputs, classes)
         h = 0 if n is None else len(qs) // 2
         c = ladder.run_sequence(qs[h:], ladder.unit_columns(j_window, len(qs) - h, inputs),
@@ -169,15 +173,11 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
             flip_in, flip_cl = ([cs.index(n - x) for x in cs] for cs in (inputs, classes))
             low = pops[flip_in][:, ::-1][:, :h][:, :, flip_cl]
             pops = np.concatenate([low, pops], axis=1)
-    elif backend == "grid":
-        def masses(a, q):
-            st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid, a, q),
-                                       seq.items, cfg, grid_opts)
-            raw = class_populations(st, classes).raw
-            return [raw[c] for c in classes]
-        pops = np.array([[masses(a, q) for q in qs] for a in inputs])
-    else:
-        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
+    else:   # row a * len(qs) + k is input a at node k
+        rows = gridprop.plane_wave(grid_opts.grid.comb, np.repeat(inputs, len(qs)),
+                                   np.tile(qs, len(inputs)))
+        st = gridprop.run_sequence(rows, seq.items, cfg, grid_opts)
+        pops = gridprop.class_masses(st, classes).reshape(len(inputs), len(qs), len(classes))
     return np.tensordot(wts, pops, axes=(0, 1))
 
 

@@ -6,6 +6,13 @@ hbar*k_eff and x in units of 1/k_eff (lattice period 2*pi).  The kinetic
 factor then uses (k + q)^2 on the FFT wavenumber comb k = m/num_periods,
 and any q can be propagated on the same grid.
 
+A state may hold rows: psi of shape (rows, num_points) with q one offset
+per row, so that many plane-wave inputs and quasimomenta advance in one
+array and one FFT per substep.  The rows share the adaptive steps, which
+the largest row error sets; a 1-D state is one row and keeps the plain
+vector norm.  A plane wave occupies every num_periods-th mode only, so
+``Grid.comb`` (one period, the same Nyquist window) carries it exactly.
+
 Steps follow a splitting scheme from :mod:`braggsim.splitting`; the
 kinetic substep carries the clock, the potential substep is evaluated at
 the frozen clock time.  Adaptive stepping controls the embedded pair
@@ -38,8 +45,9 @@ class Grid:
         n = self.num_points
         if n < 4 or (n & (n - 1)) != 0:
             raise ParameterError(f"num_points must be a power of two >= 4, got {n}")
-        if self.num_periods < 1:
-            raise ParameterError(f"num_periods must be >= 1, got {self.num_periods}")
+        if self.num_periods < 1 or n % self.num_periods or n // self.num_periods < 4:
+            raise ParameterError(f"num_periods must divide num_points into >= 4 points "
+                                 f"per period, got {self.num_periods} for {n}")
 
     @property
     def length(self):
@@ -60,6 +68,11 @@ class Grid:
         """Largest resolvable |momentum| in hbar*k_eff."""
         return self.num_points / (2 * self.num_periods)
 
+    @property
+    def comb(self):
+        """The one-period grid with this grid's Nyquist window (plane waves only)."""
+        return Grid(self.num_points // self.num_periods, 1)
+
     def check_order(self, order):
         """Nyquist margin rule: resolve classes up to order + 4."""
         if self.nyquist <= order + 4:
@@ -79,11 +92,11 @@ class GridOptions:
 
 @dataclass
 class GridState:
-    """Periodic amplitude array plus quasimomentum offset."""
+    """Periodic amplitude array plus quasimomentum offset, or rows of both."""
 
     grid: Grid
-    psi: np.ndarray            # complex, sum |psi|^2 = 1
-    q: float = 0.0             # hbar*k_eff
+    psi: np.ndarray            # complex, (num_points,) or (rows, num_points), unit rows
+    q: float = 0.0             # hbar*k_eff; an array of one offset per row
 
     def copy(self):
         return GridState(self.grid, self.psi.copy(), self.q)
@@ -92,11 +105,26 @@ class GridState:
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.psi) ** 2)))
 
+    @property
+    def k(self):
+        """Kinetic wavenumbers k + q, one row per row of psi."""
+        return self.grid.k + np.asarray(self.q)[..., None]
+
 
 def plane_wave(grid, j=0, q=0.0):
-    """Plane wave at momentum q + j (hbar*k_eff), unit norm."""
-    psi = np.exp(1j * j * grid.x) / np.sqrt(grid.num_points)
-    return GridState(grid, psi.astype(complex), q=float(q))
+    """Plane wave at momentum q + j (hbar*k_eff), unit norm; arrays j and q
+    give one row per entry."""
+    psi = np.exp(1j * np.multiply.outer(j, grid.x)) / np.sqrt(grid.num_points)
+    return GridState(grid, psi.astype(complex), q=np.asarray(q, float) if np.ndim(q) else float(q))
+
+
+def class_masses(state, classes):
+    """Probability in each class's bin [c - 1/2, c + 1/2) on the state's
+    comb, shape (rows, len(classes)) (1-D for a 1-D state)."""
+    pk = np.abs(fft(state.psi)) ** 2
+    pk /= pk.sum(axis=-1, keepdims=True)
+    jj = np.floor(state.grid.k + 0.5)
+    return np.array([pk[..., jj == c].sum(axis=-1) for c in classes]).T
 
 
 def momentum_populations(state, comb_only=False):
@@ -107,19 +135,16 @@ def momentum_populations(state, comb_only=False):
     comb_only=True only the exact comb modes are summed (off-comb mass is
     reported under key "offcomb").
     """
-    pk = np.abs(fft(state.psi)) ** 2
-    pk /= pk.sum()
     k = state.grid.k
     jj = np.floor(k + 0.5).astype(int)
-    out = {}
-    if comb_only:
-        on = np.abs(k - np.round(k)) < 1e-9
-        for j in np.unique(jj[on]):
-            out[int(j)] = float(pk[on & (jj == j)].sum())
-        out["offcomb"] = float(pk[~on].sum())
-        return out
-    for j in np.unique(jj):
-        out[int(j)] = float(pk[jj == j].sum())
+    if not comb_only:
+        classes = np.unique(jj)
+        return dict(zip(classes.tolist(), class_masses(state, classes).tolist()))
+    pk = np.abs(fft(state.psi)) ** 2
+    pk /= pk.sum()
+    on = np.abs(k - np.round(k)) < 1e-9
+    out = {int(j): float(pk[on & (jj == j)].sum()) for j in np.unique(jj[on])}
+    out["offcomb"] = float(pk[~on].sum())
     return out
 
 
@@ -130,7 +155,7 @@ class _Stepper:
         self.grid = state.grid
         self.tau, self.W, self.dw, self.phi = pulse_dimless
         self.env = envelope
-        k = self.grid.k + state.q
+        k = state.k
         self.k2 = k * k
         x = self.grid.x
         self.cosx = np.cos(x)
@@ -184,7 +209,9 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
         h = min(h, tau - t)
         psi_ab = st.step(psi, t, h, scheme, swap_roles=False)
         psi_ba = st.step(psi, t, h, scheme, swap_roles=True)
-        err = 0.5 * float(np.linalg.norm(psi_ab - psi_ba))
+        d = psi_ab - psi_ba
+        err = 0.5 * float(np.linalg.norm(d) if d.ndim == 1 else
+                          np.max(np.linalg.norm(d, axis=-1)))
         tol_step = tol * h
         if err <= tol_step:
             psi = 0.5 * (psi_ab + psi_ba) if scheme.advance == "average" else psi_ab
@@ -210,6 +237,9 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
     the exact inverse of the forward pass (to roundoff).
     advance overrides the scheme's advance mode ("primary"/"average").
     """
+    if n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    state.grid.check_order(pulse.order_hint)
     units = cfg.units()
     dl = pulse.dimensionless(units)
     tau = dl[0]
@@ -251,7 +281,7 @@ def free_evolve(state, T, cfg=None):
     T_t = cfg.units().to_dimensionless(T, "time") if cfg is not None else T
     if T_t == 0.0:
         return state.copy()
-    k = state.grid.k + state.q
+    k = state.k
     psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T_t))
     return GridState(state.grid, psi, state.q)
 

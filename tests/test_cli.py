@@ -230,7 +230,8 @@ def test_override_flags_dotted(tmp_path, capsys):
     (["mzi", "--path-resolved", "--split-after", "0,x"], "ConfigurationError"),
     (["mzi", "--phi3-scan", "-2"], "ConfigurationError"),
     (["robustness", "--set", "pulse.order=1"], "ParameterError"),   # [scan] pairs 0-3
-], ids=["split-after", "phi3-scan", "pairs-beyond-order"])
+    (["oracle-diff", "--set", "propagator.grid_periods=3"], "ParameterError"),
+], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing"])
 def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     assert main([*argv, "-c", cfg]) == 2

@@ -3,11 +3,11 @@ import pytest
 from scipy.stats import norm as norm_dist
 
 from braggsim import gridprop, ladder
-from braggsim.ensemble import (MomentumDistribution, Quadrature, class_populations,
-                               ensemble_average, reflectivity_matrix,
+from braggsim.ensemble import (MomentumDistribution, Quadrature, _class_masses,
+                               class_populations, ensemble_average, reflectivity_matrix,
                                robustness_curve)
 from braggsim.errors import ParameterError
-from braggsim.pulses import Pulse, PulseSequence
+from braggsim.pulses import FreeEvolution, Pulse, PulseSequence
 
 TWO_PI = 2 * np.pi
 
@@ -161,6 +161,22 @@ class TestEnsembleAverage:
         with pytest.raises(ParameterError):
             ensemble_average(mirror, delta, rb87, input_class=11)
 
+    def test_classes_outside_grid_window_rejected(self, rb87, mirror, monkeypatch):
+        # Grid(512, 8) resolves [-32, 32): class 40 must not alias onto class -24
+        def never(*args, **kwargs):
+            raise AssertionError("propagated before checking the classes")
+        monkeypatch.setattr(gridprop, "run_sequence", never)
+        delta = MomentumDistribution("delta", 0.0, 0.0)
+        for backend in ("ladder", "grid"):
+            with pytest.raises(ParameterError):
+                ensemble_average(mirror, delta, rb87, backend=backend, input_class=40,
+                                 classes=(40, -24))
+        for kw in ({"classes": (0, 32)}, {"classes": (-33, 0)}, {"input_class": 32}):
+            with pytest.raises(ParameterError):
+                ensemble_average(mirror, delta, rb87, backend="grid", **kw)
+        with pytest.raises(AssertionError):   # the window's own edges pass the check
+            ensemble_average(mirror, delta, rb87, backend="grid", classes=(-32, 31))
+
 
 class TestReflectivity:
     def test_zero_rabi_identity(self, rb87, cloud):
@@ -288,10 +304,45 @@ class TestMomentumMirror:
 
     def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
                                           monkeypatch):
-        qs = []
+        states = []
         monkeypatch.setattr(gridprop, "run_sequence",
-                            lambda state, items, cfg, opts: qs.append(state.q) or state)
+                            lambda state, items, cfg, opts: states.append(state) or state)
         quad = Quadrature("gauss-hermite", 5)
         reflectivity_matrix(mirror, cloud, rb87, quadrature=quad, backend="grid")
         assert batch_sizes == []
-        assert qs == list(cloud.nodes(quad)[0]) * 4
+        (st,) = states      # one row per input and node, input-major
+        assert st.psi.shape == (20, 64)
+        assert list(st.q) == list(cloud.nodes(quad)[0]) * 4
+        assert np.array_equal(np.argmax(np.abs(np.fft.fft(st.psi)), axis=1),
+                              np.repeat(range(4), 5))
+
+
+class TestGridRows:
+    """The grid runs every input and node as a row of one comb-grid state."""
+
+    def test_comb_grid_matches_configured_grid(self, rb87, mirror, monkeypatch):
+        # the same rows on Grid(512, 8) take the same steps; tol 1e-5 keeps it quick
+        opts = gridprop.GridOptions(tol=1e-5)
+        seq = PulseSequence((mirror,))
+        runs = [(MomentumDistribution("delta", 0.0, 0.0), range(4)),
+                (MomentumDistribution("gaussian", 0.1, 0.13), (0,))]
+
+        def masses(dist, inputs):
+            return _class_masses(seq, dist, rb87, tuple(inputs), (0, 1, 2, 3), Quadrature(),
+                                 "grid", None, None, opts)
+        comb = [masses(*run) for run in runs]
+        monkeypatch.setattr(gridprop.Grid, "comb", property(lambda grid: grid))
+        for run, c in zip(runs, comb):
+            assert np.max(np.abs(masses(*run) - c)) <= 1e-13
+
+    def test_sequence_with_free_evolution_equals_ladder(self, rb87):
+        tau = 250e-6
+        bs = Pulse.on_resonance(rb87, 1, tau, rabi_avg=np.pi / 2 / tau)
+        mirror = Pulse.on_resonance(rb87, 1, tau, rabi_avg=np.pi / tau, phase=0.4)
+        seq = PulseSequence((bs, FreeEvolution(2e-4), mirror, FreeEvolution(2e-4), bs))
+        cloud = MomentumDistribution("gaussian", 0.05, 0.02)
+        quad = Quadrature("gauss-hermite", 5)
+        lad = ensemble_average(seq, cloud, rb87, quadrature=quad)
+        grid = ensemble_average(seq, cloud, rb87, quadrature=quad, backend="grid")
+        for c in (0, 1):
+            assert grid.raw[c] == pytest.approx(lad.raw[c], abs=1e-8)

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,18 @@ class TestGrid:
         Grid(512, 8).check_order(8)
         with pytest.raises(ParameterError):
             Grid(64, 8).check_order(3)  # nyquist 4 < 3 + 4
+
+    @pytest.mark.parametrize("periods", [3, 256, 1024])
+    def test_periods_must_leave_a_comb_grid(self, periods):
+        # 3 does not divide 512; 256 and 1024 leave fewer than 4 points per period
+        with pytest.raises(ParameterError):
+            Grid(512, periods)
+
+    def test_comb_grid_keeps_the_nyquist_window(self):
+        g = Grid(512, 8)
+        assert g.comb == Grid(64, 1)
+        assert g.comb.nyquist == g.nyquist
+        assert np.allclose(np.sort(g.comb.k), np.arange(-32, 32), rtol=0, atol=1e-12)
 
 
 class TestKinetic:
@@ -151,6 +166,14 @@ class TestPropagatePulse:
 
 
 class TestFixedStepAndReversal:
+    def test_zero_steps_rejected(self, rb87, mirror):
+        with pytest.raises(ParameterError):
+            propagate_pulse_fixed(plane_wave(Grid(), 0, 0.0), mirror, rb87, n_steps=0)
+
+    def test_order_beyond_nyquist_rejected(self, rb87, mirror):
+        with pytest.raises(ParameterError):   # nyquist 4 < 3 + 4
+            propagate_pulse_fixed(plane_wave(Grid(16, 2), 0, 0.0), mirror, rb87)
+
     def test_palindromic_reversal(self, rb87, mirror):
         st = plane_wave(Grid(), 0, 0.0)
         fwd = propagate_pulse_fixed(st, mirror, rb87, scheme=PP34A, n_steps=700,
@@ -194,3 +217,49 @@ class TestFreeEvolve:
     def test_negative_rejected(self, rb87):
         with pytest.raises(ParameterError):
             free_evolve(plane_wave(Grid(), 0, 0.0), -1e-6, rb87)
+
+
+class TestRows:
+    """A (rows, M) state: one plane wave and quasimomentum per row."""
+
+    JS, QS = np.array([0, 1, 2, 3]), np.array([0.1, -0.2, 0.05, 0.3])
+
+    def test_rows_match_one_at_a_time(self, rb87):
+        # the rows share the steps of the worst row, so each differs from its own
+        # run by less than the controller's error; tol 1e-9 puts that below 1e-12
+        pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
+        g = Grid(64, 1)
+        rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, tol=1e-9)
+        assert rows.psi.shape == (4, 64)
+        single = [propagate_pulse(plane_wave(g, j, q), pulse, rb87, tol=1e-9)
+                  for j, q in zip(self.JS, self.QS)]
+        classes = range(-2, 6)
+        one = np.array([gridprop.class_masses(st, classes) for st in single])
+        assert np.max(np.abs(gridprop.class_masses(rows, classes) - one)) <= 1e-12
+
+    def test_fixed_steps_and_free_evolution_broadcast(self, rb87, mirror):
+        g = Grid(64, 1)
+        rows = free_evolve(propagate_pulse_fixed(plane_wave(g, self.JS, self.QS), mirror,
+                                                 rb87, n_steps=50), 0.37)
+        for r, (j, q) in enumerate(zip(self.JS, self.QS)):
+            one = free_evolve(propagate_pulse_fixed(plane_wave(g, j, q), mirror, rb87,
+                                                    n_steps=50), 0.37)
+            assert np.max(np.abs(rows.psi[r] - one.psi)) <= 1e-14
+
+    def test_one_dimensional_state_keeps_its_steps(self, rb87, monkeypatch):
+        # a stored run of the one-row controller: every trial step and the result
+        with open(os.path.join(os.path.dirname(__file__), "data", "grid_1d_steps.json")) as fh:
+            ref = json.load(fh)
+        steps, step = [], gridprop._Stepper.step
+
+        def spy(self, psi, t, h, scheme, swap_roles=False):
+            if not swap_roles:
+                steps.append(h)
+            return step(self, psi, t, h, scheme, swap_roles)
+        monkeypatch.setattr(gridprop._Stepper, "step", spy)
+        pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
+                                   rabi_avg=TWO_PI * ref["rabi_avg_hz"])
+        out = propagate_pulse(plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"]), pulse,
+                              rb87, tol=ref["tol"])
+        assert np.array_equal(steps, ref["h"])
+        assert np.array_equal(out.psi, np.array(ref["psi_re"]) + 1j * np.array(ref["psi_im"]))
