@@ -277,15 +277,15 @@ def cmd_robustness(args, rc, outdir, manifest, jobs):
     pairs = rc.get("scan", "pairs")
     scans.check_pairs(pairs, n)
     dps = np.linspace(0.0, 0.3, 21)
-    recs = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"), order=n,
-                            quadrature=rc.quadrature(), **rc.propagator())
+    recs, stats = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"), order=n,
+                                   quadrature=rc.quadrature(), **rc.propagator())
     table = ResultTable([("dp_hbark", "hbar*k_eff")]
                         + [(f"R_{a}_{b}", "probability") for a, b in pairs])
     for dp, rec in zip(dps, recs):
         table.add(float(dp), *[rec.pair(a, b) for a, b in pairs])
     table.write(os.path.join(outdir, "robustness.tsv"),
                 manifest.provenance(order=n, tau_us=pulse.duration * 1e6,
-                                    omega_avg_kHz=_khz(pulse.rabi_avg)))
+                                    omega_avg_kHz=_khz(pulse.rabi_avg), **stats))
     print(f"robustness curve over {len(dps)} spreads written")
     return 0
 

@@ -28,18 +28,29 @@ independent oracle), it runs the full batch: on the grid, one state whose
 rows are every input at every node, on the one-period ``Grid.comb``, which
 holds plane waves exactly.  Inputs and classes must lie in the backend's
 window: the ladder's truncation window or the grid's [-nyquist, nyquist).
+
+``robustness_curve`` reads every spread from one response table when that
+reflection holds for its widest ladder set: P_{a->b}(q) on [p0, largest
+node] at 65 second-kind Chebyshev points, doubled on the nested grid until
+the last eighth of the coefficients is below 1e-12 (Aurentz & Trefethen,
+ACM TOMS 43, 33 (2017)).  The coefficients of the smooth response fall
+geometrically, so the interpolation error is of the order of that tail, below
+the solver's own; unresolved at 1025 points, each spread is solved instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from scipy.fft import dct
 
 from . import gridprop, ladder
 from .errors import ParameterError
 from .pulses import Pulse, PulseSequence
 
 DEFAULT_GH_NODES = 41
+RESPONSE_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,25 @@ def _mirror_order(seq, dist, cfg, qs, inputs, classes):
     return n if closed and symmetric else None
 
 
+def _ladder_pops(qs, seq, cfg, j_window, inputs, classes, rtol, atol):
+    """Populations (len(inputs), len(qs), len(classes)) after one ladder batch."""
+    c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs), seq.items,
+                            cfg, j_window, rtol=rtol, atol=atol)
+    return np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2
+
+
+def _weigh(pops, wts, n, inputs, classes):
+    """Weight per-node populations pops (inputs, nodes, classes) over the
+    distribution; when pops holds the last nodes only, the first ones are
+    their reflections P_{a->b}(q_k) = P_{n-a->n-b}(q_{nq-1-k}) about order n."""
+    h = len(wts) - pops.shape[1]
+    if h:
+        flip_in, flip_cl = ([cs.index(n - x) for x in cs] for cs in (inputs, classes))
+        low = pops[flip_in][:, ::-1][:, :h][:, :, flip_cl]
+        pops = np.concatenate([low, pops], axis=1)
+    return np.tensordot(wts, pops, axes=(0, 1))
+
+
 def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, atol,
                   grid_opts):
     """Distribution-weighted class populations, shape (len(inputs), len(classes)).
@@ -163,22 +193,17 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
     if outside:
         raise ParameterError(f"classes {outside} outside the {backend} window {j_window}")
     qs, wts = dist.nodes(quadrature)
+    n = None
     if backend == "ladder":
         n = _mirror_order(seq, dist, cfg, qs, inputs, classes)
         h = 0 if n is None else len(qs) // 2
-        c = ladder.run_sequence(qs[h:], ladder.unit_columns(j_window, len(qs) - h, inputs),
-                                seq.items, cfg, j_window, rtol=rtol, atol=atol)
-        pops = np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2  # (inputs, nq, classes)
-        if h:   # P_{a->b}(q_k) = P_{n-a->n-b}(q_{nq-1-k}) for the nodes k < h
-            flip_in, flip_cl = ([cs.index(n - x) for x in cs] for cs in (inputs, classes))
-            low = pops[flip_in][:, ::-1][:, :h][:, :, flip_cl]
-            pops = np.concatenate([low, pops], axis=1)
+        pops = _ladder_pops(qs[h:], seq, cfg, j_window, inputs, classes, rtol, atol)
     else:   # row a * len(qs) + k is input a at node k
         rows = gridprop.plane_wave(grid_opts.grid.comb, np.repeat(inputs, len(qs)),
                                    np.tile(qs, len(inputs)))
         st = gridprop.run_sequence(rows, seq.items, cfg, grid_opts)
         pops = gridprop.class_masses(st, classes).reshape(len(inputs), len(qs), len(classes))
-    return np.tensordot(wts, pops, axes=(0, 1))
+    return _weigh(pops, wts, n, inputs, classes)
 
 
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
@@ -220,6 +245,13 @@ class ReflectivityRecord:
         return self.matrix[a, b], self.matrix[b, a]
 
 
+def _reflectivity(classes, raw):
+    norm = raw.sum(axis=1, keepdims=True)
+    if np.any(norm <= 0):
+        raise ParameterError("an input class lost all population from the class set")
+    return ReflectivityRecord(classes=classes, matrix=raw / norm, raw_matrix=raw)
+
+
 def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
                         backend="ladder", rtol=ladder.DEFAULT_RTOL,
                         atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
@@ -230,24 +262,64 @@ def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
     """
     n = mirror.order_hint if order is None else order
     classes = tuple(range(n + 1))
-    raw = _class_masses(_sequence_pulses(mirror), dist, cfg, classes, classes, quadrature,
-                        backend, rtol, atol, grid_opts)
-    norm = raw.sum(axis=1, keepdims=True)
-    if np.any(norm <= 0):
-        raise ParameterError("an input class lost all population from the class set")
-    return ReflectivityRecord(classes=classes, matrix=raw / norm, raw_matrix=raw)
+    return _reflectivity(classes, _class_masses(_sequence_pulses(mirror), dist, cfg, classes,
+                                                classes, quadrature, backend, rtol, atol,
+                                                grid_opts))
+
+
+def _response_table(seq, p_c, width, cfg, n, rtol, atol):
+    """(Chebyshev coefficients (points, a, b) of P_{a->b}(q) on [p_c, p_c + width],
+    the largest of their last eighth): 65 second-kind points, doubled onto the
+    nested grid until that tail is below RESPONSE_TAIL or 1025 points hold it."""
+    classes, window = tuple(range(n + 1)), ladder.default_j_window(n)
+    qs = p_c + width * (1 + np.cos(np.pi * np.arange(1025) / 1024)) / 2
+    pops = np.empty((n + 1, len(qs), n + 1))
+    new = slice(None, None, 16)     # each grid is every stride-th point of the finest
+    for stride in (16, 8, 4, 2, 1):
+        pops[:, new] = _ladder_pops(qs[new], seq, cfg, window, classes, classes, rtol, atol)
+        m = 1024 // stride
+        coeffs = dct(pops[:, ::stride], type=1, axis=1) / m
+        coeffs[:, [0, m]] /= 2
+        tail = float(np.max(np.abs(coeffs[:, -(m // 8):])))
+        if tail < RESPONSE_TAIL:
+            break
+        new = slice(stride // 2, None, stride)
+    return coeffs.transpose(1, 0, 2), tail
 
 
 def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadrature(),
-                     backend="ladder", **kw):
-    """One ReflectivityRecord per momentum spread in dp_grid (ascending) of a
-    cloud centred on p0 (hbar*k_eff)."""
+                     backend="ladder", rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
+                     grid_opts=gridprop.GridOptions()):
+    """(records, stats): one ReflectivityRecord per momentum spread in dp_grid
+    (ascending) of a cloud centred on p0 (hbar*k_eff), and how they were made.
+
+    The records come from the response table (module docstring) when the
+    reflection holds and the table resolves; otherwise each is one
+    reflectivity_matrix call.  stats: response_points (the table's size, 0
+    without it), response_tail and quasimomenta_propagated.
+    """
     dp_grid = list(dp_grid)
     if not dp_grid or any(b < a for a, b in zip(dp_grid, dp_grid[1:])):
         raise ParameterError("dp grid must be nonempty and ascending")
-    out = []
-    for dp in dp_grid:
-        dist = MomentumDistribution(p0=p0, dp=float(dp))
-        out.append(reflectivity_matrix(mirror, dist, cfg, order=order,
-                                       quadrature=quadrature, backend=backend, **kw))
-    return out
+    seq = _sequence_pulses(mirror)
+    n = seq.order_hint if order is None else order
+    classes = tuple(range(n + 1))
+    dists = [MomentumDistribution(p0=p0, dp=float(dp)) for dp in dp_grid]
+    nodes = [d.nodes(quadrature) for d in dists]
+    width = nodes[-1][0].max() - p0     # the widest spread's nodes hold every other's
+    mirrored = backend == "ladder" and _mirror_order(seq, dists[-1], cfg, nodes[-1][0],
+                                                     classes, classes) is not None
+    coeffs, tail = (_response_table(seq, p0, width, cfg, n, rtol, atol)
+                    if mirrored and width > 0 else ((), 0.0))
+    if len(coeffs) and tail < RESPONSE_TAIL:
+        records = [_reflectivity(classes, _weigh(
+            chebval(2 * (qs[len(qs) // 2:] - p0) / width - 1, coeffs).transpose(0, 2, 1),
+            wts, n, classes, classes)) for qs, wts in nodes]
+        return records, {"response_points": len(coeffs), "response_tail": tail,
+                         "quasimomenta_propagated": len(coeffs)}
+    records = [reflectivity_matrix(mirror, d, cfg, order=order, quadrature=quadrature,
+                                   backend=backend, rtol=rtol, atol=atol, grid_opts=grid_opts)
+               for d in dists]
+    solved = sum(len(qs) - len(qs) // 2 * mirrored for qs, _ in nodes)
+    return records, {"response_points": 0, "response_tail": tail,
+                     "quasimomenta_propagated": len(coeffs) + solved}

@@ -8,6 +8,8 @@ on, making half-finished maps resumable with identical results.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -126,6 +128,19 @@ def _map_node(args):
         return ScanPoint(params, {}, failed=True, error=str(exc))
 
 
+def _one_blas_thread():
+    """Map worker initializer: a forked worker keeps its parent's OpenBLAS thread
+    pool, which environment variables no longer reach, so `jobs` workers would
+    oversubscribe the cores.  Sets the OpenBLAS in numpy's wheel to one thread."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for lib in map(ctypes.CDLL, glob.glob(os.path.join(libs, "*openblas*"))):
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                      quadrature=Quadrature(), backend="ladder",
                      spec=PulseSpec(), jobs=1, cache_path=None,
@@ -170,7 +185,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     args = [(*node_params[i], *setting) for i in todo]
     with ExitStack() as stack:
         if jobs > 1 and len(args) > 1:
-            pool = stack.enter_context(Pool(processes=jobs))
+            pool = stack.enter_context(Pool(processes=jobs, initializer=_one_blas_thread))
             fresh = pool.imap(_map_node, args, chunksize=max(1, len(args) // (4 * jobs)))
         else:
             fresh = map(_map_node, args)

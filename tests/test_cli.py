@@ -86,6 +86,19 @@ def test_data_rows_follow_pulse_and_cloud_keys(tmp_path, capsys, command, table,
     assert rows["set"] != rows["default"]
 
 
+def test_robustness_header_records_the_response_table(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "[ensemble]\nnodes = 3\n")
+    headers = {}
+    for name, sets in (("table", []), ("direct", ["--set", "ensemble.p0=0.2"])):
+        assert main(["robustness", "-c", cfg, "-o", f"{tmp_path}/{name}", *sets]) == 0
+        headers[name] = ResultTable.read(f"{tmp_path}/{name}/robustness.tsv").provenance
+    assert headers["table"]["response_points"] == headers["table"]["quasimomenta_propagated"]
+    assert float(headers["table"]["response_tail"]) < 1e-12
+    # off the pulse's resonant momentum every spread is solved: 3 nodes, 1 at dp = 0
+    assert (headers["direct"]["response_points"], headers["direct"]["response_tail"],
+            headers["direct"]["quasimomenta_propagated"]) == ("0", "0.0", str(1 + 3 * 20))
+
+
 def test_oracle_diff_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"[output]\ndir = {tmp_path}/out\n")
     code = main(["oracle-diff", "-c", cfg])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as norm_dist
 
-from braggsim import gridprop, ladder
+from braggsim import ensemble, gridprop, ladder
 from braggsim.ensemble import (MomentumDistribution, Quadrature, _class_masses,
                                class_populations, ensemble_average, reflectivity_matrix,
                                robustness_curve)
@@ -244,9 +244,63 @@ class TestRobustness:
             robustness_curve(mirror, [0.2, 0.1], rb87)
 
     def test_curve_fields(self, rb87, dmp):
-        recs = robustness_curve(dmp, [0.0, 0.1], rb87,
-                                quadrature=Quadrature("gauss-hermite", 21))
+        recs, stats = robustness_curve(dmp, [0.0, 0.1], rb87,
+                                       quadrature=Quadrature("gauss-hermite", 21))
         assert recs[0].pair(0, 3) > recs[1].pair(0, 3)  # velocity selectivity
+        assert stats["response_points"] == stats["quasimomenta_propagated"] >= 65
+
+
+class TestResponseTable:
+    """One Chebyshev table of P_ab(q) stands in for the per-spread solves."""
+
+    DPS = np.linspace(0.0, 0.3, 21)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of reflectivity_matrix and propagate_batch calls."""
+        calls = {"reflectivity_matrix": 0, "propagate_batch": 0}
+        for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n, p_c", [(3, 0.0), (3, 0.3), (4, 0.0), (4, 0.3)])
+    def test_table_matches_direct_path(self, rb87, calls, n, p_c):
+        pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
+                                   p0=p_c * rb87.units().momentum_unit)
+        dps = self.DPS[::10]
+        recs, stats = robustness_curve(pulse, dps, rb87, p0=p_c)
+        assert calls["reflectivity_matrix"] == 0 and stats["response_points"] >= 65
+        for dp, rec in zip(dps, recs):
+            direct = reflectivity_matrix(pulse, MomentumDistribution(p0=p_c, dp=dp), rb87)
+            assert np.max(np.abs(rec.raw_matrix - direct.raw_matrix)) <= 1e-10
+        # a one-node solve at the default tolerance is itself ~2e-12 off, so the
+        # point cloud is solved tightly
+        delta = reflectivity_matrix(pulse, MomentumDistribution("delta", p_c), rb87,
+                                    rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(recs[0].raw_matrix - delta.raw_matrix)) <= 1e-12
+
+    def test_table_takes_few_solves(self, rb87, calls, mirror):
+        recs, stats = robustness_curve(mirror, self.DPS, rb87)
+        assert len(recs) == 21 and calls["reflectivity_matrix"] == 0
+        assert calls["propagate_batch"] <= 3
+        assert stats["quasimomenta_propagated"] == stats["response_points"]
+        assert stats["response_tail"] < 1e-12
+
+    def test_fallbacks_solve_each_spread(self, rb87, calls, monkeypatch, mirror):
+        monkeypatch.setattr(ensemble, "_class_masses", lambda *args: np.eye(4))
+        dps = self.DPS[:3]
+        for kw, nodes in [({"backend": "grid"}, 1 + 41 * 2),     # dp = 0 is one node
+                          ({"quadrature": Quadrature("monte-carlo", 9)}, 1 + 9 * 2),
+                          ({"p0": 0.1}, 1 + 41 * 2)]:
+            calls["reflectivity_matrix"] = 0
+            recs, stats = robustness_curve(mirror, dps, rb87, **kw)
+            assert calls["reflectivity_matrix"] == len(recs) == 3, kw
+            assert calls["propagate_batch"] == 0
+            assert stats == {"response_points": 0, "response_tail": 0.0,
+                             "quasimomenta_propagated": nodes}
 
 
 class TestMomentumMirror:

@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import multiprocessing
 import os
 
 import numpy as np
@@ -89,6 +92,19 @@ def _tiny_map(rb87, cloud, tmp_path, jobs=1, cache_name=None):
                             quadrature=FAST, jobs=jobs, cache_path=cache)
 
 
+def _numpy_openblas():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_
+    return None
+
+
+def _blas_threads():
+    return _numpy_openblas()()
+
+
 class TestReflectivityMap:
     def test_values_and_shape(self, rb87, cloud9, tmp_path):
         res = _tiny_map(rb87, cloud9, tmp_path)
@@ -97,6 +113,13 @@ class TestReflectivityMap:
         assert [pt.params for pt in res.points] == [{"tau": t, "rabi": o}
                                                     for t in taus for o in oms]
         assert all(not pt.failed and np.isfinite(pt.values["R_0_3"]) for pt in res.points)
+
+    def test_workers_run_one_blas_thread(self):
+        lib = _numpy_openblas()
+        if lib is None:
+            pytest.skip("numpy carries no bundled OpenBLAS here")
+        with multiprocessing.Pool(1, initializer=scans._one_blas_thread) as pool:
+            assert pool.apply(_blas_threads) == 1
 
     def test_jobs_bitwise_identical(self, rb87, cloud9, tmp_path):
         r1 = _tiny_map(rb87, cloud9, tmp_path)
