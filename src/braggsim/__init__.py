@@ -13,8 +13,8 @@ from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
                        reflectivity_matrix, robustness_curve)
 from .scans import (DmpCriterion, DmpReport, ScanResult, find_dmp, first_maximum,
                     rabi_scan, reflectivity_map)
-from .interferometer import (PortReport, branch_summary, fringe_scan,
-                             mirror_response, path_resolved_mzi, run_mzi)
+from .interferometer import (PortReport, fringe_scan, mirror_response, path_resolved_mzi,
+                             run_mzi)
 from .config import RunConfig, parse_config
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "class_populations", "ensemble_average", "reflectivity_matrix", "robustness_curve",
     "DmpCriterion", "DmpReport", "ScanResult", "find_dmp", "first_maximum",
     "rabi_scan", "reflectivity_map",
-    "PortReport", "branch_summary", "fringe_scan", "mirror_response",
-    "path_resolved_mzi", "run_mzi",
+    "PortReport", "fringe_scan", "mirror_response", "path_resolved_mzi", "run_mzi",
     "RunConfig", "parse_config",
 ]

@@ -178,12 +178,14 @@ def _weigh(pops, wts, n, inputs, classes):
 
 def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, atol,
                   grid_opts):
-    """Distribution-weighted class populations, shape (len(inputs), len(classes)).
+    """(distribution-weighted class populations, shape (len(inputs), len(classes)),
+    norm drift).
 
     Row a is the cloud prepared in class inputs[a]; column b is its mass
     ending in class classes[b].  The ladder propagates every momentum and
     input as one batch on the window of the sequence's order; the grid
-    propagates them as the rows of one state on the comb grid.
+    propagates them as the rows of one state on the comb grid, and the norm
+    drift is their largest |norm - 1| (None on the ladder).
     """
     if backend not in ("ladder", "grid"):
         raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
@@ -193,7 +195,7 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
     if outside:
         raise ParameterError(f"classes {outside} outside the {backend} window {j_window}")
     qs, wts = dist.nodes(quadrature)
-    n = None
+    n = drift = None
     if backend == "ladder":
         n = _mirror_order(seq, dist, cfg, qs, inputs, classes)
         h = 0 if n is None else len(qs) // 2
@@ -203,7 +205,8 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
                                    np.tile(qs, len(inputs)))
         st = gridprop.run_sequence(rows, seq.items, cfg, grid_opts)
         pops = gridprop.class_masses(st, classes).reshape(len(inputs), len(qs), len(classes))
-    return _weigh(pops, wts, n, inputs, classes)
+        drift = float(np.max(np.abs(np.linalg.norm(st.psi, axis=-1) - 1.0)))
+    return _weigh(pops, wts, n, inputs, classes), drift
 
 
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
@@ -220,7 +223,7 @@ def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
     seq = _sequence_pulses(pulse_or_seq)
     classes = tuple(range(seq.order_hint + 1) if classes is None else classes)
     masses = _class_masses(seq, dist, cfg, (input_class,), classes, quadrature, backend,
-                           rtol, atol, grid_opts)[0]
+                           rtol, atol, grid_opts)[0][0]
     return _normalized({c: float(m) for c, m in zip(classes, masses)})
 
 
@@ -230,12 +233,14 @@ class ReflectivityRecord:
 
     matrix[a][b] = normalized probability of ending in class b for a
     cloud prepared in class a; pair reflectivities are reported both
-    per-direction and direction-averaged.
+    per-direction and direction-averaged.  norm_drift is the largest
+    |norm - 1| of the grid rows behind it (None on the ladder).
     """
 
     classes: tuple
     matrix: np.ndarray        # normalized, shape (n+1, n+1)
     raw_matrix: np.ndarray
+    norm_drift: float | None = None
 
     def pair(self, a, b):
         """Direction-averaged pair reflectivity (P(a->b) + P(b->a)) / 2."""
@@ -245,11 +250,11 @@ class ReflectivityRecord:
         return self.matrix[a, b], self.matrix[b, a]
 
 
-def _reflectivity(classes, raw):
+def _reflectivity(classes, raw, norm_drift=None):
     norm = raw.sum(axis=1, keepdims=True)
     if np.any(norm <= 0):
         raise ParameterError("an input class lost all population from the class set")
-    return ReflectivityRecord(classes=classes, matrix=raw / norm, raw_matrix=raw)
+    return ReflectivityRecord(classes, raw / norm, raw, norm_drift)
 
 
 def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
@@ -262,9 +267,9 @@ def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
     """
     n = mirror.order_hint if order is None else order
     classes = tuple(range(n + 1))
-    return _reflectivity(classes, _class_masses(_sequence_pulses(mirror), dist, cfg, classes,
-                                                classes, quadrature, backend, rtol, atol,
-                                                grid_opts))
+    return _reflectivity(classes, *_class_masses(_sequence_pulses(mirror), dist, cfg, classes,
+                                                 classes, quadrature, backend, rtol, atol,
+                                                 grid_opts))
 
 
 def _response_table(seq, p_c, width, cfg, n, rtol, atol):

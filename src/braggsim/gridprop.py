@@ -102,10 +102,6 @@ class GridState:
         return GridState(self.grid, self.psi.copy(), self.q)
 
     @property
-    def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2)))
-
-    @property
     def k(self):
         """Kinetic wavenumbers k + q, one row per row of psi."""
         return self.grid.k + np.asarray(self.q)[..., None]
@@ -149,20 +145,29 @@ def momentum_populations(state, comb_only=False):
 
 
 class _Stepper:
-    """Applies splitting substeps for one pulse on one grid."""
+    """Applies splitting substeps for one pulse on one grid.
+
+    Both members of a splitting pair take the same kinetic weights (PP34A:
+    b = reversed(a)), so each factor exp(-i (k+q)^2 w h) is computed once
+    per step size h, for both.  The pulse's phase may be one per row.
+    """
 
     def __init__(self, state, pulse_dimless, envelope):
         self.grid = state.grid
-        self.tau, self.W, self.dw, self.phi = pulse_dimless
+        self.tau, self.W, self.dw, phi = pulse_dimless
+        self.phi = np.reshape(phi, (-1, 1)) if np.ndim(phi) else phi
         self.env = envelope
         k = state.k
         self.k2 = k * k
         x = self.grid.x
         self.cosx = np.cos(x)
         self.sinx = np.sin(x)
+        self.h, self.kinetic_factors = None, {}
 
     def kinetic(self, psi, dt):
-        return ifft(fft(psi) * np.exp(-1j * self.k2 * dt))
+        if dt not in self.kinetic_factors:
+            self.kinetic_factors[dt] = np.exp(-1j * self.k2 * dt)
+        return ifft(fft(psi) * self.kinetic_factors[dt])
 
     def potential(self, psi, t, dt):
         # V(x,t) = W f (1 + cos(x - dw*t + phi)); f evaluated at fraction t/tau
@@ -175,6 +180,8 @@ class _Stepper:
         return psi * (np.exp(-1j * c) * np.exp(-1j * c * cosshift))
 
     def step(self, psi, t, h, scheme, swap_roles=False):
+        if h != self.h:
+            self.h, self.kinetic_factors = h, {}
         clock = t
         for slot, w in scheme.substeps(swap_roles=swap_roles):
             if slot == "A":
@@ -229,13 +236,13 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
 
 
 def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
-                          swap_roles=False, backward=False, advance=None):
+                          swap_roles=False, backward=False):
     """Fixed-step propagation, forward or exactly reversed.
 
     backward=True steps the clock from tau down to 0 with negated
     weights; for a palindromic scheme run with swap_roles=True this is
-    the exact inverse of the forward pass (to roundoff).
-    advance overrides the scheme's advance mode ("primary"/"average").
+    the exact inverse of a forward pass with advance "primary" (to
+    roundoff).
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -246,7 +253,6 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
     st = _Stepper(state, dl, pulse.envelope)
     psi = state.psi.copy()
     h = tau / n_steps
-    mode = scheme.advance if advance is None else advance
     if backward:
         for i in range(n_steps - 1, -1, -1):
             t_end = (i + 1) * h
@@ -254,21 +260,12 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
         return GridState(state.grid, psi, state.q)
     for i in range(n_steps):
         t = i * h
-        if mode == "average":
+        if scheme.advance == "average":
             psi = 0.5 * (st.step(psi, t, h, scheme, swap_roles=False)
                          + st.step(psi, t, h, scheme, swap_roles=True))
         else:
             psi = st.step(psi, t, h, scheme, swap_roles=swap_roles)
     return GridState(state.grid, psi, state.q)
-
-
-def potential_phase(state, pulse, cfg, t, duration):
-    """Pointwise lattice phase exp(-i V(x, t) * duration) at frozen time t.
-
-    t and duration in dimensionless units; norm is preserved exactly.
-    """
-    st = _Stepper(state, pulse.dimensionless(cfg.units()), pulse.envelope)
-    return GridState(state.grid, st.potential(state.psi.copy(), t, duration), state.q)
 
 
 def free_evolve(state, T, cfg=None):

@@ -19,8 +19,6 @@ metrics, each also as a fraction of the branch mass:
   A mirror that redirects class c to n - c closes the path; this is the
   quantity the path-resolved population plots visualize, and it does not
   depend on the free-evolution time.
-
-``branch_summary`` sums branches into the same record per class.
 """
 from __future__ import annotations
 
@@ -31,7 +29,7 @@ import numpy as np
 from . import gridprop, ladder
 from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
-from .pulses import Pulse, PulseSequence
+from .pulses import Pulse
 
 MAX_BRANCHES = 64   # cap on (n+1)^splits, the branch columns of one batch
 
@@ -225,19 +223,6 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     return tree, report
 
 
-def branch_summary(tree, level=0):
-    """Path-tree branches summed by the class taken at one split level:
-    {class: PathNode((class,), summed weight and masses)}."""
-    sums = {}
-    for nd in tree:
-        if level < len(nd.history):
-            s = sums.setdefault(nd.history[level], [0.0, 0.0, 0.0])
-            s[0] += nd.weight
-            s[1] += nd.port_class_mass
-            s[2] += nd.port_coupled_mass
-    return {cls: PathNode((cls,), *s) for cls, s in sums.items()}
-
-
 def mirror_response(input_classes, mirror, dist, cfg, quadrature=Quadrature(),
                     backend="ladder", **kw):
     """Class populations 0..n after the mirror for each prepared input class:
@@ -305,8 +290,10 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     state, for "all"), or kept per history when the last pulse is split
     too; and the gauge-rotated copies for all phases propagate through
     the last pulse as one batch.  The final Lambda does not change class
-    populations.  The grid backend reruns the sequence once per phase: it
-    is the independent oracle and never uses ladder algebra.
+    populations.  The grid backend, the independent oracle, uses no ladder
+    algebra: the items before the last pulse run once on comb rows, then
+    one copy of the rows per phase runs the rest, the last pulse with each
+    copy's own lattice phase in the potential substep.
     """
     if detected not in ("closing", "all"):
         raise ParameterError(f"unknown detector model {detected!r}")
@@ -323,15 +310,7 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     elif detected == "closing":
         raise ParameterError("path-resolved runs support the ladder backend only")
     else:
-        last_pulse_idx = _pulse_indices(seq)[-1]
-        port_vals = {p: [] for p in ports}
-        for phi3 in phi3_grid:
-            items = list(seq.items)
-            items[last_pulse_idx] = replace(items[last_pulse_idx], phase=float(phi3))
-            rep = run_mzi(PulseSequence(tuple(items)), dist, cfg, quadrature=quadrature,
-                          backend=backend, rtol=rtol, atol=atol, grid_opts=grid_opts)
-            for p in ports:
-                port_vals[p].append(rep.ports[p])
+        port_vals = _grid_fringe(seq, phi3_grid, dist, cfg, quadrature, grid_opts)
     rows = []
     for k, phi3 in enumerate(phi3_grid):
         vals = {p: float(port_vals[p][k]) for p in ports}
@@ -343,6 +322,21 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
         fits[p] = fit_fringe([r["phi3"] for r in rows],
                              [r[f"port_{p}"] for r in rows], harmonic=n)
     return rows, fits
+
+
+def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
+    """{port: probabilities at each phase} from one run of the shared prefix;
+    row k * len(nodes) + i of the last pulse is phase k at node i."""
+    last = _pulse_indices(seq)[-1]
+    qs, wts = dist.nodes(quadrature)
+    st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid.comb, np.zeros(len(qs), int),
+                                                   qs), seq.items[:last], cfg, grid_opts)
+    st = gridprop.GridState(st.grid, np.tile(st.psi, (len(phis), 1)), np.tile(st.q, len(phis)))
+    items = (replace(seq.items[last], phase=np.repeat(phis, len(qs))), *seq.items[last + 1:])
+    st = gridprop.run_sequence(st, items, cfg, grid_opts)
+    ports = _expected_ports(seq)
+    pops = gridprop.class_masses(st, ports).reshape(len(phis), len(qs), len(ports))
+    return {p: pops[:, :, i] @ wts for i, p in enumerate(ports)}
 
 
 def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after, rtol, atol):

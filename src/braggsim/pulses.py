@@ -144,7 +144,7 @@ class Pulse:
     envelope: Envelope
     rabi_peak: float        # rad/s, peak two-photon Rabi frequency
     delta_omega: float      # rad/s
-    phase: float = 0.0      # rad
+    phase: float = 0.0      # rad; on the grid, an array gives one per row
     order_hint: int = 1
 
     def __post_init__(self):

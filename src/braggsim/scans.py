@@ -327,21 +327,20 @@ def spot_check(map_result, n_nodes=5, seed=0, tol=1e-3):
     Runs `validation.oracle_diff` (plane-wave inputs 0..n, ladder vs
     split-step) at n_nodes nodes drawn by a seeded RNG, under the map's own
     physics, pulse spec, ladder tolerances and grid options; records
-    the worst absolute deviation.
+    the worst absolute deviation and the worst grid norm drift.
     """
     n, cfg, _, _, _, spec, _, rtol, atol, grid_opts = _setting(map_result)
     rng = np.random.default_rng(seed)
     ok_points = [p for p in map_result.points if not p.failed]
     picks = rng.choice(len(ok_points), size=min(n_nodes, len(ok_points)), replace=False)
-    worst = 0.0
+    worst = drift = 0.0
     details = []
     for ipick in sorted(int(i) for i in picks):
         pt = ok_points[ipick]
         pulse = spec.build(cfg, n, pt.params["tau"], pt.params["rabi"])
-        dev = oracle_diff(pulse, cfg, grid_opts=grid_opts, tol=tol, rtol=rtol,
-                          atol=atol)["max_abs_dev"]
-        worst = max(worst, dev)
+        od = oracle_diff(pulse, cfg, grid_opts=grid_opts, tol=tol, rtol=rtol, atol=atol)
+        worst, drift = max(worst, od["max_abs_dev"]), max(drift, od["norm_drift"])
         details.append({"tau": pt.params["tau"], "rabi": pt.params["rabi"],
-                        "max_abs_dev": dev})
-    return {"max_abs_dev": worst, "tol": tol, "passes": bool(worst < tol),
-            "nodes": details}
+                        "max_abs_dev": od["max_abs_dev"], "norm_drift": od["norm_drift"]})
+    return {"max_abs_dev": worst, "norm_drift": drift, "tol": tol,
+            "passes": bool(worst < tol), "nodes": details}

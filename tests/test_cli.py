@@ -36,7 +36,12 @@ def test_check_command(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
     assert os.path.exists(f"{tmp_path}/out/check_manifest.json")
     table = _reads_back(f"{tmp_path}/out/check.tsv")
-    assert table.rows[0][:2] == ("unit_round_trip", 1.0)
+    # the checks, their order and their pass flags, whatever state each one reads
+    assert [row[:2] for row in table.rows] == [
+        (name, 1.0) for name in ("unit_round_trip", "ladder_norm_drift", "grid_norm_drift",
+                                 "offcomb_population", "palindromic_reversal",
+                                 "phase_gauge_invariance", "quadrature_convergence",
+                                 "ladder_truncation", "oracle_diff")]
     assert all(isinstance(row[2], str) for row in table.rows)
 
 
@@ -105,6 +110,7 @@ def test_oracle_diff_command(tmp_path, capsys):
     assert code == 0
     data = json.load(open(f"{tmp_path}/out/oracle_diff.json"))
     assert data["passes"] and data["max_abs_dev"] < 1e-3
+    assert 0.0 < data["norm_drift"] < 1e-10
 
 
 def _map_body(outdir, taus=3, oms=3):

@@ -290,7 +290,7 @@ class TestResponseTable:
         assert stats["response_tail"] < 1e-12
 
     def test_fallbacks_solve_each_spread(self, rb87, calls, monkeypatch, mirror):
-        monkeypatch.setattr(ensemble, "_class_masses", lambda *args: np.eye(4))
+        monkeypatch.setattr(ensemble, "_class_masses", lambda *args: (np.eye(4), None))
         dps = self.DPS[:3]
         for kw, nodes in [({"backend": "grid"}, 1 + 41 * 2),     # dp = 0 is one node
                           ({"quadrature": Quadrature("monte-carlo", 9)}, 1 + 9 * 2),
@@ -383,7 +383,7 @@ class TestGridRows:
 
         def masses(dist, inputs):
             return _class_masses(seq, dist, rb87, tuple(inputs), (0, 1, 2, 3), Quadrature(),
-                                 "grid", None, None, opts)
+                                 "grid", None, None, opts)[0]
         comb = [masses(*run) for run in runs]
         monkeypatch.setattr(gridprop.Grid, "comb", property(lambda grid: grid))
         for run, c in zip(runs, comb):

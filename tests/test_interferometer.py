@@ -6,8 +6,8 @@ import pytest
 from braggsim import gridprop, ladder
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import ParameterError
-from braggsim.interferometer import (branch_summary, fit_fringe, fringe_scan,
-                                     mirror_response, path_resolved_mzi, run_mzi)
+from braggsim.interferometer import (fit_fringe, fringe_scan, mirror_response,
+                                     path_resolved_mzi, run_mzi)
 from braggsim.pulses import (FreeEvolution, Pulse, PulseSequence,
                              mach_zehnder_sequence)
 
@@ -96,10 +96,11 @@ class TestPathResolved:
             seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
                                         TWO_PI * 21e3, T)
             tree, _ = path_resolved_mzi(seq, DELTA, rb87)
-            out[T] = branch_summary(tree, 0)
+            # coupled fraction of the branches that took class cls at the first split
+            out[T] = {cls: sum(nd.port_coupled_mass for nd in tree if nd.history[0] == cls)
+                      / sum(nd.weight for nd in tree if nd.history[0] == cls) for cls in (1, 2)}
         for cls in (1, 2):
-            assert out[3e-4][cls].port_coupled_fraction == pytest.approx(
-                out[8e-4][cls].port_coupled_fraction, abs=1e-9)
+            assert out[3e-4][cls] == pytest.approx(out[8e-4][cls], abs=1e-9)
 
 
 class TestMirrorResponse:
@@ -198,14 +199,15 @@ class TestFringe:
                         DELTA, rb87, backend="grid")
 
     def test_grid_fringe_equals_ladder(self, rb87):
-        # the grid reruns the sequence per phase; a plane wave needs only the
-        # one-period comb grid
+        # the grid runs the last pulse once, with one row per phase and node; plane
+        # waves need only the one-period comb grid
         seq = _ideal_two_level_mzi(rb87)
         phis = np.linspace(0, TWO_PI, 4, endpoint=False)
         opts = gridprop.GridOptions(grid=gridprop.Grid(64, 1))
-        ladder_rows, _ = fringe_scan(seq, phis, DELTA, rb87, detected="all")
-        grid_rows, _ = fringe_scan(seq, phis, DELTA, rb87, backend="grid", detected="all",
-                                   grid_opts=opts)
+        cloud, quad = MomentumDistribution("gaussian", 0.0, 0.02), Quadrature("gauss-hermite", 3)
+        ladder_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, detected="all")
+        grid_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, backend="grid",
+                                   detected="all", grid_opts=opts)
         for lr, gr in zip(ladder_rows, grid_rows):
             for key in ("port_0", "port_1", "undetected"):
                 assert gr[key] == pytest.approx(lr[key], abs=1e-8)

@@ -309,7 +309,7 @@ class TestSpotCheck:
                              MomentumDistribution("delta", 0.0, 0.0), spec=spec)
         seen = []
         monkeypatch.setattr(scans, "oracle_diff", lambda pulse, cfg, **kw:
-                            seen.append(pulse) or {"max_abs_dev": 0.0})
+                            seen.append(pulse) or {"max_abs_dev": 0.0, "norm_drift": 0.0})
         rep = spot_check(m, n_nodes=2, seed=1)
         assert seen == [spec.build(rb87, 3, nd["tau"], nd["rabi"]) for nd in rep["nodes"]]
         assert [p.envelope.kind for p in seen] == ["rectangular"] * 2
