@@ -223,6 +223,8 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
         phis = np.linspace(0.0, 2 * np.pi, args.phi3_scan, endpoint=False)
         rows, fits = interferometer.fringe_scan(seq, phis, dist, cfg,
                                                 quadrature=rc.quadrature(),
+                                                detected="all" if prop["backend"] == "grid"
+                                                else "closing",
                                                 split_after=split_after, **prop)
         table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
                              (f"port_{n}", "probability"),

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
+from numpy.fft import fft, ifft
 
 from .errors import ParameterError, StiffnessError
 from .pulses import Pulse

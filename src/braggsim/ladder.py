@@ -44,19 +44,91 @@ coupling (phi -> -phi, a gauge) and maps the window [-(n+4), 2n+4] onto
 itself, so for any envelope one pulse gives
 P_{a->b}(p_c + d) = P_{n-a->n-b}(p_c - d).  The relative phases of
 several pulses flip sign, so a sequence does not.
+
+The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
+operation, so bitwise equal to it, without dense output or a scipy import.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from types import SimpleNamespace
+
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, ParameterError
 from .pulses import FreeEvolution, Pulse, PulseSequence
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+# DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I
+# (2nd ed. 1993), Sec. II.10, as in scipy's integrate/_ivp/dop853_coefficients.py (BSD).
+# _A is filled row by row below the diagonal; _E5 and _E3 also weight f(t + h, y_new).
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_A = np.zeros((12, 12))
+_A[np.tril_indices(12, -1)] = [
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685, 0,
+    0.08876275643042054, 0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242, 0.037109375, 0,
+    0, 0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479, 0, 0,
+    0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996, 0.47766253643826434, 0, 0, -2.4881146199716677,
+    -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627, -0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+    -3.0467644718982196, 2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+    12.360567175794303, 0.6433927460157636]
+_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+               -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+               0.20136540080403034, 0.04471061572777259])
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294, 0])
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+
+
+def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, first_step, max_step=np.inf):
+    """Integrate y' = fun(t, y) over t_span = (t0, t1), t1 > t0, by DOP853 with scipy's
+    step control; the result holds the end state as the one column of ``y``, ``t = [t1]``,
+    ``nfev`` (1 + 12 per attempted step), ``naccepted``, ``nrejected``, ``message`` and
+    ``success``, False once the step is below the float spacing at t (a NaN derivative)."""
+    if method != "DOP853":
+        raise ParameterError(f"the ladder stepper is DOP853, not {method!r}")
+    t, t1 = map(float, t_span)
+    y, f, h_abs, acc, rej, ok = y0, fun(t, y0), first_step, 0, 0, True
+    rtol, K = max(rtol, 100 * np.finfo(float).eps), np.empty((13, len(y0)), dtype=complex)
+    while ok and t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = min(max(h_abs, min_step), max_step), False
+        while ok := h_abs >= min_step:
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs, K[0] = np.abs(h), f
+            for s in range(1, 12):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                t, y, f, acc = t_new, y_new, f_new, acc + 1
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected, rej = True, rej + 1
+    return SimpleNamespace(t=np.array([t]), y=y[:, None], nfev=1 + 12 * (acc + rej),
+                           naccepted=acc, nrejected=rej, success=ok,
+                           message="" if ok else "step size below the float spacing at t")
 
 
 def default_j_window(order):
@@ -180,9 +252,8 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     y = np.ascontiguousarray(c0).ravel()
     edges = [u * tau for u in pulse.envelope.breakpoints]
     for t0, t1 in zip(edges, edges[1:]):
-        # t_eval keeps only the end state: memory grows with the batch, not the steps
-        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", t_eval=[t1], rtol=rtol,
-                        atol=atol, first_step=min(tau / 1000, t1 - t0), max_step=tau / 50)
+        sol = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=rtol, atol=atol,
+                        first_step=min(tau / 1000, t1 - t0), max_step=tau / 50)
         if not sol.success:
             raise IntegrationError(f"ladder integration failed: {sol.message}",
                                    context={"tau": tau, "rabi_peak": pulse.rabi_peak})

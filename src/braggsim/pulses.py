@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ParameterError
 from .physics import PhysicalConfig
@@ -67,6 +66,7 @@ class Envelope:
         if self.kind not in ("blackman", "rectangular", "tabulated"):
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "tabulated":
+            from scipy.interpolate import PchipInterpolator
             if len(self.samples) < 2:
                 raise ParameterError("tabulated envelope needs at least 2 samples")
             t = np.asarray([s[0] for s in self.samples], dtype=float)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import __version__, ensemble, gridprop, ladder
 from .ensemble import Quadrature, reflectivity_matrix
@@ -288,6 +287,7 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
     tau, om = pt.params["tau"], pt.params["rabi"]
     refined = False
     if refine == "local":
+        from scipy.optimize import minimize
         setting = _setting(map_result)
 
         def neg_obj(x):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import braggsim
 from braggsim import interferometer, ladder, scans
 from braggsim.cli import main
 from braggsim.config import parse_config
@@ -274,6 +277,33 @@ def test_fringe_scan_follows_split_after(tmp_path, capsys):
                                         quadrature=rc.quadrature(), split_after=(0,))
     assert rows["0"] == [(r["phi3"], r["port_0"], r["port_3"], r["undetected"])
                          for r in lib]
+
+
+def test_grid_fringe_scan_detects_the_whole_state(tmp_path, capsys):
+    # the grid backend has no closing-path detector; its fringe scan detects all
+    cfg = _cfg(tmp_path, "[ensemble]\nnodes = 3\n")
+    assert main(["mzi", "-c", cfg, "-o", f"{tmp_path}/all", "--phi3-scan", "4",
+                 "--set", "propagator.backend=grid"]) == 0
+    rows = ResultTable.read(f"{tmp_path}/all/fringe_scan.tsv").rows
+    rc = parse_config(cfg, overrides=["propagator.backend=grid"])
+    cfg_phys = rc.physical()
+    lib, _ = interferometer.fringe_scan(rc.mzi_sequence(cfg_phys),
+                                        np.linspace(0.0, 2 * np.pi, 4, endpoint=False),
+                                        rc.distribution(), cfg_phys, quadrature=rc.quadrature(),
+                                        detected="all", **rc.propagator())
+    assert rc.propagator()["backend"] == "grid"
+    assert rows == [(r["phi3"], r["port_0"], r["port_3"], r["undetected"]) for r in lib]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs a fresh process a quarter second; only the tabulated-envelope
+    # and [scan] refine = "local" branches import it, where they use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(braggsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", "import sys, braggsim.cli; print(sorted("
+                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("command, table", [("rabi-scan", "rabi_scan.tsv"),

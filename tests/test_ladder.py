@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from braggsim import gridprop, ladder
+from braggsim.errors import IntegrationError, ParameterError
 from braggsim.ladder import (LadderState, default_j_window,
                              integrate_ladder, ladder_hamiltonian, ladder_state,
                              propagate_batch, propagate_sequence, truncation_check)
-from braggsim.pulses import FreeEvolution, Pulse, PulseSequence
+from braggsim.pulses import Envelope, FreeEvolution, Pulse, PulseSequence
 
 TWO_PI = 2 * np.pi
 
@@ -205,6 +206,75 @@ class TestIntegrate:
         for iq in range(len(qs)):
             u = U[:, iq, :]
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-9
+
+
+class TestStepper:
+    """``ladder.solve_ivp`` is scipy's DOP853, bit for bit, without dense output."""
+
+    @pytest.mark.parametrize("envelope, rtol", [("blackman", 1e-10), ("blackman", 1e-13),
+                                                ("blackman", 1e-6), ("tabulated", 1e-10)])
+    def test_bitwise_equal_to_scipy(self, rb87, mirror, monkeypatch, envelope, rtol):
+        u = np.linspace(0.0, 1.0, 9)
+        f = np.sin(np.pi * u) ** 2 * np.exp(-2.0 * u)
+        pulse = mirror if envelope == "blackman" else Pulse.on_resonance(
+            rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3, envelope_kind="tabulated",
+            samples=tuple(zip(u * 90e-6, f / f.max())))
+        qs = np.linspace(-0.3, 0.4, 5)
+        c0 = ladder.unit_columns(default_j_window(3), len(qs), range(4))
+        own = propagate_batch(qs, c0, pulse, rb87, rtol=rtol, atol=rtol / 100)
+        # the reference is the call made before the port: scipy with t_eval = [t1]
+        monkeypatch.setattr(ladder, "solve_ivp", lambda fun, t_span, y0, **kw: solve_ivp(
+            fun, t_span, y0, t_eval=[t_span[1]], **kw))
+        assert np.array_equal(own, propagate_batch(qs, c0, pulse, rb87, rtol=rtol,
+                                                   atol=rtol / 100))
+
+    def test_counts_every_stage(self, rb87, mirror, monkeypatch):
+        # one evaluation at t0, then 12 per attempted step (FSAL); no dense output
+        sols, stepper = [], ladder.solve_ivp
+        monkeypatch.setattr(ladder, "solve_ivp",
+                            lambda *a, **kw: sols.append(stepper(*a, **kw)) or sols[-1])
+        propagate_batch(np.array([0.0, 0.2]), ladder.unit_columns(default_j_window(3), 2, [0]),
+                        mirror, rb87)
+        (sol,) = sols
+        assert sol.success and sol.naccepted > 0
+        assert sol.t.tolist() == [mirror.dimensionless(rb87.units())[0]]
+        assert sol.nfev == 1 + 12 * (sol.naccepted + sol.nrejected)
+
+    def test_rejected_steps_match_scipy(self):
+        # a first step far too long is rejected and shrunk as scipy does it
+        def fun(t, y):
+            return -1j * (1 + 40 * t) * y[::-1]
+        y0, kw = np.array([1, 0.5j, 0]), dict(rtol=1e-9, atol=1e-12, first_step=0.5,
+                                               max_step=1.0)
+        own = ladder.solve_ivp(fun, (0.0, 3.0), y0, **kw)
+        ref = solve_ivp(fun, (0.0, 3.0), y0, method="DOP853", **kw)
+        assert own.nrejected > 0 and own.nfev == ref.nfev == 1 + 12 * (own.naccepted
+                                                                       + own.nrejected)
+        assert own.naccepted == len(ref.t) - 1 and np.array_equal(own.y[:, 0], ref.y[:, -1])
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as dop
+        for own, theirs in [(ladder._A, dop.A[:12, :12]), (ladder._B, dop.B),
+                            (ladder._C, dop.C[:12]), (ladder._E3, dop.E3), (ladder._E5, dop.E5)]:
+            assert np.array_equal(own, theirs)
+
+    def test_other_methods_are_rejected(self):
+        with pytest.raises(ParameterError):
+            ladder.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(2, complex), method="RK45",
+                             rtol=1e-8, atol=1e-10, first_step=0.1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_right_hand_side_fails_typed(self, rb87, mirror, monkeypatch):
+        # a NaN derivative rejects every step until the step is below the
+        # spacing of floats at t: a failed result, then an IntegrationError
+        sol = ladder.solve_ivp(lambda t, y: np.full_like(y, np.nan), (1.0, 2.0),
+                               np.ones(3, complex), rtol=1e-10, atol=1e-12,
+                               first_step=1e-3, max_step=0.02)
+        assert not sol.success and sol.naccepted == 0 and sol.nrejected > 0
+        assert sol.nfev == 1 + 12 * sol.nrejected and "spacing" in sol.message
+        monkeypatch.setattr(Envelope, "scalar", lambda self, u: np.nan)
+        with pytest.raises(IntegrationError, match="ladder integration failed"):
+            integrate_ladder(ladder_state(0, 0.0, order=3), mirror, rb87)
 
 
 class TestSequenceAndFree:

@@ -10,7 +10,7 @@ from braggsim import ensemble, ladder, scans
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
-from braggsim.pulses import PulseSpec
+from braggsim.pulses import Envelope, PulseSpec
 from braggsim.scans import (DmpCriterion, ScanPoint, ScanResult, find_dmp,
                             first_maximum, rabi_scan, reflectivity_map, spot_check)
 
@@ -76,6 +76,18 @@ class TestFailureTyping:
             points = run()
             assert points and all(pt.failed for pt in points)
             assert "underflow" in points[0].error
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_right_hand_side_is_a_failed_node(self, rb87, cloud9, monkeypatch):
+        # the stepper fails on a NaN derivative; only that node is recorded as failed
+        scalar = Envelope.scalar
+        monkeypatch.setattr(Envelope, "scalar", lambda self, u: (
+            np.nan if self.duration == 105e-6 else scalar(self, u)))
+        points = reflectivity_map(rb87, 3, np.array([90e-6, 105e-6]),
+                                  TWO_PI * 1e3 * np.array([18.0, 21.0]), [(0, 3)], cloud9,
+                                  quadrature=FAST).points
+        assert [pt.failed for pt in points] == [False, False, True, True]
+        assert "ladder integration failed" in points[2].error
 
     def test_programming_error_raises(self, rb87, cloud9, monkeypatch):
         self._propagator_raising(monkeypatch, TypeError("unexpected argument"))
