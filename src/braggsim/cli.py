@@ -39,7 +39,7 @@ def _build_parser():
         p.add_argument("--config", "-c", default=None, help="run configuration file")
         p.add_argument("--output", "-o", default=None, help="output directory override")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: available parallelism)")
+                       help="worker processes, as [output] jobs (0: available parallelism)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="config override (repeatable)")
         p.set_defaults(handler=handler)
@@ -62,14 +62,12 @@ def _build_parser():
     return ap
 
 
-def _jobs(args, rc):
-    if args.jobs is not None:
-        return max(1, args.jobs)
+def _jobs(rc):
     j = rc.get("output", "jobs")
     return j if j > 0 else (os.cpu_count() or 1)
 
 
-def _manifest(command, rc, args, jobs):
+def _manifest(command, rc, jobs):
     pr = rc["propagator"]
     return RunManifest(command=command, config_echo=rc.echo(),
                        backend=pr["backend"], scheme=pr["scheme"],
@@ -279,7 +277,7 @@ def cmd_robustness(args, rc, outdir, manifest, jobs):
     pairs = rc.get("scan", "pairs")
     scans.check_pairs(pairs, n)
     dps = np.linspace(0.0, 0.3, 21)
-    recs, stats = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"), order=n,
+    recs, stats = robustness_curve(pulse, dps, cfg, p0=rc.get("ensemble", "p0"),
                                    quadrature=rc.quadrature(), **rc.propagator())
     table = ResultTable([("dp_hbark", "hbar*k_eff")]
                         + [(f"R_{a}_{b}", "probability") for a, b in pairs])
@@ -308,7 +306,7 @@ def cmd_check(args, rc, outdir, manifest, jobs):
 def cmd_oracle_diff(args, rc, outdir, manifest, jobs):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
-    od = validation.oracle_diff(pulse, cfg, tol=1e-3, **_oracle_settings(rc))
+    od = validation.oracle_diff(pulse, cfg, **_oracle_settings(rc))
     with open(os.path.join(outdir, "oracle_diff.json"), "w") as fh:
         json.dump({**od, "manifest_hash": manifest.hash}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -322,10 +320,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        rc = parse_config(args.config, overrides=args.set)
-        jobs = _jobs(args, rc)
+        jobs_set = [] if args.jobs is None else [f"output.jobs={args.jobs}"]
+        rc = parse_config(args.config, overrides=args.set + jobs_set)
+        jobs = _jobs(rc)
         outdir = output_dir(rc.get("output", "dir"), args.output)
-        manifest = _manifest(args.command, rc, args, jobs)
+        manifest = _manifest(args.command, rc, jobs)
         code = args.handler(args, rc, outdir, manifest, jobs)
         manifest.wall_time_s = time.time() - t0
         manifest.write(os.path.join(outdir, f"{args.command.replace('-', '_')}_manifest.json"))

@@ -21,8 +21,9 @@ only place that chooses between the ladder and grid backends.
 
 ``_class_masses`` propagates only the ladder nodes q >= p_c and fills the
 others by the momentum reflection of :mod:`braggsim.ladder` when the
-sequence is one pulse of order n resonant at p_c = dist.p0, the Gaussian's
-nodes are symmetric about p_c and the inputs and classes are closed under
+sequence is one pulse of order n resonant at p_c = dist.p0, the quadrature
+nodes are symmetric about p_c (Gauss-Hermite, not Monte-Carlo; a point
+cloud has nothing to mirror) and the inputs and classes are closed under
 c -> n - c (each within 1e-12).  Otherwise, and always on the grid (the
 independent oracle), it runs the full batch: on the grid, one state whose
 rows are every input at every node, on the one-period ``Grid.comb``, which
@@ -72,31 +73,21 @@ class MomentumDistribution:
     """Initial momentum distribution (units hbar*k_eff).
 
     dp is the standard deviation of the Gaussian, which is the point cloud
-    p0 when dp = 0; tabulated distributions carry (momentum, weight) rows
-    with nonnegative weights.
+    p0 when dp = 0; kind "delta" is that point cloud for any dp.
     """
 
-    kind: str = "gaussian"        # "gaussian" | "delta" | "tabulated"
+    kind: str = "gaussian"        # "gaussian" | "delta"
     p0: float = 0.0
     dp: float = 0.0
-    table: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "delta", "tabulated"):
+        if self.kind not in ("gaussian", "delta"):
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
         if self.dp < 0:
             raise ParameterError(f"momentum spread must be nonnegative, got {self.dp}")
-        if self.kind == "tabulated":
-            w = np.asarray([r[1] for r in self.table], dtype=float)
-            if len(w) == 0 or np.any(w < 0) or w.sum() <= 0:
-                raise ParameterError("tabulated distribution needs nonnegative weights")
 
     def nodes(self, quadrature: Quadrature):
         """(momenta, weights) with weights summing to 1."""
-        if self.kind == "tabulated":
-            p = np.asarray([r[0] for r in self.table], dtype=float)
-            w = np.asarray([r[1] for r in self.table], dtype=float)
-            return p, w / w.sum()
         if self.kind == "delta" or self.dp == 0.0:
             return np.array([self.p0]), np.array([1.0])
         if quadrature.kind == "gauss-hermite":
@@ -145,9 +136,9 @@ def _sequence_pulses(pulse_or_seq):
     return pulse_or_seq
 
 
-def _mirror_order(seq, dist, cfg, qs, inputs, classes):
+def _mirror_order(seq, cfg, qs, inputs, classes):
     """The order n when the momentum reflection applies (module docstring), else None."""
-    if len(seq.pulses) != 1 or dist.kind != "gaussian":
+    if len(seq.pulses) != 1:
         return None
     n = seq.order_hint
     p_c = (seq.pulses[0].dimensionless(cfg.units())[2] - n) / 2
@@ -196,7 +187,7 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
     qs, wts = dist.nodes(quadrature)
     n = drift = None
     if backend == "ladder":
-        n = _mirror_order(seq, dist, cfg, qs, inputs, classes)
+        n = _mirror_order(seq, cfg, qs, inputs, classes)
         h = 0 if n is None else len(qs) // 2
         pops = _ladder_pops(qs[h:], seq, cfg, j_window, inputs, classes, rtol, atol)
     else:   # row a * len(qs) + k is input a at node k
@@ -209,19 +200,15 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
 
 
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
-                     quadrature=Quadrature(), backend="ladder",
-                     input_class=0, rtol=ladder.DEFAULT_RTOL,
+                     quadrature=Quadrature(), backend="ladder", rtol=ladder.DEFAULT_RTOL,
                      atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
-    """Average class populations over the momentum distribution.
-
-    The distribution's p0 is interpreted relative to class `input_class`
-    times hbar*k_eff (so input_class=1 with a zero-mean distribution
-    prepares a cloud around p = 1).  Deterministic for gauss-hermite and
+    """Average class populations over the momentum distribution, for the
+    cloud prepared in class 0.  Deterministic for gauss-hermite and
     fixed-seed monte-carlo.
     """
     seq = _sequence_pulses(pulse_or_seq)
     classes = tuple(range(seq.order_hint + 1) if classes is None else classes)
-    masses = _class_masses(seq, dist, cfg, (input_class,), classes, quadrature, backend,
+    masses = _class_masses(seq, dist, cfg, (0,), classes, quadrature, backend,
                            rtol, atol, grid_opts)[0][0]
     return _normalized({c: float(m) for c, m in zip(classes, masses)})
 
@@ -292,7 +279,7 @@ def _response_table(seq, p_c, width, cfg, n, rtol, atol):
     return coeffs.transpose(1, 0, 2), tail
 
 
-def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadrature(),
+def robustness_curve(mirror, dp_grid, cfg, p0=0.0, quadrature=Quadrature(),
                      backend="ladder", rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                      grid_opts=gridprop.GridOptions()):
     """(records, stats): one ReflectivityRecord per momentum spread in dp_grid
@@ -307,13 +294,13 @@ def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadra
     if not dp_grid or any(b < a for a, b in zip(dp_grid, dp_grid[1:])):
         raise ParameterError("dp grid must be nonempty and ascending")
     seq = _sequence_pulses(mirror)
-    n = seq.order_hint if order is None else order
+    n = seq.order_hint
     classes = tuple(range(n + 1))
     dists = [MomentumDistribution(p0=p0, dp=float(dp)) for dp in dp_grid]
     nodes = [d.nodes(quadrature) for d in dists]
     width = nodes[-1][0].max() - p0     # the widest spread's nodes hold every other's
-    mirrored = backend == "ladder" and _mirror_order(seq, dists[-1], cfg, nodes[-1][0],
-                                                     classes, classes) is not None
+    mirrored = backend == "ladder" and _mirror_order(seq, cfg, nodes[-1][0], classes,
+                                                     classes) is not None
     coeffs, tail = (_response_table(seq, p0, width, cfg, n, rtol, atol)
                     if mirrored and width > 0 else ((), 0.0))
     if len(coeffs) and tail < RESPONSE_TAIL:
@@ -322,7 +309,7 @@ def robustness_curve(mirror, dp_grid, cfg, p0=0.0, order=None, quadrature=Quadra
             wts, n, classes, classes)) for qs, wts in nodes]
         return records, {"response_points": len(coeffs), "response_tail": tail,
                          "quasimomenta_propagated": len(coeffs)}
-    records = [reflectivity_matrix(mirror, d, cfg, order=order, quadrature=quadrature,
+    records = [reflectivity_matrix(mirror, d, cfg, quadrature=quadrature,
                                    backend=backend, rtol=rtol, atol=atol, grid_opts=grid_opts)
                for d in dists]
     solved = sum(len(qs) - len(qs) // 2 * mirrored for qs, _ in nodes)

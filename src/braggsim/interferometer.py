@@ -82,14 +82,14 @@ def run_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
     return PortReport(ports=port_mass, undetected=1.0 - sum(port_mass.values()))
 
 
-def _pulse_indices(seq):
-    return [i for i, it in enumerate(seq.items) if isinstance(it, Pulse)]
+def _pulse_indices(items):
+    return [i for i, it in enumerate(items) if isinstance(it, Pulse)]
 
 
 def _branch_plan(seq, split_after):
     """Validated split ordinals and the trajectory-closing test on histories."""
     n = seq.order_hint
-    n_pulses = len(_pulse_indices(seq))
+    n_pulses = len(_pulse_indices(seq.items))
     split_after = tuple(sorted(set(split_after)))
     for s in split_after:
         if s not in range(n_pulses):
@@ -122,52 +122,30 @@ def _branch_plan(seq, split_after):
     return split_after, closes
 
 
-class _BranchSplitter:
-    """after_pulse hook of ladder.run_sequence: class-branch splitting.
-
-    After each pulse whose ordinal is in split_after, every column is
-    replaced by its projections onto classes 0..n (one new column per
-    class, in class order); the mass outside them is pruned.
-    """
-
-    def __init__(self, split_after, n, j_min, histories, nq):
-        self.split_after = split_after
-        self.classes = range(n + 1)
-        self.j_min = j_min
-        self.histories = list(histories)
-        self.pruned_per_q = np.zeros(nq)
-
-    def __call__(self, k, C):
-        if k not in self.split_after:
-            return C
-        j_min = self.j_min
-        dim, nq, _ = C.shape
-        before = np.sum(np.abs(C) ** 2, axis=0)                     # (nq, nb)
-        new_histories = []
-        Cn = np.zeros((dim, nq, len(self.histories) * len(self.classes)), dtype=complex)
-        col = 0
-        kept = np.zeros_like(before)
-        for b, h in enumerate(self.histories):
-            for cls in self.classes:
-                Cn[cls - j_min, :, col] = C[cls - j_min, :, b]
-                kept[:, b] += np.abs(C[cls - j_min, :, b]) ** 2
-                new_histories.append(h + (cls,))
-                col += 1
-        self.pruned_per_q += np.sum(before - kept, axis=1)
-        self.histories = new_histories
-        return Cn
-
-
 def _walk_branches(items, qs, C, histories, cfg, split_after, n, j_window, rtol, atol):
-    """Run items on branch columns C, splitting after the pulses in split_after.
+    """Run items on branch columns C (dim, nq, len(histories)); returns
+    (histories, C, pruned_per_q).
 
-    Returns (histories, C, pruned_per_q).  Pulse ordinals count the pulses
-    of `items` only.
+    After each pulse whose ordinal (0-based, counting the pulses of `items`
+    only; larger ones are ignored) is in split_after, column b with history h
+    becomes its projections onto classes 0..n: column b * (n + 1) + c with
+    history h + (c,).  The mass outside those classes is pruned.
     """
-    split = _BranchSplitter(split_after, n, j_window[0], histories, len(qs))
-    C = ladder.run_sequence(qs, C, items, cfg, j_window, rtol=rtol, atol=atol,
-                            after_pulse=split)
-    return split.histories, C, split.pruned_per_q
+    rows = np.arange(n + 1) - j_window[0]
+    pruned_per_q = np.zeros(len(qs))
+    start = 0
+    for stop in [i + 1 for k, i in enumerate(_pulse_indices(items)) if k in split_after]:
+        C = ladder.run_sequence(qs, C, items[start:stop], cfg, j_window, rtol=rtol, atol=atol)
+        start = stop
+        dim, nq, nb = C.shape
+        split = np.zeros((dim, nq, nb, n + 1), dtype=complex)
+        split[rows, :, :, np.arange(n + 1)] = C[rows]
+        pruned_per_q += np.sum(np.sum(np.abs(C) ** 2, axis=0)
+                               - np.sum(np.abs(C[rows]) ** 2, axis=0), axis=1)
+        C = split.reshape(dim, nq, nb * (n + 1))
+        histories = [h + (c,) for h in histories for c in range(n + 1)]
+    C = ladder.run_sequence(qs, C, items[start:], cfg, j_window, rtol=rtol, atol=atol)
+    return histories, C, pruned_per_q
 
 
 def _port_probs(wts, C, ports, j_min):
@@ -327,7 +305,7 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
 def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
     """{port: probabilities at each phase} from one run of the shared prefix;
     row k * len(nodes) + i of the last pulse is phase k at node i."""
-    last = _pulse_indices(seq)[-1]
+    last = _pulse_indices(seq.items)[-1]
     qs, wts = dist.nodes(quadrature)
     st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid.comb, np.zeros(len(qs), int),
                                                    qs), seq.items[:last], cfg, grid_opts)
@@ -346,7 +324,7 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after, rtol
         split_after, closes = (), (lambda h: True)
     else:
         split_after, closes = _branch_plan(seq, split_after)
-    pulse_ids = _pulse_indices(seq)
+    pulse_ids = _pulse_indices(seq.items)
     last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)

@@ -269,25 +269,18 @@ def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0])
 
 
-def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                 after_pulse=None):
+def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Amplitudes of shape (dim, nq, ncol) after pulses and free evolutions.
 
     Every column goes through the same items; pulses propagate as one
-    batch.  after_pulse(k, c), if given, is called after the k-th pulse of
-    `items` (0-based) and returns the amplitudes to continue with, which
-    may have a different number of columns (path-resolved runs split
-    branches there).
+    batch.  Path-resolved runs split branches between calls
+    (``interferometer._walk_branches``).
     """
     j = np.arange(j_window[0], j_window[1] + 1)
     units = cfg.units()
-    k = -1
     for item in items:
         if isinstance(item, Pulse):
-            k += 1
             c = propagate_batch(qs, c, item, cfg, rtol=rtol, atol=atol, j_window=j_window)
-            if after_pulse is not None:
-                c = after_pulse(k, c)
         elif isinstance(item, FreeEvolution):
             T_t = units.to_dimensionless(item.duration, "time")
             K = (qs[None, :] + j[:, None]) ** 2

@@ -243,10 +243,6 @@ class PulseSequence:
                 raise ParameterError(f"sequence items must be Pulse or FreeEvolution, got {type(it)}")
 
     @property
-    def total_duration(self):
-        return sum(it.duration for it in self.items)
-
-    @property
     def pulses(self):
         return [it for it in self.items if isinstance(it, Pulse)]
 

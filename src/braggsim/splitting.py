@@ -36,7 +36,6 @@ _PP34A_A = (
 class SplittingScheme:
     """Splitting coefficients plus the embedded error-estimation strategy.
 
-    order: convergence order of the advanced solution.
     err_order: order of the pair member underlying the error estimate
       (controller exponent is 1/(err_order + 1)).
     advance: "average" propagates the pair mean (local extrapolation),
@@ -46,7 +45,6 @@ class SplittingScheme:
     name: str
     a: tuple
     b: tuple
-    order: int
     err_order: int
     advance: str
 
@@ -77,7 +75,6 @@ PP34A = SplittingScheme(
     name="pp34a",
     a=_PP34A_A,
     b=tuple(reversed(_PP34A_A)),
-    order=4,
     err_order=3,
     advance="average",
 )
@@ -86,7 +83,6 @@ STRANG = SplittingScheme(
     name="strang",
     a=(0.5, 0.5),
     b=(1.0, 0.0),
-    order=2,
     err_order=2,
     advance="primary",
 )

@@ -10,6 +10,7 @@ import braggsim
 from braggsim import interferometer, ladder, scans
 from braggsim.cli import main
 from braggsim.config import parse_config
+from braggsim.errors import IntegrationError
 from braggsim.pulses import PulseSpec, mach_zehnder_sequence
 from braggsim.results import ResultTable
 
@@ -137,6 +138,27 @@ def test_map_command_and_determinism(tmp_path, capsys):
     assert man["spot_check"]["passes"]
 
 
+def test_jobs_zero_is_available_parallelism(tmp_path, capsys):
+    # --jobs follows the [output] jobs rule: 0 means every available CPU
+    cfg = _cfg(tmp_path, f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["oracle-diff", "-c", cfg, "--jobs", "0"]) == 0
+    man = json.load(open(f"{tmp_path}/out/oracle_diff_manifest.json"))
+    assert man["jobs"] == (os.cpu_count() or 1)
+
+
+def test_all_failed_map_fails_its_spot_check(tmp_path, capsys, monkeypatch):
+    # a spot check that compared no node must not pass
+    def boom(*args, **kwargs):
+        raise IntegrationError("step size underflow")
+    monkeypatch.setattr(ladder, "propagate_batch", boom)
+    cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
+    assert main(["map", "-c", cfg, "--jobs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "map: 4 nodes, 4 failures" and out[1].endswith("(FAILED)")
+    man = json.load(open(f"{tmp_path}/out/map_manifest.json"))
+    assert man["spot_check"]["nodes"] == [] and man["spot_check"]["passes"] is False
+
+
 def test_map_columns(tmp_path, capsys):
     cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out"))
     assert main(["map", "-c", cfg, "--jobs", "1"]) == 0
@@ -253,7 +275,9 @@ def test_override_flags_dotted(tmp_path, capsys):
     (["mzi", "--phi3-scan", "-2"], "ConfigurationError"),
     (["robustness", "--set", "pulse.order=1"], "ParameterError"),   # [scan] pairs 0-3
     (["oracle-diff", "--set", "propagator.grid_periods=3"], "ParameterError"),
-], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing"])
+    (["check", "--jobs", "-1"], "ConfigurationError"),
+], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing",
+        "negative-jobs"])
 def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     assert main([*argv, "-c", cfg]) == 2

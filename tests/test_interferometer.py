@@ -1,9 +1,12 @@
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from braggsim import gridprop, ladder
+from braggsim.config import parse_config
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import ParameterError
 from braggsim.interferometer import (fit_fringe, fringe_scan, mirror_response,
@@ -101,6 +104,31 @@ class TestPathResolved:
                       / sum(nd.weight for nd in tree if nd.history[0] == cls) for cls in (1, 2)}
         for cls in (1, 2):
             assert out[3e-4][cls] == pytest.approx(out[8e-4][cls], abs=1e-9)
+
+
+    def test_branch_walk_keeps_its_values(self):
+        # stored runs of the default MZI: every PathNode field, the ports and
+        # the closing-detector fringe rows, split after two and three pulses
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "path_resolved_mzi.json")) as fh:
+            ref = json.load(fh)
+        cfg = parse_config().physical()
+        seq = parse_config().mzi_sequence(cfg)
+        dist = MomentumDistribution("gaussian", 0.0, ref["dp"])
+        quad = Quadrature("gauss-hermite", ref["nodes"])
+        phis = np.linspace(0.0, TWO_PI, ref["phi3_points"], endpoint=False)
+        for key, want in ref["runs"].items():
+            split_after = tuple(int(s) for s in key.split(","))
+            tree, rep = path_resolved_mzi(seq, dist, cfg, quadrature=quad,
+                                          split_after=split_after)
+            rows, _ = fringe_scan(seq, phis, dist, cfg, quadrature=quad,
+                                  split_after=split_after)
+            assert rep.pruned == want["pruned"] and rep.undetected == want["undetected"]
+            assert {str(p): v for p, v in rep.ports.items()} == want["ports"]
+            assert {str(p): v for p, v in rep.meta["ports_closing"].items()} \
+                == want["ports_closing"]
+            assert [{**vars(nd), "history": list(nd.history)} for nd in tree] == want["tree"]
+            assert rows == want["fringe_rows"]
 
 
 class TestMirrorResponse:

@@ -131,10 +131,6 @@ class TestPulse:
 
 
 class TestSequence:
-    def test_total_duration_exact(self, rb87):
-        seq = mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, 9e4, 1e-3)
-        assert seq.total_duration == 90e-6 + 1e-3 + 120e-6 + 1e-3 + 90e-6
-
     def test_mzi_structure_and_resonance(self, rb87):
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, 1e5, 120e-6, 9e4, 1e-3)
         assert len(seq.items) == 5
