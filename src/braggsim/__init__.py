@@ -5,7 +5,7 @@ resonant momentum classes while transmitting the parasitic ones)."""
 __version__ = "0.1.1"
 
 from .physics import PhysicalConfig, UnitSystem, default_rb87
-from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec, blackman,
+from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
                      mach_zehnder_sequence, resonance_delta_omega)
 from .splitting import PP34A, STRANG, SplittingScheme, get_scheme
 from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
@@ -19,7 +19,7 @@ from .config import RunConfig, parse_config
 
 __all__ = [
     "PhysicalConfig", "UnitSystem", "default_rb87",
-    "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec", "blackman",
+    "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec",
     "mach_zehnder_sequence", "resonance_delta_omega",
     "PP34A", "STRANG", "SplittingScheme", "get_scheme",
     "ClassPopulations", "MomentumDistribution", "Quadrature", "ReflectivityRecord",

@@ -169,7 +169,9 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
                "resonant_reflectivity": rep.resonant,
                "parasitic_reflectivities": list(rep.parasitic),
-               "dichroic_ratio": rep.dichroic_ratio, "refined": rep.refined,
+               # strict JSON: null, not Infinity, when no parasitic pair is scored
+               "dichroic_ratio": rep.dichroic_ratio if np.isfinite(rep.dichroic_ratio) else None,
+               "refined": rep.refined,
                "message": rep.message, "manifest_hash": manifest.hash}
     with open(os.path.join(outdir, "dmp.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

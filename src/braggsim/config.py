@@ -138,7 +138,7 @@ _SCHEMA = {
         "p0": ("quantity:momentum_hbark:hbark", 0.0, None),
         "quadrature": ("str", "gauss-hermite", ("gauss-hermite", "monte-carlo")),
         "nodes": ("int", 41, _positive),
-        "seed": ("int", 12345, None),
+        "seed": ("int", 12345, _nonnegative),
     },
     "propagator": {
         "backend": ("str", "ladder", ("ladder", "grid")),
@@ -275,20 +275,21 @@ def parse_config(path=None, overrides=(), text=None):
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str
-    if text is not None:
-        cp.read_string(text)
-    elif path is not None:
-        import os
-        if not os.path.exists(path):
-            raise ConfigurationError(f"config file not found: {path}")
-        cp.read(path)
+    try:
+        if text is not None:
+            cp.read_string(text)
+        elif path is not None and not cp.read(path, encoding="utf-8"):
+            raise ConfigurationError(f"cannot read config file {path}: missing or not a file")
+        read = {sec: dict(cp[sec]) for sec in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"malformed config {path or '<text>'}: {exc}") from None
 
     sections = {s: {k: v[1] for k, v in kv.items()} for s, kv in _SCHEMA.items()}
-    for sec in cp.sections():
+    for sec, kv in read.items():
         if sec not in _SCHEMA:
             raise ConfigurationError(
                 f"unknown config section [{sec}]; expected {sorted(_SCHEMA)}")
-        for key, raw in cp[sec].items():
+        for key, raw in kv.items():
             if key not in _SCHEMA[sec]:
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{sec}]; expected {sorted(_SCHEMA[sec])}")

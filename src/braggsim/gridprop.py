@@ -123,19 +123,12 @@ def class_masses(state, classes):
     return np.array([pk[..., jj == c].sum(axis=-1) for c in classes]).T
 
 
-def momentum_populations(state, comb_only=False):
-    """Probabilities on the momentum grid, binned per momentum class.
-
-    Bins are centered on the state's comb q + j with halfwidth 1/2, so a
-    plane-wave state maps exactly onto ladder class indices.  With
-    comb_only=True only the exact comb modes are summed (off-comb mass is
-    reported under key "offcomb").
-    """
+def momentum_populations(state):
+    """Probabilities on the exact comb modes q + j of the state, per class
+    j, and the mass off the comb under key "offcomb"; ``class_masses`` bins
+    the whole grid instead."""
     k = state.grid.k
     jj = np.floor(k + 0.5).astype(int)
-    if not comb_only:
-        classes = np.unique(jj)
-        return dict(zip(classes.tolist(), class_masses(state, classes).tolist()))
     pk = np.abs(fft(state.psi)) ** 2
     pk /= pk.sum()
     on = np.abs(k - np.round(k)) < 1e-9

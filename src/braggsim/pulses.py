@@ -14,11 +14,14 @@ mean(f) = 0.42, so power-calibrated numbers come out pre-multiplied by
 it).  Constructors accept either convention via ``rabi_peak=`` or
 ``rabi_avg=``; the two are related by ``rabi_peak = rabi_avg / mean(f)``.
 A ``PulseSpec`` names the convention once, for every pulse it builds.
+
+Envelopes are closed form, Blackman or rectangular: each is smooth on
+[0, duration], so the ladder integrates a pulse without a restart.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,52 +42,23 @@ def blackman_frac(u, cos=np.cos):
     return 0.42 - 0.5 * cos(w) + 0.08 * cos(2 * w)
 
 
-def blackman(t, tau):
-    """Blackman window on [0, tau], zero outside; t and tau in any common
-    unit.  Vectorized in t."""
-    return Envelope("blackman", tau).value(t)
-
-
 @dataclass(frozen=True)
 class Envelope:
-    """Pulse envelope shape with values in [0, 1] on [0, duration].
+    """Closed-form pulse envelope shape with values in [0, 1] on [0, duration]."""
 
-    Tabulated envelopes keep their sample times as fractions of the
-    duration, so the same shape can be evaluated in SI or dimensionless
-    time.  Interpolation is monotone cubic, which cannot overshoot the
-    clipped sample range.
-    """
-
-    kind: str                      # "blackman" | "rectangular" | "tabulated"
+    kind: str                      # "blackman" | "rectangular"
     duration: float                # seconds
-    samples: tuple = ()            # tabulated only: ((t, value), ...)
-    _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ParameterError(f"envelope duration must be positive, got {self.duration}")
-        if self.kind not in ("blackman", "rectangular", "tabulated"):
+        if self.kind not in ("blackman", "rectangular"):
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "tabulated":
-            from scipy.interpolate import PchipInterpolator
-            if len(self.samples) < 2:
-                raise ParameterError("tabulated envelope needs at least 2 samples")
-            t = np.asarray([s[0] for s in self.samples], dtype=float)
-            v = np.clip([s[1] for s in self.samples], 0.0, 1.0)
-            if t[0] < 0 or t[-1] > self.duration or np.any(np.diff(t) <= 0):
-                raise ParameterError("tabulated samples must be strictly increasing in [0, duration]")
-            object.__setattr__(self, "_interp", PchipInterpolator(t / self.duration, v,
-                                                                  extrapolate=False))
 
     def value_frac(self, u):
         """Envelope at fractional time u = t/duration, zero outside [0, 1]."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "blackman":
-            val = blackman_frac(u)
-        elif self.kind == "rectangular":
-            val = np.ones_like(u)
-        else:
-            val = np.nan_to_num(self._interp(np.clip(u, 0.0, 1.0)), nan=0.0)
+        val = blackman_frac(u) if self.kind == "blackman" else np.ones_like(u)
         out = np.where((u >= 0) & (u <= 1), val, 0.0)
         return out if out.ndim else float(out)
 
@@ -94,33 +68,12 @@ class Envelope:
         per evaluation."""
         if not 0.0 <= u <= 1.0:
             return 0.0
-        if self.kind == "blackman":
-            return blackman_frac(u, math.cos)
-        if self.kind == "rectangular":
-            return 1.0
-        return self.value_frac(u)
-
-    def value(self, t):
-        """Envelope at time t, in the unit of the duration."""
-        return self.value_frac(np.asarray(t, dtype=float) / self.duration)
-
-    @property
-    def breakpoints(self):
-        """Fractional times that bound the smooth pieces of the envelope: 0
-        and 1, plus a tabulated envelope's sample times, where the
-        interpolant's second derivative jumps."""
-        if self.kind != "tabulated":
-            return (0.0, 1.0)
-        return tuple(sorted({0.0, 1.0, *map(float, self._interp.x)}))
+        return blackman_frac(u, math.cos) if self.kind == "blackman" else 1.0
 
     @property
     def mean(self):
         """Time average of the envelope over [0, duration]."""
-        if self.kind == "blackman":
-            return BLACKMAN_MEAN
-        if self.kind == "rectangular":
-            return 1.0
-        return float(self._interp.integrate(0.0, 1.0))
+        return BLACKMAN_MEAN if self.kind == "blackman" else 1.0
 
 
 def resonance_delta_omega(n, p0, cfg: PhysicalConfig):
@@ -164,14 +117,14 @@ class Pulse:
 
     @classmethod
     def on_resonance(cls, cfg, n, tau, rabi_peak=None, rabi_avg=None, phase=0.0,
-                     p0=0.0, envelope_kind="blackman", samples=()):
+                     p0=0.0, envelope_kind="blackman"):
         """Pulse tuned to the n-th order resonance for initial momentum p0 (SI).
 
         Exactly one of rabi_peak / rabi_avg must be given.
         """
         if (rabi_peak is None) == (rabi_avg is None):
             raise ParameterError("give exactly one of rabi_peak or rabi_avg")
-        env = Envelope(envelope_kind, tau, tuple(samples))
+        env = Envelope(envelope_kind, tau)
         if rabi_peak is None:
             rabi_peak = rabi_avg / env.mean
         return cls(envelope=env, rabi_peak=rabi_peak,

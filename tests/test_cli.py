@@ -186,6 +186,21 @@ def test_dmp_find_reports_point(tmp_path, capsys):
     assert data["found"]
 
 
+def test_dmp_json_without_parasitic_pair_is_strict_json(tmp_path, capsys):
+    # order 2 has no parasitic pair, so the dichroic ratio is undefined: null,
+    # not the Infinity that strict JSON readers refuse
+    cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
+    assert main(["dmp-find", "-c", cfg, "--jobs", "1", "--set", "scan.order=2",
+                 "--set", "scan.pairs=0-2", "--set", "scan.spot_check_nodes=0",
+                 "--set", "scan.min_resonant=0"]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    data = json.loads(open(f"{tmp_path}/out/dmp.json").read(), parse_constant=refuse)
+    assert data["found"] and data["parasitic_reflectivities"] == []
+    assert data["dichroic_ratio"] is None
+
+
 def test_mirror_response_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"[pulse]\norder = 3\ntau = 120\nomega = 21\n"
                          f"[ensemble]\nnodes = 7\n[output]\ndir = {tmp_path}/out\n")
@@ -319,15 +334,21 @@ def test_grid_fringe_scan_detects_the_whole_state(tmp_path, capsys):
     assert rows == [(r["phi3"], r["port_0"], r["port_3"], r["undetected"]) for r in lib]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs a fresh process a quarter second; only the tabulated-envelope
-    # and [scan] refine = "local" branches import it, where they use it
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy costs a fresh process a quarter second; only [scan] refine = "local"
+    # imports it, where it uses it, so importing the CLI and running `check` and
+    # `robustness` load no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(braggsim.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", "import sys, braggsim.cli; print(sorted("
-                          "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    script = ("import sys, braggsim.cli as cli\n"
+              f"cli.main(['check', '-o', {str(tmp_path / 'check')!r}])\n"
+              f"cli.main(['robustness', '-o', {str(tmp_path / 'rob')!r}, "
+              "'--set', 'ensemble.nodes=3'])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert os.path.exists(tmp_path / "rob" / "robustness.tsv")
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command, table", [("rabi-scan", "rabi_scan.tsv"),
@@ -350,6 +371,31 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert code == 2
     err = json.loads(captured.err)
     assert err["error"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("body", [b'[scan]\norder = 3\norder = 4\n', b'order = 3\n',
+                                  b'[physics]\nlabel = 100%\n', b'[physics]\nlabel = \xff\n',
+                                  None],
+                         ids=["duplicate-key", "no-section-header", "interpolation",
+                              "not-utf8", "directory"])
+def test_malformed_config_file_is_a_typed_error(tmp_path, capsys, body):
+    path = str(tmp_path)
+    if body is not None:
+        path = os.path.join(tmp_path, "bad.cfg")
+        with open(path, "wb") as fh:
+            fh.write(body)
+    assert main(["oracle-diff", "-c", path, "-o", f"{tmp_path}/out"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError" and path in err["message"]
+
+
+def test_negative_seed_rejected_before_any_node(tmp_path, capsys):
+    # numpy's default_rng refuses a negative seed; the map's spot check would
+    # meet it only after computing every node
+    cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
+    assert main(["map", "-c", cfg, "--jobs", "1", "--set", "ensemble.seed=-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
+    assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")
 
 
 def test_unknown_subcommand_rejected_by_parser(capsys):

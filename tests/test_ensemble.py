@@ -218,12 +218,10 @@ class TestReciprocity:
                                       quadrature=Quadrature("gauss-hermite", 9)).raw_matrix
             assert np.max(np.abs(raw - raw.T)) <= 1e-12
 
-    def test_asymmetric_envelope_control(self, rb87):
+    def test_asymmetric_envelope_control(self, rb87, ramp_pulse):
         # a linear ramp-down has no time symmetry, so reciprocity is lost; the
         # matrix is not symmetric, so matching row 1 pins (input, class) order
-        pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3,
-                                   envelope_kind="tabulated",
-                                   samples=((0.0, 1.0), (90e-6, 0.0)))
+        pulse = ramp_pulse(rb87, 3, 90e-6, TWO_PI * 23e3)
         raw = reflectivity_matrix(pulse, MomentumDistribution("delta", 0.0, 0.0),
                                   rb87).raw_matrix
         assert np.max(np.abs(raw - raw.T)) > 1e-2

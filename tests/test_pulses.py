@@ -6,74 +6,62 @@ from scipy.optimize import brentq
 from braggsim.errors import ParameterError
 from braggsim.physics import HBAR
 from braggsim.pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
-                             blackman, mach_zehnder_sequence, resonance_delta_omega)
+                             mach_zehnder_sequence, resonance_delta_omega)
 
 TWO_PI = 2 * np.pi
 
 
 class TestBlackman:
+    ENV = Envelope("blackman", 90e-6)
+
     def test_peak_at_center(self):
-        assert blackman(45e-6, 90e-6) == pytest.approx(1.0, abs=1e-15)
+        assert self.ENV.value_frac(45e-6 / 90e-6) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_at_edges(self):
         # 0.42 - 0.5 + 0.08 = 0 exactly
-        assert blackman(0.0, 90e-6) == pytest.approx(0.0, abs=1e-16)
-        assert blackman(90e-6, 90e-6) == pytest.approx(0.0, abs=1e-15)
+        assert self.ENV.value_frac(0.0) == pytest.approx(0.0, abs=1e-16)
+        assert self.ENV.value_frac(90e-6 / 90e-6) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_outside_support(self):
-        assert blackman(-1e-6, 90e-6) == 0.0
-        assert blackman(91e-6, 90e-6) == 0.0
+        assert self.ENV.value_frac(-1e-6 / 90e-6) == 0.0
+        assert self.ENV.value_frac(91e-6 / 90e-6) == 0.0
 
     def test_symmetry(self):
         tau = 123e-6
+        env = Envelope("blackman", tau)
         rng = np.random.default_rng(5)
         t = rng.uniform(0, tau, 200)
-        assert np.max(np.abs(blackman(t, tau) - blackman(tau - t, tau))) < 1e-14
+        assert np.max(np.abs(env.value_frac(t / tau) - env.value_frac((tau - t) / tau))) < 1e-14
 
     def test_fwhm(self):
         # independent root finding of f(t) = 1/2
-        tau = 1.0
-        lo = brentq(lambda t: blackman(t, tau) - 0.5, 0.0, 0.5)
-        hi = brentq(lambda t: blackman(t, tau) - 0.5, 0.5, 1.0)
+        f = Envelope("blackman", 1.0).value_frac
+        lo = brentq(lambda u: f(u) - 0.5, 0.0, 0.5)
+        hi = brentq(lambda u: f(u) - 0.5, 0.5, 1.0)
         assert (hi - lo) == pytest.approx(0.405, abs=0.002)
 
     def test_mean_by_quadrature(self):
-        val, _ = quad(lambda t: blackman(t, 1.0), 0.0, 1.0)
+        val, _ = quad(Envelope("blackman", 1.0).value_frac, 0.0, 1.0)
         assert val == pytest.approx(0.42, abs=1e-10)
         assert Envelope("blackman", 1.0).mean == 0.42
 
     def test_invalid_duration(self):
         with pytest.raises(ParameterError):
-            blackman(0.0, -1e-6)
+            Envelope("blackman", -1e-6)
 
 
 class TestEnvelope:
-    def test_tabulated_clipping_and_mean(self):
-        samples = ((0.0, 0.0), (0.25, 1.4), (0.5, 0.8), (0.75, -0.2), (1.0, 0.0))
-        env = Envelope("tabulated", 1.0, samples)
-        u = np.linspace(0, 1, 500)
-        v = env.value_frac(u)
-        assert np.all(v >= 0.0) and np.all(v <= 1.0)
-        ref, _ = quad(env.value_frac, 0.0, 1.0, limit=200)
-        assert env.mean == pytest.approx(ref, abs=1e-6)
-
-    def test_tabulated_needs_samples(self):
-        with pytest.raises(ParameterError):
-            Envelope("tabulated", 1.0, ((0.0, 0.5),))
-
     def test_rectangular(self):
         env = Envelope("rectangular", 2.0)
         assert env.mean == 1.0
-        assert env.value(1.0) == 1.0
-        assert env.value(2.5) == 0.0
+        assert env.value_frac(1.0 / 2.0) == 1.0
+        assert env.value_frac(2.5 / 2.0) == 0.0
 
-    @pytest.mark.parametrize("kind", ["blackman", "rectangular", "tabulated"])
+    @pytest.mark.parametrize("kind", ["blackman", "rectangular"])
     def test_scalar_matches_value_frac_bitwise(self, kind):
         # the scalar evaluator of the ladder right-hand side and the grid
-        # potential rounds like the numpy envelope, inside and outside [0, 1];
-        # the tabulated samples leave [0, 0.1) and (0.9, 1] without a value
-        samples = ((0.1, 0.0), (0.4, 1.3), (0.7, 0.5), (0.9, 0.0))
-        env = Envelope(kind, 1.0, samples if kind == "tabulated" else ())
+        # potential rounds like the numpy envelope, inside and outside [0, 1]
+        env = Envelope(kind, 1.0)
         for u in np.linspace(-0.25, 1.25, 1201).tolist() + [0.0, 0.5, 1.0]:
             assert env.scalar(u) == env.value_frac(u)
 
