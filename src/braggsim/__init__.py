@@ -4,7 +4,7 @@ resonant momentum classes while transmitting the parasitic ones)."""
 
 __version__ = "0.1.1"
 
-from .physics import PhysicalConfig, UnitSystem, default_rb87
+from .physics import PhysicalConfig, default_rb87
 from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
                      mach_zehnder_sequence, resonance_delta_omega)
 from .splitting import PP34A, STRANG, SplittingScheme, get_scheme
@@ -18,7 +18,7 @@ from .interferometer import (PortReport, fringe_scan, mirror_response, path_reso
 from .config import RunConfig, parse_config
 
 __all__ = [
-    "PhysicalConfig", "UnitSystem", "default_rb87",
+    "PhysicalConfig", "default_rb87",
     "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec",
     "mach_zehnder_sequence", "resonance_delta_omega",
     "PP34A", "STRANG", "SplittingScheme", "get_scheme",

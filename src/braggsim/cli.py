@@ -158,12 +158,16 @@ def cmd_map(args, rc, outdir, manifest, jobs):
 
 
 def cmd_dmp_find(args, rc, outdir, manifest, jobs):
-    res = _map(args, rc, outdir, manifest, jobs)
     sc = rc["scan"]
     n = sc["order"]
     crit = DmpCriterion.for_order(n, lambda_pen=sc["lambda_pen"],
                                   min_resonant=sc["min_resonant"],
                                   max_parasitic=sc["max_parasitic"])
+    missing = [p for p in (crit.resonant, *crit.parasitic) if p not in sc["pairs"]]
+    if missing:
+        raise ConfigurationError(f"[scan] pairs lacks {', '.join(f'{a}-{b}' for a, b in missing)}, "
+                                 f"which the order-{n} criterion scores")
+    res = _map(args, rc, outdir, manifest, jobs)
     rep = scans.find_dmp(res, crit, refine=sc["refine"])
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
@@ -223,9 +227,8 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
         phis = np.linspace(0.0, 2 * np.pi, args.phi3_scan, endpoint=False)
         rows, fits = interferometer.fringe_scan(seq, phis, dist, cfg,
                                                 quadrature=rc.quadrature(),
-                                                detected="all" if prop["backend"] == "grid"
-                                                else "closing",
-                                                split_after=split_after, **prop)
+                                                split_after=() if prop["backend"] == "grid"
+                                                else split_after, **prop)
         table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
                              (f"port_{n}", "probability"),
                              ("undetected", "probability")])

@@ -36,7 +36,7 @@ import re
 
 from . import gridprop, ladder
 from .errors import ConfigurationError
-from .physics import PhysicalConfig, default_rb87
+from .physics import ATOMIC_MASS_KG, PhysicalConfig, default_rb87
 from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
 from .ensemble import MomentumDistribution, Quadrature
 from .splitting import PP34A, SCHEMES, get_scheme
@@ -57,7 +57,7 @@ _UNITS = {
     "hbark": ("momentum_hbark", 1.0),
     "rad": ("angle", 1.0), "pi": ("angle", 3.14159265358979323846),
     "deg": ("angle", 3.14159265358979323846 / 180.0),
-    "kg": ("mass", 1.0), "u": ("mass", 1.660539066e-27),
+    "kg": ("mass", 1.0), "u": ("mass", ATOMIC_MASS_KG),
 }
 
 _NUM = r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"

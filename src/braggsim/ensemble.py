@@ -141,7 +141,7 @@ def _mirror_order(seq, cfg, qs, inputs, classes):
     if len(seq.pulses) != 1:
         return None
     n = seq.order_hint
-    p_c = (seq.pulses[0].dimensionless(cfg.units())[2] - n) / 2
+    p_c = (seq.pulses[0].dimensionless(cfg)[2] - n) / 2
     closed = all(n - x in cs for cs in (inputs, classes) for x in cs)
     symmetric = np.all(np.abs(qs + qs[::-1] - 2 * p_c) <= 2e-12)   # so dist.p0 = p_c
     return n if closed and symmetric else None

@@ -196,8 +196,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     state.grid.check_order(pulse.order_hint)
-    units = cfg.units()
-    dl = pulse.dimensionless(units)
+    dl = pulse.dimensionless(cfg)
     tau = dl[0]
     st = _Stepper(state, dl, pulse.envelope)
     psi = state.psi.copy()
@@ -240,8 +239,7 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     state.grid.check_order(pulse.order_hint)
-    units = cfg.units()
-    dl = pulse.dimensionless(units)
+    dl = pulse.dimensionless(cfg)
     tau = dl[0]
     st = _Stepper(state, dl, pulse.envelope)
     psi = state.psi.copy()
@@ -261,18 +259,15 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
     return GridState(state.grid, psi, state.q)
 
 
-def free_evolve(state, T, cfg=None):
-    """Exact lattice-off evolution, the kinetic factor exp(-i (k+q)^2 T).
-
-    T in seconds when cfg is given, else dimensionless.
-    """
+def free_evolve(state, T):
+    """Exact lattice-off evolution for a dimensionless time T, the kinetic
+    factor exp(-i (k+q)^2 T)."""
     if T < 0:
         raise ParameterError(f"free evolution must be nonnegative, got {T}")
-    T_t = cfg.units().to_dimensionless(T, "time") if cfg is not None else T
-    if T_t == 0.0:
+    if T == 0.0:
         return state.copy()
     k = state.k
-    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T_t))
+    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T))
     return GridState(state.grid, psi, state.q)
 
 
@@ -283,5 +278,5 @@ def run_sequence(state, items, cfg, opts):
         if isinstance(item, Pulse):
             state = propagate_pulse(state, item, cfg, scheme=opts.scheme, tol=opts.tol)
         else:
-            state = free_evolve(state, item.duration, cfg)
+            state = free_evolve(state, cfg.to_dimensionless(item.duration, "time"))
     return state

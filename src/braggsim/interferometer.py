@@ -243,7 +243,7 @@ def fit_fringe(phis, values, harmonic):
 
 
 def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
-                backend="ladder", detected="closing", split_after=(0, 1),
+                backend="ladder", split_after=(0, 1),
                 rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                 grid_opts=gridprop.GridOptions()):
     """Port probabilities versus the final pulse's lattice phase.
@@ -253,19 +253,20 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     harmonic (n = sequence order); the fit's max residual quantifies
     multipath distortion.
 
-    detected="closing" models the far-field detector: only
-    trajectory-closing paths overlap the port spots (paths a mirror left
-    displaced never reach them).  Branches are split after the pulses in
-    split_after as in path_resolved_mzi.  detected="all" bins the full
-    final state by momentum class instead.
+    split_after sets the detector.  Branches are split after the pulses in
+    split_after as in path_resolved_mzi, and the far-field detector sees only
+    trajectory-closing paths at the port spots (paths a mirror left
+    displaced never reach them).  split_after=() bins the full final state
+    by momentum class; it is the only detector of the grid backend, which
+    tracks no branches.
 
     On the ladder backend the phase enters only as a gauge (see the
     ladder module): with Lambda(phi) = diag(e^{i j phi}) and the first
     grid phase as reference phi_ref,
     U(phi) = Lambda(phi - phi_ref) U(phi_ref) Lambda(phi - phi_ref)^dagger.
     The pulses before the last run once; the branch columns the detector
-    adds up are summed by linearity (every branch, i.e. the unsplit
-    state, for "all"), or kept per history when the last pulse is split
+    adds up are summed by linearity (the unsplit state for
+    split_after=()), or kept per history when the last pulse is split
     too; and the gauge-rotated copies for all phases propagate through
     the last pulse as one batch.  The final Lambda does not change class
     populations.  The grid backend, the independent oracle, uses no ladder
@@ -273,8 +274,6 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     one copy of the rows per phase runs the rest, the last pulse with each
     copy's own lattice phase in the potential substep.
     """
-    if detected not in ("closing", "all"):
-        raise ParameterError(f"unknown detector model {detected!r}")
     phi3_grid = np.asarray(phi3_grid, dtype=float)
     span = phi3_grid.max() - phi3_grid.min()
     step = span / max(1, len(phi3_grid) - 1)
@@ -283,9 +282,9 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     n = seq.order_hint
     ports = _expected_ports(seq)
     if backend == "ladder":
-        port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, detected,
-                                   split_after, rtol, atol)
-    elif detected == "closing":
+        port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, split_after,
+                                   rtol, atol)
+    elif split_after:
         raise ParameterError("path-resolved runs support the ladder backend only")
     else:
         port_vals = _grid_fringe(seq, phi3_grid, dist, cfg, quadrature, grid_opts)
@@ -317,13 +316,10 @@ def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
     return {p: pops[:, :, i] @ wts for i, p in enumerate(ports)}
 
 
-def _ladder_fringe(seq, phis, dist, cfg, quadrature, detected, split_after, rtol, atol):
+def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
     """{port: probabilities at each phase} from one run of the shared prefix."""
     n = seq.order_hint
-    if detected == "all":
-        split_after, closes = (), (lambda h: True)
-    else:
-        split_after, closes = _branch_plan(seq, split_after)
+    split_after, closes = _branch_plan(seq, split_after)
     pulse_ids = _pulse_indices(seq.items)
     last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
     qs, wts = dist.nodes(quadrature)

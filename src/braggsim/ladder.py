@@ -197,7 +197,7 @@ def ladder_hamiltonian(q, pulse, cfg, t, j_window):
     convention stated in the module docstring.  t may lie outside the
     pulse, where the envelope is zero.
     """
-    tau, W, dw, phi = pulse.dimensionless(cfg.units())
+    tau, W, dw, phi = pulse.dimensionless(cfg)
     j_min, j_max = j_window
     j = np.arange(j_min, j_max + 1)
     f = pulse.envelope.value_frac(t / tau)
@@ -228,7 +228,7 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     dim, nq, ni = c0.shape
     if dim != len(j) or nq != len(qs):
         raise ParameterError("c0 shape does not match window/quasimomentum batch")
-    tau, W, dw, phi = pulse.dimensionless(cfg.units())
+    tau, W, dw, phi = pulse.dimensionless(cfg)
     env = pulse.envelope.scalar
     K = (qs[None, :] + j[:, None]) ** 2          # (dim, nq)
     eiphi = complex(np.exp(1j * phi))
@@ -275,12 +275,11 @@ def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
     (``interferometer._walk_branches``).
     """
     j = np.arange(j_window[0], j_window[1] + 1)
-    units = cfg.units()
     for item in items:
         if isinstance(item, Pulse):
             c = propagate_batch(qs, c, item, cfg, rtol=rtol, atol=atol, j_window=j_window)
         elif isinstance(item, FreeEvolution):
-            T_t = units.to_dimensionless(item.duration, "time")
+            T_t = cfg.to_dimensionless(item.duration, "time")
             K = (qs[None, :] + j[:, None]) ** 2
             c = c * np.exp(-1j * K * T_t)[:, :, None]
         else:

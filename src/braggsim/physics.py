@@ -1,11 +1,12 @@
-"""Physical constants, atom/laser configuration, and the dimensionless unit
-system used by every propagator.
+"""Physical constants, atom/laser configuration, and the conversions to the
+dimensionless units used by every propagator.
 
 Internally all dynamics run in lattice-recoil units: hbar = 1, momentum in
 units of hbar*k_eff, energy in hbar*omega_k and time in 1/omega_k, where
 omega_k = hbar*k_eff^2/(2m) is the two-photon recoil angular frequency
 (the n = 1 Bragg resonance). Positions are measured in 1/k_eff, so the
-lattice period is 2*pi.
+lattice period is 2*pi.  ``PhysicalConfig.unit``, ``to_dimensionless`` and
+``from_dimensionless`` convert between SI and these units.
 """
 from __future__ import annotations
 
@@ -51,8 +52,25 @@ class PhysicalConfig:
         object.__setattr__(self, "k_eff", k_eff)
         object.__setattr__(self, "omega_k", HBAR * k_eff**2 / (2 * self.atom_mass))
 
-    def units(self):
-        return UnitSystem(self)
+    def unit(self, kind):
+        """SI value of one lattice-recoil unit: "time" 1/omega_k, "momentum"
+        hbar*k_eff, "frequency" omega_k (angular, rad/s), "length" 1/k_eff,
+        "energy" hbar*omega_k."""
+        units = {"time": 1.0 / self.omega_k, "momentum": HBAR * self.k_eff,
+                 "frequency": self.omega_k, "length": 1.0 / self.k_eff,
+                 "energy": HBAR * self.omega_k}
+        if kind not in units:
+            raise ConfigurationError(
+                f"unknown quantity kind {kind!r}; expected one of {tuple(units)}")
+        return units[kind]
+
+    def to_dimensionless(self, value, kind):
+        """Divide an SI value by the matching unit."""
+        return value / self.unit(kind)
+
+    def from_dimensionless(self, value, kind):
+        """Inverse of :meth:`to_dimensionless`."""
+        return value * self.unit(kind)
 
 
 def default_rb87():
@@ -63,55 +81,3 @@ def default_rb87():
     return PhysicalConfig(atom_mass=RB87_MASS_KG, wavelength=RB87_WAVELENGTH_M,
                           label="Rb-87 D2")
 
-
-_KINDS = ("time", "momentum", "frequency", "length", "energy")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversions between SI and the dimensionless lattice-recoil units.
-
-    momentum_unit = hbar*k_eff, time_unit = 1/omega_k, energy_unit =
-    hbar*omega_k, length_unit = 1/k_eff.  "frequency" converts angular
-    frequencies (rad/s) to units of omega_k.
-    """
-
-    cfg: PhysicalConfig
-
-    @property
-    def momentum_unit(self):
-        return HBAR * self.cfg.k_eff
-
-    @property
-    def time_unit(self):
-        return 1.0 / self.cfg.omega_k
-
-    @property
-    def energy_unit(self):
-        return HBAR * self.cfg.omega_k
-
-    @property
-    def length_unit(self):
-        return 1.0 / self.cfg.k_eff
-
-    def _unit(self, kind):
-        if kind == "time":
-            return self.time_unit
-        if kind == "momentum":
-            return self.momentum_unit
-        if kind == "frequency":
-            return self.cfg.omega_k
-        if kind == "length":
-            return self.length_unit
-        if kind == "energy":
-            return self.energy_unit
-        raise ConfigurationError(
-            f"unknown quantity kind {kind!r}; expected one of {_KINDS}")
-
-    def to_dimensionless(self, value, kind):
-        """Divide an SI value by the matching unit."""
-        return value / self._unit(kind)
-
-    def from_dimensionless(self, value, kind):
-        """Inverse of :meth:`to_dimensionless`."""
-        return value * self._unit(kind)

@@ -131,11 +131,12 @@ class Pulse:
                    delta_omega=resonance_delta_omega(n, p0, cfg),
                    phase=phase, order_hint=n)
 
-    def dimensionless(self, units):
-        """(tau, rabi_peak, delta_omega, phase) in lattice-recoil units."""
-        return (units.to_dimensionless(self.duration, "time"),
-                units.to_dimensionless(self.rabi_peak, "frequency"),
-                units.to_dimensionless(self.delta_omega, "frequency"),
+    def dimensionless(self, cfg):
+        """(tau, rabi_peak, delta_omega, phase) in the lattice-recoil units of
+        the PhysicalConfig cfg."""
+        return (cfg.to_dimensionless(self.duration, "time"),
+                cfg.to_dimensionless(self.rabi_peak, "frequency"),
+                cfg.to_dimensionless(self.delta_omega, "frequency"),
                 self.phase)
 
 
@@ -159,7 +160,7 @@ class PulseSpec:
     def build(self, cfg, n, tau, omega):
         """n-th order pulse of duration tau (s) and Rabi frequency omega (rad/s)."""
         return Pulse.on_resonance(cfg, n, tau, phase=self.phase,
-                                  p0=self.p0 * cfg.units().momentum_unit,
+                                  p0=self.p0 * cfg.unit("momentum"),
                                   envelope_kind=self.envelope,
                                   **{f"rabi_{self.convention}": omega})
 

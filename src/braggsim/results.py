@@ -79,7 +79,10 @@ class ResultTable:
 
 
 def manifest_hash(payload):
-    """Hash of the reproducible identity of a run (no timing fields)."""
+    """Hash of the reproducible identity of a run (no timing fields), also
+    the key of a map node in the map cache."""
+    # str of a frozen dataclass (physics, distribution, grid options) is its
+    # repr, which renders it field by field with exact floats
     s = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(s.encode()).hexdigest()[:16]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import hashlib
 import json
 import os
 from contextlib import ExitStack
@@ -23,6 +22,7 @@ from . import __version__, ensemble, gridprop, ladder
 from .ensemble import Quadrature, reflectivity_matrix
 from .errors import BraggSimError, ParameterError
 from .pulses import PulseSpec
+from .results import manifest_hash
 from .validation import ORACLE_TOL, oracle_diff
 
 
@@ -43,13 +43,6 @@ class ScanResult:
     axes: tuple                 # ((name, values), ...)
     points: list
     meta: dict = field(default_factory=dict)
-
-
-def _node_hash(payload):
-    # repr renders the frozen dataclasses (physics, distribution, grid
-    # options) field by field with exact floats
-    s = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(s.encode()).hexdigest()[:16]
 
 
 def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
@@ -165,8 +158,8 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     node_params = [(float(tau), float(om)) for tau in tau_grid for om in rabi_grid]
     setting = (n, cfg, dist, quadrature, backend, spec, tuple(pairs),
                rtol, atol, grid_opts)
-    hashes = [_node_hash({"setting": setting, "version": __version__, "tau": t,
-                          "rabi": om}) for t, om in node_params]
+    hashes = [manifest_hash({"setting": setting, "version": __version__, "tau": t,
+                            "rabi": om}) for t, om in node_params]
 
     text = ""
     if cache_path and os.path.exists(cache_path):

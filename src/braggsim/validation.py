@@ -45,7 +45,6 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
     is read after the reversal check's forward pass on the configured grid.
     """
     results = []
-    units = cfg.units()
 
     def record(name, passed, detail):
         results.append((name, bool(passed), detail))
@@ -53,7 +52,7 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
     # unit round trip
     vals = {"time": 9e-5, "momentum": 3.2e-27, "frequency": 1e5, "length": 1e-6,
             "energy": 1e-29}
-    worst = max(abs(units.from_dimensionless(units.to_dimensionless(v, k), k) / v - 1)
+    worst = max(abs(cfg.from_dimensionless(cfg.to_dimensionless(v, k), k) / v - 1)
                 for k, v in vals.items())
     record("unit_round_trip", worst < 1e-12, f"max rel err {worst:.2e}")
 

@@ -201,6 +201,31 @@ def test_dmp_json_without_parasitic_pair_is_strict_json(tmp_path, capsys):
     assert data["dichroic_ratio"] is None
 
 
+@pytest.mark.parametrize("override, missing", [("scan.order=5", "0-5, 1-4, 2-3"),
+                                               ("scan.pairs=0-3", "1-2")],
+                         ids=["order-5", "pairs-0-3"])
+def test_dmp_find_without_a_scored_pair_fails_before_any_node(tmp_path, capsys, override,
+                                                               missing):
+    # the criterion scores R_0_n and every parasitic pair; without the check the
+    # whole map would run before a missing pair surfaced
+    cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
+    assert main(["dmp-find", "-c", cfg, "--jobs", "1", "--set", override]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError" and missing in err["message"]
+    assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")
+
+
+def test_default_map_node_cache_key(tmp_path, monkeypatch):
+    # every map cache on disk is keyed this way, so a change to how keys are
+    # built must be deliberate
+    monkeypatch.setattr(scans, "_map_node",
+                        lambda args: scans.ScanPoint({"tau": args[0], "rabi": args[1]}, {}))
+    assert main(["map", "-o", str(tmp_path), "--jobs", "1",
+                 "--set", "scan.spot_check_nodes=0"]) == 0
+    with open(f"{tmp_path}/map_cache.jsonl") as fh:
+        assert json.loads(fh.readline())["hash"] == "b13bd2873e2f3dcb"
+
+
 def test_mirror_response_command(tmp_path, capsys):
     cfg = _cfg(tmp_path, f"[pulse]\norder = 3\ntau = 120\nomega = 21\n"
                          f"[ensemble]\nnodes = 7\n[output]\ndir = {tmp_path}/out\n")
@@ -329,7 +354,7 @@ def test_grid_fringe_scan_detects_the_whole_state(tmp_path, capsys):
     lib, _ = interferometer.fringe_scan(rc.mzi_sequence(cfg_phys),
                                         np.linspace(0.0, 2 * np.pi, 4, endpoint=False),
                                         rc.distribution(), cfg_phys, quadrature=rc.quadrature(),
-                                        detected="all", **rc.propagator())
+                                        split_after=(), **rc.propagator())
     assert rc.propagator()["backend"] == "grid"
     assert rows == [(r["phi3"], r["port_0"], r["port_3"], r["undetected"]) for r in lib]
 

@@ -261,7 +261,7 @@ class TestResponseTable:
     @pytest.mark.parametrize("n, p_c", [(3, 0.0), (3, 0.3), (4, 0.0), (4, 0.3)])
     def test_table_matches_direct_path(self, rb87, calls, n, p_c):
         pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
-                                   p0=p_c * rb87.units().momentum_unit)
+                                   p0=p_c * rb87.unit("momentum"))
         dps = self.DPS[::10]
         recs, stats = robustness_curve(pulse, dps, rb87, p0=p_c)
         assert calls["reflectivity_matrix"] == 0 and stats["response_points"] >= 65
@@ -321,7 +321,7 @@ class TestMomentumMirror:
                                                      (4, 0.3, 41, 21), (4, 0.0, 40, 20)])
     def test_centred_gauss_hermite_runs_half(self, rb87, batch_sizes, n, p_c, nodes, half):
         pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
-                                   p0=p_c * rb87.units().momentum_unit)
+                                   p0=p_c * rb87.unit("momentum"))
         dist = MomentumDistribution("gaussian", p_c, 0.13)
         quad = Quadrature("gauss-hermite", nodes)
         raw = reflectivity_matrix(pulse, dist, rb87, quadrature=quad).raw_matrix
@@ -331,7 +331,7 @@ class TestMomentumMirror:
     def test_full_batch_otherwise(self, rb87, batch_sizes, mirror, cloud):
         gh = Quadrature("gauss-hermite", 9)
         tilted = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3,
-                                    p0=0.3 * rb87.units().momentum_unit)
+                                    p0=0.3 * rb87.unit("momentum"))
         runs = [
             lambda: reflectivity_matrix(tilted, cloud, rb87, quadrature=gh),
             lambda: reflectivity_matrix(mirror, cloud, rb87,

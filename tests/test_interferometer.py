@@ -200,8 +200,8 @@ class TestFringe:
         ("closing", True, (0, 1), False),
         ("closing", True, (0, 1, 2), False),
         ("closing", False, (2,), True),
-        ("all", False, (0, 1), True),
-        ("all", True, (0, 1), False),
+        ("all", False, (), True),
+        ("all", True, (), False),
     ])
     def test_one_propagation_matches_per_phase_loop(self, rb87, cloud, detected,
                                                     trailing_free, split_after, uniform):
@@ -215,8 +215,7 @@ class TestFringe:
             phis = np.array([0.3, 0.5, 1.7, 2.2, 3.9, 5.0, 6.6])
         fast = Quadrature("gauss-hermite", 7)
         ref = self._per_phase_reference(seq, phis, cloud, rb87, fast, detected, split_after)
-        rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=fast, detected=detected,
-                              split_after=split_after)
+        rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=fast, split_after=split_after)
         new = np.array([[r["port_0"], r["port_3"]] for r in rows])
         assert [r["phi3"] for r in rows] == list(phis)
         assert np.max(np.abs(new - ref)) <= 1e-10
@@ -233,9 +232,9 @@ class TestFringe:
         phis = np.linspace(0, TWO_PI, 4, endpoint=False)
         opts = gridprop.GridOptions(grid=gridprop.Grid(64, 1))
         cloud, quad = MomentumDistribution("gaussian", 0.0, 0.02), Quadrature("gauss-hermite", 3)
-        ladder_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, detected="all")
+        ladder_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, split_after=())
         grid_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, backend="grid",
-                                   detected="all", grid_opts=opts)
+                                   split_after=(), grid_opts=opts)
         for lr, gr in zip(ladder_rows, grid_rows):
             for key in ("port_0", "port_1", "undetected"):
                 assert gr[key] == pytest.approx(lr[key], abs=1e-8)
@@ -244,7 +243,7 @@ class TestFringe:
         p0 = Pulse.on_resonance(rb87, 1, 90e-6, rabi_peak=0.0)
         seq = PulseSequence((p0, FreeEvolution(1e-4), p0, FreeEvolution(1e-4), p0))
         rows, _ = fringe_scan(seq, np.linspace(0, TWO_PI, 4, endpoint=False), DELTA,
-                              rb87, backend="grid", detected="all")
+                              rb87, backend="grid", split_after=())
         assert all(r["port_0"] == pytest.approx(1.0, abs=1e-10) for r in rows)
 
     def test_multipath_residual_plain_vs_dichroic(self, rb87, cloud):

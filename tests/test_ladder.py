@@ -64,7 +64,7 @@ class TestIntegrate:
         st.amps[0] = 0.6
         st.amps[1 - st.j_min] = 0.8
         out = integrate_ladder(st, pulse, rb87)
-        tau_t = rb87.units().to_dimensionless(70e-6, "time")
+        tau_t = rb87.to_dimensionless(70e-6, "time")
         ref = st.amps * np.exp(-1j * (st.q + np.arange(st.j_min, st.j_max + 1)) ** 2 * tau_t)
         assert np.max(np.abs(out.amps - ref)) < 1e-12
 
@@ -86,7 +86,7 @@ class TestIntegrate:
         pulse = Pulse.on_resonance(rb87, 1, 40e-6, rabi_avg=TWO_PI * 10e3)
         st = ladder_state(0, 0.1, order=1)
         a = integrate_ladder(st, pulse, rb87)
-        tau = pulse.dimensionless(rb87.units())[0]
+        tau = pulse.dimensionless(rb87)[0]
         window = (st.j_min, st.j_max)
         b = solve_ivp(lambda t, y: -1j * (ladder_hamiltonian(st.q, pulse, rb87, t, window) @ y),
                       (0.0, tau), st.amps, method="DOP853", rtol=1e-11, atol=1e-13)
@@ -166,7 +166,7 @@ class TestIntegrate:
     def test_momentum_reflection(self, rb87, ramp_pulse, n, tau, rabi_khz, p_c, envelope):
         # a pulse resonant at p_c is symmetric under j -> n - j, q -> 2 p_c - q:
         # P_{a->b}(p_c + d) = P_{n-a->n-b}(p_c - d) for any envelope and phase
-        omega, p0 = TWO_PI * rabi_khz * 1e3, p_c * rb87.units().momentum_unit
+        omega, p0 = TWO_PI * rabi_khz * 1e3, p_c * rb87.unit("momentum")
         if envelope == "ramp":
             pulse = ramp_pulse(rb87, n, tau, omega, phase=0.7, p0=p0)
         else:
@@ -219,7 +219,7 @@ class TestStepper:
                         mirror, rb87)
         (sol,) = sols
         assert sol.success and sol.naccepted > 0
-        assert sol.t.tolist() == [mirror.dimensionless(rb87.units())[0]]
+        assert sol.t.tolist() == [mirror.dimensionless(rb87)[0]]
         assert sol.nfev == 1 + 12 * (sol.naccepted + sol.nrejected)
 
     def test_rejected_steps_match_scipy(self):
@@ -263,7 +263,7 @@ class TestSequenceAndFree:
     def test_free_evolution_phases(self, rb87):
         st = ladder_state(2, 0.3, order=3)
         out = propagate_sequence(st, PulseSequence((FreeEvolution(1e-3),)), rb87)
-        T_t = rb87.units().to_dimensionless(1e-3, "time")
+        T_t = rb87.to_dimensionless(1e-3, "time")
         assert out.amps[2 - st.j_min] == pytest.approx(
             np.exp(-1j * (0.3 + 2) ** 2 * T_t), rel=1e-12)
 

@@ -28,41 +28,38 @@ def test_omega_k_two_ways(rb87):
 
 
 def test_to_dimensionless_momentum_unit(rb87):
-    units = rb87.units()
-    assert units.to_dimensionless(HBAR * rb87.k_eff, "momentum") == pytest.approx(1.0, rel=1e-14)
+    assert rb87.to_dimensionless(HBAR * rb87.k_eff, "momentum") == pytest.approx(1.0, rel=1e-14)
 
 
 def test_to_dimensionless_time_zero(rb87):
-    assert rb87.units().to_dimensionless(0.0, "time") == 0.0
+    assert rb87.to_dimensionless(0.0, "time") == 0.0
 
 
 def test_to_dimensionless_resonance_frequency(rb87):
-    val = rb87.units().to_dimensionless(TWO_PI * 15.1e3, "frequency")
+    val = rb87.to_dimensionless(TWO_PI * 15.1e3, "frequency")
     assert val == pytest.approx(1.0, abs=0.01)
 
 
 def test_round_trip_identity(rb87):
-    units = rb87.units()
     rng = np.random.default_rng(11)
     for kind in ("time", "momentum", "frequency", "length", "energy"):
         for _ in range(20):
             v = 10.0 ** rng.uniform(-30, 6)
-            back = units.from_dimensionless(units.to_dimensionless(v, kind), kind)
+            back = rb87.from_dimensionless(rb87.to_dimensionless(v, kind), kind)
             assert abs(back / v - 1) < 1e-12
 
 
 def test_dimensionless_values_finite(rb87):
-    units = rb87.units()
     for kind, v in (("time", 90e-6), ("momentum", HBAR * rb87.k_eff),
                     ("frequency", TWO_PI * 23e3), ("length", 1e-6),
                     ("energy", HBAR * rb87.omega_k)):
-        x = units.to_dimensionless(v, kind)
+        x = rb87.to_dimensionless(v, kind)
         assert np.isfinite(x) and not np.isnan(x)
 
 
 def test_unknown_kind_rejected(rb87):
     with pytest.raises(ConfigurationError):
-        rb87.units().to_dimensionless(1.0, "velocity")
+        rb87.to_dimensionless(1.0, "velocity")
 
 
 def test_invalid_constants_rejected():
