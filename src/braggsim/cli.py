@@ -51,9 +51,9 @@ def _build_parser():
     command("mirror-response", cmd_mirror_response, "populations after the mirror per input class")
     p = command("mzi", cmd_mzi, "Mach-Zehnder interferometer run")
     p.add_argument("--path-resolved", action="store_true")
-    p.add_argument("--split-after", default="0,1",
-                   help="pulse ordinals to split at (path-resolved runs and the "
-                        "closing-path detector of --phi3-scan)")
+    p.add_argument("--split-after", default=None,
+                   help="pulse ordinals to split at, default 0,1 (path-resolved runs "
+                        "and the closing-path detector of a ladder --phi3-scan)")
     p.add_argument("--phi3-scan", type=int, default=0, metavar="N",
                    help="scan the final pulse phase over [0, 2pi) with N points")
     command("robustness", cmd_robustness, "reflectivities vs momentum spread")
@@ -213,22 +213,29 @@ def cmd_mirror_response(args, rc, outdir, manifest, jobs):
 def cmd_mzi(args, rc, outdir, manifest, jobs):
     if args.phi3_scan < 0:
         raise ConfigurationError(f"--phi3-scan needs a point count >= 0, got {args.phi3_scan}")
+    if args.phi3_scan and args.path_resolved:
+        raise ConfigurationError("--phi3-scan and --path-resolved are separate runs; give one")
+    prop = rc.propagator()
+    ladder_scan = args.phi3_scan and prop["backend"] == "ladder"
+    if args.split_after is not None and not (args.path_resolved or ladder_scan):
+        raise ConfigurationError("--split-after applies to --path-resolved runs and to a "
+                                 "--phi3-scan on the ladder backend only")
+    split_spec = "0,1" if args.split_after is None else args.split_after
     try:
-        split_after = tuple(int(x) for x in args.split_after.split(","))
+        split_after = tuple(int(x) for x in split_spec.split(","))
     except ValueError:
         raise ConfigurationError(f"--split-after needs pulse ordinals like \"0,1\", "
-                                 f"got {args.split_after!r}") from None
+                                 f"got {split_spec!r}") from None
     cfg = rc.physical()
     seq = rc.mzi_sequence(cfg)
     dist = rc.distribution()
-    prop = rc.propagator()
     n = seq.order_hint
     if args.phi3_scan:
         phis = np.linspace(0.0, 2 * np.pi, args.phi3_scan, endpoint=False)
         rows, fits = interferometer.fringe_scan(seq, phis, dist, cfg,
                                                 quadrature=rc.quadrature(),
-                                                split_after=() if prop["backend"] == "grid"
-                                                else split_after, **prop)
+                                                split_after=split_after if ladder_scan
+                                                else (), **prop)
         table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
                              (f"port_{n}", "probability"),
                              ("undetected", "probability")])
@@ -257,7 +264,7 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
             table.add(nd.key, nd.weight, nd.port_class_mass, nd.port_coupled_mass,
                       nd.port_class_fraction, nd.port_coupled_fraction)
         table.write(os.path.join(outdir, "mzi_paths.tsv"),
-                    manifest.provenance(order=n, split_after=args.split_after))
+                    manifest.provenance(order=n, split_after=split_spec))
         print(f"ports {dict((k, round(v, 4)) for k, v in rep.ports.items())}, "
               f"undetected {rep.undetected:.4f}, pruned {rep.pruned:.2e}")
         for nd in tree:

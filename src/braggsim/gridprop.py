@@ -138,21 +138,23 @@ def momentum_populations(state):
 
 
 class _Stepper:
-    """Applies splitting substeps for one pulse on one grid.
+    """One pulse's splitting substeps on one grid, after the Nyquist check.
 
-    Both members of a splitting pair take the same kinetic weights (PP34A:
-    b = reversed(a)), so each factor exp(-i (k+q)^2 w h) is computed once
-    per step size h, for both.  The pulse's phase may be one per row.
+    ``step`` applies the scheme's plain member, or with swap_roles the
+    role-swapped one.  Both take the same kinetic weights (PP34A: b =
+    reversed(a)), so each exp(-i (k+q)^2 w h) is computed once per step
+    size h, for both.  The pulse's phase may be one per row.
     """
 
-    def __init__(self, state, pulse_dimless, envelope):
-        self.grid = state.grid
-        self.tau, self.W, self.dw, phi = pulse_dimless
+    def __init__(self, state, pulse, cfg, scheme):
+        state.grid.check_order(pulse.order_hint)
+        self.tau, self.W, self.dw, phi = pulse.dimensionless(cfg)
         self.phi = np.reshape(phi, (-1, 1)) if np.ndim(phi) else phi
-        self.env = envelope
+        self.env = pulse.envelope
+        self.scheme = scheme
         k = state.k
         self.k2 = k * k
-        x = self.grid.x
+        x = state.grid.x
         self.cosx = np.cos(x)
         self.sinx = np.sin(x)
         self.h, self.kinetic_factors = None, {}
@@ -172,11 +174,11 @@ class _Stepper:
         c = self.W * f * dt
         return psi * (np.exp(-1j * c) * np.exp(-1j * c * cosshift))
 
-    def step(self, psi, t, h, scheme, swap_roles=False):
+    def step(self, psi, t, h, swap_roles=False):
         if h != self.h:
             self.h, self.kinetic_factors = h, {}
         clock = t
-        for slot, w in scheme.substeps(swap_roles=swap_roles):
+        for slot, w in self.scheme.substeps(swap_roles=swap_roles):
             if slot == "A":
                 psi = self.kinetic(psi, w * h)
                 clock += w * h
@@ -195,19 +197,16 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
     """
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    state.grid.check_order(pulse.order_hint)
-    dl = pulse.dimensionless(cfg)
-    tau = dl[0]
-    st = _Stepper(state, dl, pulse.envelope)
+    st = _Stepper(state, pulse, cfg, scheme)
     psi = state.psi.copy()
     t = 0.0
-    h = tau * (1 / 200)        # first trial step; tau / 200 can round differently
-    h_min = tau * 1e-9
+    h = st.tau * (1 / 200)        # first trial step; tau / 200 can round differently
+    h_min = st.tau * 1e-9
     expo = 1.0 / (scheme.err_order + 1)
-    while t < tau:
-        h = min(h, tau - t)
-        psi_ab = st.step(psi, t, h, scheme, swap_roles=False)
-        psi_ba = st.step(psi, t, h, scheme, swap_roles=True)
+    while t < st.tau:
+        h = min(h, st.tau - t)
+        psi_ab = st.step(psi, t, h)
+        psi_ba = st.step(psi, t, h, swap_roles=True)
         d = psi_ab - psi_ba
         err = 0.5 * float(np.linalg.norm(d) if d.ndim == 1 else
                           np.max(np.linalg.norm(d, axis=-1)))
@@ -219,43 +218,34 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
             h *= min(5.0, max(0.2, 0.9 * (tol_step / err) ** expo))
         else:
             h *= 5.0
-        if h < h_min and t < tau:
+        if h < h_min and t < st.tau:
             raise StiffnessError(
                 "step size underflow in split-step propagation",
-                context={"t": t, "tau": tau, "h": h, "tol": tol,
+                context={"t": t, "tau": st.tau, "h": h, "tol": tol,
                          "rabi_peak": pulse.rabi_peak, "duration": pulse.duration})
     return GridState(state.grid, psi, state.q)
 
 
-def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400,
-                          swap_roles=False, backward=False):
+def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400, backward=False):
     """Fixed-step propagation, forward or exactly reversed.
 
-    backward=True steps the clock from tau down to 0 with negated
-    weights; for a palindromic scheme run with swap_roles=True this is
-    the exact inverse of a forward pass with advance "primary" (to
-    roundoff).
+    Forward steps advance as ``scheme.advance`` says.  backward=True runs
+    the role-swapped member with step -h, the clock from tau down to 0;
+    for a palindromic scheme this is the exact inverse (to roundoff) of a
+    forward pass with advance "primary".
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    state.grid.check_order(pulse.order_hint)
-    dl = pulse.dimensionless(cfg)
-    tau = dl[0]
-    st = _Stepper(state, dl, pulse.envelope)
+    st = _Stepper(state, pulse, cfg, scheme)
     psi = state.psi.copy()
-    h = tau / n_steps
-    if backward:
-        for i in range(n_steps - 1, -1, -1):
-            t_end = (i + 1) * h
-            psi = st.step(psi, t_end, -h, scheme, swap_roles=swap_roles)
-        return GridState(state.grid, psi, state.q)
-    for i in range(n_steps):
-        t = i * h
-        if scheme.advance == "average":
-            psi = 0.5 * (st.step(psi, t, h, scheme, swap_roles=False)
-                         + st.step(psi, t, h, scheme, swap_roles=True))
+    h = st.tau / n_steps
+    for i in reversed(range(n_steps)) if backward else range(n_steps):
+        if backward:
+            psi = st.step(psi, (i + 1) * h, -h, swap_roles=True)
+        elif scheme.advance == "average":
+            psi = 0.5 * (st.step(psi, i * h, h) + st.step(psi, i * h, h, swap_roles=True))
         else:
-            psi = st.step(psi, t, h, scheme, swap_roles=swap_roles)
+            psi = st.step(psi, i * h, h)
     return GridState(state.grid, psi, state.q)
 
 

@@ -10,8 +10,9 @@ read backwards with the roles of A and B swapped reproduces itself
 (a_i = b_{s+1-i}).  Each member is order 3; the role-swapped partner is
 the adjoint, so the pair average is order 4 and the half-difference is a
 free local-error estimate.  Swapping roles and negating the step size
-inverts a step exactly, which gives the time-reversal identity used in
-the tests.
+inverts a step exactly.  That time-reversal identity is `check`'s
+palindromic_reversal row, through
+``gridprop.propagate_pulse_fixed(backward=True)``, and the tests use it.
 """
 from __future__ import annotations
 

@@ -316,8 +316,13 @@ def test_override_flags_dotted(tmp_path, capsys):
     (["robustness", "--set", "pulse.order=1"], "ParameterError"),   # [scan] pairs 0-3
     (["oracle-diff", "--set", "propagator.grid_periods=3"], "ParameterError"),
     (["check", "--jobs", "-1"], "ConfigurationError"),
+    (["mzi", "--phi3-scan", "4", "--split-after", "7", "--set", "propagator.backend=grid"],
+     "ConfigurationError"),                                # the grid scan has no branches
+    (["mzi", "--split-after", "7"], "ConfigurationError"),  # a port run has no branches
+    (["mzi", "--path-resolved", "--phi3-scan", "4"], "ConfigurationError"),
 ], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing",
-        "negative-jobs"])
+        "negative-jobs", "split-after-on-grid-scan", "split-after-on-port-run",
+        "path-resolved-with-phi3-scan"])
 def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     assert main([*argv, "-c", cfg]) == 2
