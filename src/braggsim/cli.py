@@ -5,7 +5,12 @@ Every subcommand reads a config file plus repeatable
 manifest into the output directory, and exits nonzero with a JSON error
 object on stderr when something fails; a bad option value exits 2 with a
 ``ConfigurationError``.  Result tables for a fixed config and seed are byte
-identical across runs and worker counts.
+identical across runs, worker counts and core counts.
+
+``main`` pins numpy's OpenBLAS to one thread before any work, as each map
+worker does: a threaded BLAS sums the integrator's stage combinations in
+another order, which moves table values by ~1e-13 with the host's core
+count.
 """
 from __future__ import annotations
 
@@ -23,8 +28,6 @@ from .ensemble import robustness_curve
 from .errors import BraggSimError, ConfigurationError, ParameterError
 from .results import ResultTable, RunManifest, output_dir
 from .scans import DmpCriterion
-
-TWO_PI = 2 * np.pi
 
 
 def _build_parser():
@@ -62,23 +65,8 @@ def _build_parser():
     return ap
 
 
-def _jobs(rc):
-    j = rc.get("output", "jobs")
-    return j if j > 0 else (os.cpu_count() or 1)
-
-
-def _manifest(command, rc, jobs):
-    pr = rc["propagator"]
-    return RunManifest(command=command, config_echo=rc.echo(),
-                       backend=pr["backend"], scheme=pr["scheme"],
-                       tolerances={"tol": pr["tol"], "ladder_rtol": pr["ladder_rtol"],
-                                   "ladder_atol": pr["ladder_atol"]},
-                       seed=rc.get("ensemble", "seed"), code_version=__version__,
-                       jobs=jobs)
-
-
 def _khz(omega):
-    return omega / (TWO_PI * 1e3)
+    return omega / (2e3 * np.pi)
 
 
 def _oracle_settings(rc):
@@ -86,9 +74,9 @@ def _oracle_settings(rc):
     return {k: v for k, v in rc.propagator().items() if k != "backend"}
 
 
-# Every handler takes (args, rc, outdir, manifest, jobs) and returns the exit code.
+# Every handler takes (args, rc, outdir, manifest) and returns the exit code.
 
-def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
+def cmd_rabi_scan(args, rc, outdir, manifest):
     cfg = rc.physical()
     sc = rc["scan"]
     n = sc["order"]
@@ -118,7 +106,7 @@ def cmd_rabi_scan(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def _map(args, rc, outdir, manifest, jobs):
+def _map(rc, outdir, manifest):
     """Run the reflectivity map and its spot check, write map.tsv, return the map."""
     cfg = rc.physical()
     sc = rc["scan"]
@@ -126,7 +114,7 @@ def _map(args, rc, outdir, manifest, jobs):
     taus = np.linspace(sc["tau_min"], sc["tau_max"], sc["tau_count"])
     oms = np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"])
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
-                                 quadrature=rc.quadrature(), jobs=jobs,
+                                 quadrature=rc.quadrature(), jobs=manifest.jobs,
                                  spec=rc.pulse_spec(),
                                  cache_path=os.path.join(outdir, "map_cache.jsonl"),
                                  **rc.propagator())
@@ -134,9 +122,7 @@ def _map(args, rc, outdir, manifest, jobs):
     if sc["spot_check_nodes"] > 0:
         manifest.spot_check = scans.spot_check(res, n_nodes=sc["spot_check_nodes"],
                                                seed=rc.get("ensemble", "seed"))
-    pair_cols = []
-    for a, b in sc["pairs"]:
-        pair_cols += [f"R_{a}_{b}", f"R_{a}_{b}_fwd", f"R_{a}_{b}_rev"]
+    pair_cols = [f"R_{a}_{b}{d}" for a, b in sc["pairs"] for d in ("", "_fwd", "_rev")]
     table = ResultTable([("tau_us", "us"), ("omega_over_2pi_kHz", "kHz")]
                         + [(c, "probability") for c in pair_cols] + [("failed", "flag")])
     for pt in res.points:
@@ -152,12 +138,12 @@ def _map(args, rc, outdir, manifest, jobs):
     return res
 
 
-def cmd_map(args, rc, outdir, manifest, jobs):
-    _map(args, rc, outdir, manifest, jobs)
+def cmd_map(args, rc, outdir, manifest):
+    _map(rc, outdir, manifest)
     return 0
 
 
-def cmd_dmp_find(args, rc, outdir, manifest, jobs):
+def cmd_dmp_find(args, rc, outdir, manifest):
     sc = rc["scan"]
     n = sc["order"]
     crit = DmpCriterion.for_order(n, lambda_pen=sc["lambda_pen"],
@@ -167,7 +153,7 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
     if missing:
         raise ConfigurationError(f"[scan] pairs lacks {', '.join(f'{a}-{b}' for a, b in missing)}, "
                                  f"which the order-{n} criterion scores")
-    res = _map(args, rc, outdir, manifest, jobs)
+    res = _map(rc, outdir, manifest)
     rep = scans.find_dmp(res, crit, refine=sc["refine"])
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
@@ -176,10 +162,8 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
                # strict JSON: null, not Infinity, when no parasitic pair is scored
                "dichroic_ratio": rep.dichroic_ratio if np.isfinite(rep.dichroic_ratio) else None,
                "refined": rep.refined,
-               "message": rep.message, "manifest_hash": manifest.hash}
-    with open(os.path.join(outdir, "dmp.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+               "message": rep.message}
+    manifest.write_json(os.path.join(outdir, "dmp.json"), payload)
     if rep.found:
         print(f"DMP: tau = {rep.tau*1e6:.1f} us, Omega = 2*pi*{_khz(rep.rabi):.2f} kHz, "
               f"resonant {rep.resonant:.3f}, parasitic "
@@ -190,11 +174,11 @@ def cmd_dmp_find(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def cmd_mirror_response(args, rc, outdir, manifest, jobs):
+def cmd_mirror_response(args, rc, outdir, manifest):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
-    rows = interferometer.mirror_response(range(n + 1), pulse, rc.distribution(), cfg,
+    rows = interferometer.mirror_response(pulse, rc.distribution(), cfg,
                                           quadrature=rc.quadrature(), **rc.propagator())
     table = ResultTable([("input_class", "index")]
                         + [(f"P{c}_after", "probability") for c in range(n + 1)])
@@ -210,7 +194,7 @@ def cmd_mirror_response(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def cmd_mzi(args, rc, outdir, manifest, jobs):
+def cmd_mzi(args, rc, outdir, manifest):
     if args.phi3_scan < 0:
         raise ConfigurationError(f"--phi3-scan needs a point count >= 0, got {args.phi3_scan}")
     if args.phi3_scan and args.path_resolved:
@@ -236,7 +220,7 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
                                                 quadrature=rc.quadrature(),
                                                 split_after=split_after if ladder_scan
                                                 else (), **prop)
-        table = ResultTable([("phi3", "rad"), (f"port_0", "probability"),
+        table = ResultTable([("phi3", "rad"), ("port_0", "probability"),
                              (f"port_{n}", "probability"),
                              ("undetected", "probability")])
         for r in rows:
@@ -282,7 +266,7 @@ def cmd_mzi(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def cmd_robustness(args, rc, outdir, manifest, jobs):
+def cmd_robustness(args, rc, outdir, manifest):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
@@ -302,42 +286,39 @@ def cmd_robustness(args, rc, outdir, manifest, jobs):
     return 0
 
 
-def cmd_check(args, rc, outdir, manifest, jobs):
+def cmd_check(args, rc, outdir, manifest):
     cfg = rc.physical()
     results = validation.check_suite(cfg, **_oracle_settings(rc))
     table = ResultTable([("check", "name"), ("passed", "flag"), ("detail", "text")])
-    ok = True
     for name, passed, detail in results:
         table.add(name, 1 if passed else 0, detail)
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-        ok = ok and passed
     table.write(os.path.join(outdir, "check.tsv"), manifest.provenance())
-    return 0 if ok else 3
+    return 0 if all(passed for _, passed, _ in results) else 3
 
 
-def cmd_oracle_diff(args, rc, outdir, manifest, jobs):
+def cmd_oracle_diff(args, rc, outdir, manifest):
     cfg = rc.physical()
     pulse = rc.pulse(cfg)
     od = validation.oracle_diff(pulse, cfg, **_oracle_settings(rc))
-    with open(os.path.join(outdir, "oracle_diff.json"), "w") as fh:
-        json.dump({**od, "manifest_hash": manifest.hash}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest.write_json(os.path.join(outdir, "oracle_diff.json"), od)
     print(f"max class-population deviation grid vs ladder: {od['max_abs_dev']:.3e} "
           f"({'ok' if od['passes'] else 'FAIL'})")
     return 0 if od["passes"] else 4
 
 
 def main(argv=None):
+    scans._one_blas_thread()
     ap = _build_parser()
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
         jobs_set = [] if args.jobs is None else [f"output.jobs={args.jobs}"]
         rc = parse_config(args.config, overrides=args.set + jobs_set)
-        jobs = _jobs(rc)
         outdir = output_dir(rc.get("output", "dir"), args.output)
-        manifest = _manifest(args.command, rc, jobs)
-        code = args.handler(args, rc, outdir, manifest, jobs)
+        manifest = RunManifest(args.command, rc.echo(),
+                               jobs=rc.get("output", "jobs") or os.cpu_count() or 1)
+        code = args.handler(args, rc, outdir, manifest)
         manifest.wall_time_s = time.time() - t0
         manifest.write(os.path.join(outdir, f"{args.command.replace('-', '_')}_manifest.json"))
         return code

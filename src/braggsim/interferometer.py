@@ -201,19 +201,13 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     return tree, report
 
 
-def mirror_response(input_classes, mirror, dist, cfg, quadrature=Quadrature(),
-                    backend="ladder", **kw):
-    """Class populations 0..n after the mirror for each prepared input class:
-    rows of the mirror's reflectivity matrix."""
-    n = mirror.order_hint
-    input_classes = tuple(input_classes)
-    for cls in input_classes:
-        if not 0 <= cls <= n:
-            raise ParameterError(f"input class {cls} outside 0..{n}")
+def mirror_response(mirror, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
+    """Class populations 0..n after the mirror for each prepared input class
+    0..n: the rows of the mirror's reflectivity matrix."""
     rec = reflectivity_matrix(mirror, dist, cfg, quadrature=quadrature, backend=backend,
                               **kw)
     return [{"input": cls, "after": {b: float(rec.matrix[cls, b]) for b in rec.classes}}
-            for cls in input_classes]
+            for cls in rec.classes]
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,6 @@ class FringeFit:
     phase: float
     harmonic: int
     max_residual: float
-    ok: bool
 
 
 def fit_fringe(phis, values, harmonic):
@@ -237,9 +230,8 @@ def fit_fringe(phis, values, harmonic):
     resid = float(np.max(np.abs(A @ coef - y)))
     amp = float(np.hypot(ac, as_))
     if a0 <= 0:
-        return FringeFit(float(a0), 0.0, 0.0, harmonic, resid, ok=False)
-    return FringeFit(float(a0), amp / a0, float(np.arctan2(as_, ac)), harmonic,
-                     resid, ok=True)
+        return FringeFit(float(a0), 0.0, 0.0, harmonic, resid)
+    return FringeFit(float(a0), amp / a0, float(np.arctan2(as_, ac)), harmonic, resid)
 
 
 def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),

@@ -7,7 +7,9 @@ Columns whose unit is one of TEXT_UNITS hold strings; all others hold
 numbers.
 Manifests are JSON; a hash over the reproducible subset (config, seed,
 backend, scheme, tolerances, code version) is embedded in every table so
-data files reference exactly one manifest.
+data files reference exactly one manifest.  Everything in that subset but
+the code version is read from the run's own config echo, so a manifest
+cannot name a backend or seed its config does not hold.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+
+from . import __version__
 
 TEXT_UNITS = ("name", "text", "history")
 
@@ -93,11 +97,6 @@ class RunManifest:
 
     command: str
     config_echo: dict
-    backend: str
-    scheme: str
-    tolerances: dict
-    seed: int
-    code_version: str
     jobs: int = 1
     wall_time_s: float = 0.0
     timestamp: str = ""
@@ -105,35 +104,38 @@ class RunManifest:
     spot_check: dict = field(default_factory=dict)
 
     @property
+    def identity(self):
+        """What the run computes, read from the config echo."""
+        pr = self.config_echo["propagator"]
+        return {"command": self.command, "backend": pr["backend"], "scheme": pr["scheme"],
+                "tolerances": {k: pr[k] for k in ("tol", "ladder_rtol", "ladder_atol")},
+                "seed": self.config_echo["ensemble"]["seed"], "code_version": __version__}
+
+    @property
     def hash(self):
         # identity of the computation: excludes timing and the [output]
         # plumbing so the same physics run hashes alike anywhere
         config = {k: v for k, v in self.config_echo.items() if k != "output"}
-        return manifest_hash({"command": self.command, "config": config,
-                              "backend": self.backend, "scheme": self.scheme,
-                              "tolerances": self.tolerances, "seed": self.seed,
-                              "code_version": self.code_version})
+        return manifest_hash({**self.identity, "config": config})
+
+    def write_json(self, path, payload):
+        """Write payload plus this run's manifest hash as sorted, indented JSON."""
+        with open(path, "w") as fh:
+            json.dump({**payload, "manifest_hash": self.hash}, fh, indent=2,
+                      sort_keys=True, default=str)
+            fh.write("\n")
 
     def write(self, path):
-        payload = {"manifest_hash": self.hash, "command": self.command,
-                   "backend": self.backend, "scheme": self.scheme,
-                   "tolerances": self.tolerances, "seed": self.seed,
-                   "code_version": self.code_version, "jobs": self.jobs,
-                   "wall_time_s": self.wall_time_s,
-                   "timestamp": self.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "failures": self.failures, "spot_check": self.spot_check,
-                   "config": self.config_echo}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        self.write_json(path, {
+            **self.identity, "jobs": self.jobs, "wall_time_s": self.wall_time_s,
+            "timestamp": self.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "failures": self.failures, "spot_check": self.spot_check,
+            "config": self.config_echo})
 
     def provenance(self, **extra):
         """Header block for result tables tied to this manifest."""
-        out = {"manifest_hash": self.hash, "command": self.command,
-               "backend": self.backend, "scheme": self.scheme,
-               "seed": self.seed, "code_version": self.code_version}
-        out.update(extra)
-        return out
+        return {"manifest_hash": self.hash,
+                **{k: v for k, v in self.identity.items() if k != "tolerances"}, **extra}
 
 
 def output_dir(config_dir, override=None):

@@ -121,9 +121,13 @@ def _map_node(args):
 
 
 def _one_blas_thread():
-    """Map worker initializer: a forked worker keeps its parent's OpenBLAS thread
-    pool, which environment variables no longer reach, so `jobs` workers would
-    oversubscribe the cores.  Sets the OpenBLAS in numpy's wheel to one thread."""
+    """Sets the OpenBLAS in numpy's wheel to one thread.
+
+    The CLI calls it before any work, so its tables do not depend on the
+    host's core count (a threaded BLAS rounds the integrator's stage sums
+    differently).  It is also the map workers' initializer: a forked worker
+    keeps its parent's OpenBLAS thread pool, which environment variables no
+    longer reach, so `jobs` workers would oversubscribe the cores."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for lib in map(ctypes.CDLL, glob.glob(os.path.join(libs, "*openblas*"))):
         for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):

@@ -3,7 +3,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from braggsim import default_rb87, MomentumDistribution, Pulse, resonance_delta_omega
+from braggsim import default_rb87, MomentumDistribution, Pulse, resonance_delta_omega, scans
+
+# the CLI's arithmetic in every test: one OpenBLAS thread, whatever the host's
+# core count and whether a test has run the CLI in this process yet
+scans._one_blas_thread()
 
 TWO_PI = 2 * np.pi
 

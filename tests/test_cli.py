@@ -1,3 +1,4 @@
+import filecmp
 import json
 import os
 import subprocess
@@ -379,6 +380,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
                          text=True, check=True).stdout
     assert os.path.exists(tmp_path / "rob" / "robustness.tsv")
     assert out.splitlines()[-1] == "[]"
+
+
+def test_tables_do_not_depend_on_blas_threads(tmp_path):
+    # a threaded OpenBLAS sums the integrator's stage combinations in another
+    # order, which moves table values by ~1e-13; the CLI pins one thread, so
+    # the thread count the environment asks for changes no byte
+    src = os.path.dirname(os.path.dirname(os.path.abspath(braggsim.__file__)))
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "braggsim.cli", "mzi", "--phi3-scan", "8",
+                        "--jobs", "1", "-o", str(tmp_path / threads)], env=env,
+                       capture_output=True, check=True)
+    assert filecmp.cmp(tmp_path / "2" / "fringe_scan.tsv", tmp_path / "1" / "fringe_scan.tsv",
+                       shallow=False)
 
 
 @pytest.mark.parametrize("command, table", [("rabi-scan", "rabi_scan.tsv"),

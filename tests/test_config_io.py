@@ -8,6 +8,7 @@ import pytest
 
 import braggsim
 from braggsim import config
+from braggsim.cli import main
 from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
 from braggsim.gridprop import Grid, GridOptions
@@ -152,10 +153,7 @@ class TestResultTable:
 
 class TestManifest:
     def _manifest(self):
-        return RunManifest(command="map", config_echo={"pulse": {"order": 3}},
-                           backend="ladder", scheme="pp34a",
-                           tolerances={"tol": 1e-8}, seed=12345,
-                           code_version="0.1.0")
+        return RunManifest(command="map", config_echo=parse_config().echo())
 
     def test_hash_ignores_timing(self):
         m1 = self._manifest()
@@ -167,7 +165,7 @@ class TestManifest:
     def test_hash_tracks_config(self):
         m1 = self._manifest()
         m2 = self._manifest()
-        m2.config_echo = {"pulse": {"order": 5}}
+        m2.config_echo = {**m1.config_echo, "pulse": {**m1.config_echo["pulse"], "order": 5}}
         assert m1.hash != m2.hash
 
     def test_written_file_contains_hash_and_spot_check(self, tmp_path):
@@ -187,3 +185,13 @@ class TestManifest:
         t.write(path, provenance=m.provenance())
         back = ResultTable.read(path)
         assert back.provenance["manifest_hash"] == m.hash
+
+    def test_default_check_run_hash(self, tmp_path, capsys):
+        # the identity of `braggsim check` with every default: backend, scheme,
+        # tolerances and seed come from the config echo, the version from the
+        # package.  A change of what the hash covers must change this literal.
+        assert main(["check", "-o", str(tmp_path)]) == 0
+        man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
+        assert man["manifest_hash"] == "1d2f48ba2b9dfa30"
+        table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
+        assert table.provenance["manifest_hash"] == "1d2f48ba2b9dfa30"
