@@ -47,7 +47,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from . import gridprop, ladder
 from .errors import ParameterError
-from .pulses import Pulse, PulseSequence
+from .pulses import Envelope, Pulse, PulseSequence
 
 DEFAULT_GH_NODES = 41
 RESPONSE_TAIL = 1e-12
@@ -148,7 +148,13 @@ def _mirror_order(seq, cfg, qs, inputs, classes):
 
 
 def _ladder_pops(qs, seq, cfg, j_window, inputs, classes, rtol, atol):
-    """Populations (len(inputs), len(qs), len(classes)) after one ladder batch."""
+    """Populations (len(inputs), len(qs), len(classes)) after one ladder batch: half of
+    a lone ``Envelope`` pulse when every class is an input (``ladder.half_pulse_pops``)."""
+    pulse = seq.items[0]
+    if len(seq.items) == 1 and isinstance(pulse, Pulse) \
+            and isinstance(pulse.envelope, Envelope) and set(classes) <= set(inputs):
+        return ladder.half_pulse_pops(qs, pulse, cfg, inputs, classes, j_window, rtol=rtol,
+                                      atol=atol)
     c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs), seq.items,
                             cfg, j_window, rtol=rtol, atol=atol)
     return np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2

@@ -45,10 +45,18 @@ itself, so for any envelope one pulse gives
 P_{a->b}(p_c + d) = P_{n-a->n-b}(p_c - d).  The relative phases of
 several pulses flip sign, so a sequence does not.
 
+Time reversal halves a pulse whose envelope is symmetric, f(tau - t) = f(t),
+as both ``Envelope`` kinds are.  The diagonal is real and the raising element
+at tau - t is e^{-i alpha} times the conjugate of the one at t, with
+alpha = dw*tau - 2*phi, so H(tau - t) = Lambda(-alpha) H(t)^* Lambda(-alpha)^dagger
+and U(tau, 0) = Lambda(-alpha) U_h^T Lambda(-alpha)^dagger U_h, U_h = U(tau/2, 0):
+P_{a->b} = |sum_k (U_h)_{kb} e^{i k alpha} (U_h)_{ka}|^2 needs only the
+half-pulse columns of a and b (``half_pulse_pops``).
+
 The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
 operation, so bitwise equal to it, without dense output or a scipy import.
-Envelopes are closed form and smooth on the pulse, so each pulse is one
-solve over [0, tau].
+Envelopes are closed form and smooth on the pulse, so each pulse, or half
+pulse, is one solve.
 """
 from __future__ import annotations
 
@@ -217,32 +225,47 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     qs has shape (nq,); all quasimomenta share one integration (their
     dynamics are independent, the batching only amortizes solver
     overhead).  Returns the bare-frame amplitudes at the end of the
-    pulse.  The envelope is closed form and smooth on [0, tau], so the
-    whole pulse is one DOP853 solve.
+    pulse.
     """
+    return _solve(qs, c0, pulse, cfg, rtol, atol, j_window, 1.0)
+
+
+def half_pulse_pops(qs, pulse, cfg, inputs, classes, j_window, rtol, atol):
+    """Populations (len(inputs), nq, len(classes)) after a time-symmetric pulse, from
+    the inputs' columns over its first half (module docstring); classes must be inputs.
+    The solve runs at rtol/4 and atol/4: its error enters each amplitude twice."""
+    tau, _, dw, phi = pulse.dimensionless(cfg)
+    u = _solve(qs, unit_columns(j_window, len(qs), inputs), pulse, cfg, rtol / 4, atol / 4,
+               j_window, 0.5)
+    lam = np.exp(1j * np.arange(j_window[0], j_window[1] + 1) * (dw * tau - 2 * phi))
+    cols = u[:, :, [list(inputs).index(b) for b in classes]]
+    return np.abs(np.einsum("kqa,k,kqb->aqb", u, lam, cols)) ** 2
+
+
+def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
+    """Bare-frame amplitudes after the first `part` (1 or 1/2) of the pulse."""
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if j_window is None:
         j_window = default_j_window(pulse.order_hint)
-    j_min, j_max = j_window
-    j = np.arange(j_min, j_max + 1)
+    j = np.arange(j_window[0], j_window[1] + 1)
     dim, nq, ni = c0.shape
     if dim != len(j) or nq != len(qs):
         raise ParameterError("c0 shape does not match window/quasimomentum batch")
     tau, W, dw, phi = pulse.dimensionless(cfg)
+    t1 = part * tau
     env = pulse.envelope.scalar
     K = (qs[None, :] + j[:, None]) ** 2          # (dim, nq)
-    eiphi = complex(np.exp(1j * phi))
-
     if W == 0.0:
-        out = c0 * np.exp(-1j * K * tau)[:, :, None]
-        return out
+        return c0 * np.exp(-1j * K * t1)[:, :, None]
 
-    wbond = (K[1:] - K[:-1]) - dw                # (dim-1, nq) bond j -> j+1
+    # bond j -> j+1: (q+j+1)^2 - (q+j)^2 - dw = (2j+1-dw) + 2q, one exp per part
+    eiphi = complex(np.exp(1j * phi))
+    w_j, w_q = 2 * j[:-1] + 1 - dw, 2 * qs
 
     def rhs(t, y):
         a = y.reshape(dim, nq, ni)
         f = env(t / tau)
-        P = np.exp(1j * (t * wbond)) * eiphi
+        P = np.outer(np.exp(1j * (t * w_j)) * eiphi, np.exp(1j * (t * w_q)))
         da = np.empty_like(a)
         da[1:] = P[:, :, None] * a[:-1]
         da[0] = 0.0
@@ -251,12 +274,12 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         da *= -0.5j * (W * f)
         return da.ravel()
 
-    sol = solve_ivp(rhs, (0.0, tau), np.ascontiguousarray(c0).ravel(), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, t1), np.ascontiguousarray(c0).ravel(), method="DOP853",
                     rtol=rtol, atol=atol, first_step=tau / 1000, max_step=tau / 50)
     if not sol.success:
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})
-    return sol.y[:, -1].reshape(dim, nq, ni) * np.exp(-1j * K * tau)[:, :, None]
+    return sol.y[:, -1].reshape(dim, nq, ni) * np.exp(-1j * K * t1)[:, :, None]
 
 
 def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

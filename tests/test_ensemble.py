@@ -22,6 +22,19 @@ def dmp(rb87):
     return Pulse.on_resonance(rb87, 3, 120e-6, rabi_avg=TWO_PI * 21e3)
 
 
+def _full_matrix(pulse, dist, cfg, quadrature, n, **tol):
+    """Raw reflectivity matrix from full-pulse propagate_batch columns at every node."""
+    qs, wts = dist.nodes(quadrature)
+    j_min, j_max = ladder.default_j_window(n)
+    c = ladder.propagate_batch(qs, ladder.unit_columns((j_min, j_max), len(qs),
+                                                       range(n + 1)), pulse, cfg, **tol)
+    pops = np.abs(c[np.arange(n + 1) - j_min]) ** 2               # (b, q, a)
+    return np.einsum("q,bqa->ab", wts, pops)
+
+
+TIGHT = {"rtol": 1e-13, "atol": 1e-15}
+
+
 class TestDistribution:
     def test_gauss_hermite_weights_normalized(self):
         d = MomentumDistribution("gaussian", 0.0, 0.13)
@@ -212,10 +225,10 @@ class TestReciprocity:
 
     @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (5, 150e-6, 40.0)])
     def test_symmetric_envelope_symmetric_matrix(self, rb87, cloud, n, tau, rabi_khz):
+        # on full-pulse columns: reflectivity_matrix is symmetric by construction
         pulse = Pulse.on_resonance(rb87, n, tau, rabi_avg=TWO_PI * rabi_khz * 1e3)
         for dist in (MomentumDistribution("delta", 0.0, 0.0), cloud):
-            raw = reflectivity_matrix(pulse, dist, rb87,
-                                      quadrature=Quadrature("gauss-hermite", 9)).raw_matrix
+            raw = _full_matrix(pulse, dist, rb87, Quadrature("gauss-hermite", 9), n)
             assert np.max(np.abs(raw - raw.T)) <= 1e-12
 
     def test_asymmetric_envelope_control(self, rb87, ramp_pulse):
@@ -249,9 +262,10 @@ class TestResponseTable:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of reflectivity_matrix and propagate_batch calls."""
-        calls = {"reflectivity_matrix": 0, "propagate_batch": 0}
-        for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch")):
+        """Counts of reflectivity_matrix calls and of ladder solves, whole or half pulse."""
+        calls = {"reflectivity_matrix": 0, "propagate_batch": 0, "half_pulse_pops": 0}
+        for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch"),
+                             (ladder, "half_pulse_pops")):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -277,7 +291,7 @@ class TestResponseTable:
     def test_table_takes_few_solves(self, rb87, calls, mirror):
         recs, stats = robustness_curve(mirror, self.DPS, rb87)
         assert len(recs) == 21 and calls["reflectivity_matrix"] == 0
-        assert calls["propagate_batch"] <= 3
+        assert calls["propagate_batch"] + calls["half_pulse_pops"] <= 3
         assert stats["quasimomenta_propagated"] == stats["response_points"]
         assert stats["response_tail"] < 1e-12
 
@@ -290,7 +304,7 @@ class TestResponseTable:
             calls["reflectivity_matrix"] = 0
             recs, stats = robustness_curve(mirror, dps, rb87, **kw)
             assert calls["reflectivity_matrix"] == len(recs) == 3, kw
-            assert calls["propagate_batch"] == 0
+            assert calls["propagate_batch"] == calls["half_pulse_pops"] == 0
             assert stats == {"response_points": 0, "response_tail": 0.0,
                              "quasimomenta_propagated": nodes}
 
@@ -300,22 +314,14 @@ class TestMomentumMirror:
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
-        sizes, run = [], ladder.run_sequence
-
-        def spy(qs, c, *args, **kwargs):
-            sizes.append(len(qs))
-            return run(qs, c, *args, **kwargs)
-        monkeypatch.setattr(ladder, "run_sequence", spy)
+        """Quasimomenta per ladder batch, whole sequence or half pulse, in call order."""
+        sizes = []
+        for name in ("run_sequence", "half_pulse_pops"):
+            def spy(qs, *args, _run=getattr(ladder, name), **kwargs):
+                sizes.append(len(qs))
+                return _run(qs, *args, **kwargs)
+            monkeypatch.setattr(ladder, name, spy)
         return sizes
-
-    @staticmethod
-    def _full_batch(pulse, dist, cfg, quadrature, n):
-        qs, wts = dist.nodes(quadrature)
-        j_min, j_max = ladder.default_j_window(n)
-        c = ladder.propagate_batch(qs, ladder.unit_columns((j_min, j_max), len(qs),
-                                                           range(n + 1)), pulse, cfg)
-        pops = np.abs(c[np.arange(n + 1) - j_min]) ** 2           # (b, q, a)
-        return np.einsum("q,bqa->ab", wts, pops)
 
     @pytest.mark.parametrize("n, p_c, nodes, half", [(3, 0.0, 41, 21), (3, 0.3, 40, 20),
                                                      (4, 0.3, 41, 21), (4, 0.0, 40, 20)])
@@ -326,7 +332,11 @@ class TestMomentumMirror:
         quad = Quadrature("gauss-hermite", nodes)
         raw = reflectivity_matrix(pulse, dist, rb87, quadrature=quad).raw_matrix
         assert batch_sizes == [half]
-        assert np.max(np.abs(raw - self._full_batch(pulse, dist, rb87, quad, n))) <= 1e-12
+        ref = _full_matrix(pulse, dist, rb87, quad, n, **TIGHT)
+        assert np.max(np.abs(raw - ref)) <= 1e-12
+        # the half pulse at the default tolerance is no farther off than the whole one
+        full = _full_matrix(pulse, dist, rb87, quad, n)
+        assert np.max(np.abs(raw - ref)) <= np.max(np.abs(full - ref))
 
     def test_full_batch_otherwise(self, rb87, batch_sizes, mirror, cloud):
         gh = Quadrature("gauss-hermite", 9)
@@ -345,6 +355,22 @@ class TestMomentumMirror:
         for run in runs:
             run()
         assert batch_sizes == [9, 9, 9, 9, 9, 1]
+
+    def test_half_pulse_only_for_one_symmetric_pulse(self, rb87, mirror, cloud, ramp_pulse,
+                                                     monkeypatch):
+        paths = []
+        for name in ("run_sequence", "half_pulse_pops"):
+            def spy(*args, _name=name, _run=getattr(ladder, name), **kwargs):
+                paths.append(_name)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(ladder, name, spy)
+        gh = Quadrature("gauss-hermite", 5)
+        reflectivity_matrix(mirror, cloud, rb87, quadrature=gh)
+        reflectivity_matrix(ramp_pulse(rb87, 3, 90e-6, TWO_PI * 23e3), cloud, rb87,
+                            quadrature=gh)
+        ensemble_average(mirror, cloud, rb87, quadrature=gh)
+        reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87, quadrature=gh)
+        assert paths == ["half_pulse_pops"] + ["run_sequence"] * 3
 
     def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
                                           monkeypatch):

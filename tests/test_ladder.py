@@ -182,6 +182,37 @@ class TestIntegrate:
         assert np.max(np.abs(up - down[::-1, :, ::-1])) <= 1e-12
         assert np.max(np.abs(up - up[::-1, :, ::-1])) > 1e-3  # the flip is not trivial
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("envelope", ["blackman", "rectangular"])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    @pytest.mark.parametrize("p_c", [0.0, 0.21])
+    def test_half_pulse_equals_whole_pulse(self, rb87, n, envelope, phi, p_c):
+        # time reversal of a symmetric envelope: the first half's columns give
+        # every population among the input classes
+        pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3, phase=phi,
+                                   p0=p_c * rb87.unit("momentum"), envelope_kind=envelope)
+        qs, window, classes = p_c + np.array([-0.3, 0.17]), default_j_window(n), range(n + 1)
+        c = propagate_batch(qs, ladder.unit_columns(window, len(qs), classes), pulse, rb87,
+                            rtol=1e-13, atol=1e-15)
+        whole = np.abs(c[np.arange(n + 1) - window[0]].T) ** 2      # (a, q, b)
+        half = ladder.half_pulse_pops(qs, pulse, rb87, classes, classes, window,
+                                      rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(half - whole)) <= 1e-12
+        # a subset of the classes, read from a permuted input order
+        part = ladder.half_pulse_pops(qs, pulse, rb87, (2, 0, 1), (1, 2), window,
+                                      rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(part - whole[[2, 0, 1]][:, :, [1, 2]])) <= 1e-12
+
+    def test_half_pulse_no_farther_off_than_whole(self, rb87, mirror):
+        qs, window, classes = np.array([-0.25, 0.0, 0.1, 0.4]), default_j_window(3), range(4)
+        c0 = ladder.unit_columns(window, len(qs), classes)
+        rows = np.arange(4) - window[0]
+        ref = np.abs(propagate_batch(qs, c0, mirror, rb87, rtol=1e-13, atol=1e-15)[rows]) ** 2
+        whole = np.abs(propagate_batch(qs, c0, mirror, rb87)[rows]) ** 2
+        half = ladder.half_pulse_pops(qs, mirror, rb87, classes, classes, window,
+                                      ladder.DEFAULT_RTOL, ladder.DEFAULT_ATOL).T
+        assert np.max(np.abs(half - ref)) <= np.max(np.abs(whole - ref))
+
     def test_unitarity_on_identity_basis(self, rb87, mirror):
         j_min, j_max = default_j_window(3)
         dim = j_max - j_min + 1
