@@ -87,12 +87,15 @@ class MomentumDistribution:
             raise ParameterError(f"momentum spread must be nonnegative, got {self.dp}")
 
     def nodes(self, quadrature: Quadrature):
-        """(momenta, weights) with weights summing to 1."""
+        """(momenta, weights) with weights summing to 1; Gauss-Hermite drops the node pairs
+        whose weight is below 2^-53, as no sum near 1 can see it (1.5e-16 of 41 nodes)."""
         if self.kind == "delta" or self.dp == 0.0:
             return np.array([self.p0]), np.array([1.0])
         if quadrature.kind == "gauss-hermite":
             x, w = np.polynomial.hermite.hermgauss(quadrature.n)
-            return self.p0 + np.sqrt(2.0) * self.dp * x, w / np.sqrt(np.pi)
+            w = w / np.sqrt(np.pi)
+            keep = (w >= 2.0 ** -53) & (w[::-1] >= 2.0 ** -53)
+            return self.p0 + np.sqrt(2.0) * self.dp * x[keep], w[keep]
         rng = np.random.default_rng(quadrature.seed)
         p = rng.normal(self.p0, self.dp, quadrature.n)
         return p, np.full(quadrature.n, 1.0 / quadrature.n)
@@ -149,12 +152,12 @@ def _mirror_order(seq, cfg, qs, inputs, classes):
 
 def _ladder_pops(qs, seq, cfg, j_window, inputs, classes, rtol, atol):
     """Populations (len(inputs), len(qs), len(classes)) after one ladder batch: half of
-    a lone ``Envelope`` pulse when every class is an input (``ladder.half_pulse_pops``)."""
+    a lone ``Envelope`` pulse when every class is an input (``ladder.half_pulse_block``)."""
     pulse = seq.items[0]
     if len(seq.items) == 1 and isinstance(pulse, Pulse) \
             and isinstance(pulse.envelope, Envelope) and set(classes) <= set(inputs):
-        return ladder.half_pulse_pops(qs, pulse, cfg, inputs, classes, j_window, rtol=rtol,
-                                      atol=atol)
+        block = ladder.half_pulse_block(qs, pulse, cfg, inputs, j_window, rtol=rtol, atol=atol)
+        return np.abs(block[[list(inputs).index(b) for b in classes]].T) ** 2
     c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs), seq.items,
                             cfg, j_window, rtol=rtol, atol=atol)
     return np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2

@@ -19,6 +19,10 @@ metrics, each also as a fraction of the branch mass:
   A mirror that redirects class c to n - c closes the path; this is the
   quantity the path-resolved population plots visualize, and it does not
   depend on the free-evolution time.
+
+A split leaves every column in classes 0..n, so a segment of one time-symmetric
+pulse up to the next split needs only that pulse's (n+1) x (n+1) class block: one
+half-pulse solve (``ladder.half_pulse_block``) for all its lattice phases.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import numpy as np
 from . import gridprop, ladder
 from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
-from .pulses import Pulse
+from .pulses import Envelope, Pulse
 
 MAX_BRANCHES = 64   # cap on (n+1)^splits, the branch columns of one batch
 
@@ -122,26 +126,51 @@ def _branch_plan(seq, split_after):
     return split_after, closes
 
 
-def _walk_branches(items, qs, C, histories, cfg, split_after, n, j_window, rtol, atol):
+def _lone_pulse(items):
+    """The pulse of items that are free evolutions and one ``Envelope`` pulse, else None."""
+    pulses = [it for it in items if isinstance(it, Pulse)]
+    return pulses[0] if len(pulses) == 1 and isinstance(pulses[0].envelope, Envelope) else None
+
+
+def _class_block(blocks, qs, pulse, cfg, n, j_window, rtol, atol):
+    """Amplitudes U[b, q, a] of pulse on classes 0..n: Lambda(phi) U(0) Lambda(phi)^dagger,
+    U(0) from one half-pulse solve at lattice phase 0, cached in blocks for the call."""
+    key, c = replace(pulse, phase=0.0), np.arange(n + 1)
+    if key not in blocks:
+        blocks[key] = ladder.half_pulse_block(qs, key, cfg, c, j_window, rtol, atol)
+    return blocks[key] * np.exp(1j * np.subtract.outer(c, c) * pulse.phase)[:, None, :]
+
+
+def _walk_branches(items, qs, C, histories, cfg, split_after, n, j_window, rtol, atol,
+                   blocks):
     """Run items on branch columns C (dim, nq, len(histories)); returns
     (histories, C, pruned_per_q).
 
     After each pulse whose ordinal (0-based, counting the pulses of `items`
     only; larger ones are ignored) is in split_after, column b with history h
     becomes its projections onto classes 0..n: column b * (n + 1) + c with
-    history h + (c,).  The mass outside those classes is pruned.
+    history h + (c,).  The mass outside those classes is pruned.  On columns
+    in classes 0..n, a segment with one ``Envelope`` pulse moves those rows
+    only, by the class block (cached in blocks); it prunes input minus kept mass.
     """
     rows = np.arange(n + 1) - j_window[0]
     pruned_per_q = np.zeros(len(qs))
     start = 0
     for stop in [i + 1 for k, i in enumerate(_pulse_indices(items)) if k in split_after]:
-        C = ladder.run_sequence(qs, C, items[start:stop], cfg, j_window, rtol=rtol, atol=atol)
-        start = stop
+        seg, start = items[start:stop], stop
+        pulse = _lone_pulse(seg)
+        if pulse is not None and not np.any(np.delete(C, rows, axis=0)):
+            block = _class_block(blocks, qs, pulse, cfg, n, j_window, rtol, atol)
+            mass = np.sum(np.abs(C) ** 2, axis=0)
+            X = ladder.run_sequence(qs, C, seg[:-1], cfg, j_window)[rows]   # free time only
+            kept = np.einsum("bqa,aqc->bqc", block, X)
+        else:
+            C = ladder.run_sequence(qs, C, seg, cfg, j_window, rtol=rtol, atol=atol)
+            mass, kept = np.sum(np.abs(C) ** 2, axis=0), C[rows]
         dim, nq, nb = C.shape
         split = np.zeros((dim, nq, nb, n + 1), dtype=complex)
-        split[rows, :, :, np.arange(n + 1)] = C[rows]
-        pruned_per_q += np.sum(np.sum(np.abs(C) ** 2, axis=0)
-                               - np.sum(np.abs(C[rows]) ** 2, axis=0), axis=1)
+        split[rows, :, :, np.arange(n + 1)] = kept
+        pruned_per_q += np.sum(mass - np.sum(np.abs(kept) ** 2, axis=0), axis=1)
         C = split.reshape(dim, nq, nb * (n + 1))
         histories = [h + (c,) for h in histories for c in range(n + 1)]
     C = ladder.run_sequence(qs, C, items[start:], cfg, j_window, rtol=rtol, atol=atol)
@@ -178,7 +207,7 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     j_min, j_max = ladder.default_j_window(n)
     histories, C, pruned_per_q = _walk_branches(
         seq.items, qs, ladder.unit_columns((j_min, j_max), len(qs), (0,)), [()], cfg,
-        split_after, n, (j_min, j_max), rtol, atol)
+        split_after, n, (j_min, j_max), rtol, atol, {})
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
     branch_mass = np.tensordot(wts, pops.sum(axis=0), axes=(0, 0))   # (nb,)
@@ -259,9 +288,9 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     The pulses before the last run once; the branch columns the detector
     adds up are summed by linearity (the unsplit state for
     split_after=()), or kept per history when the last pulse is split
-    too; and the gauge-rotated copies for all phases propagate through
-    the last pulse as one batch.  The final Lambda does not change class
-    populations.  The grid backend, the independent oracle, uses no ladder
+    too; and the gauge-rotated copies for all phases cross the last pulse
+    as one batch, by its class block after a split.  The final Lambda does
+    not change class populations.  The grid backend, the independent oracle, uses no ladder
     algebra: the items before the last pulse run once on comb rows, then
     one copy of the rows per phase runs the rest, the last pulse with each
     copy's own lattice phase in the potential substep.
@@ -317,11 +346,11 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = ladder.default_j_window(n)
     jj = np.arange(j_min, j_max + 1)
-    dim, nq, nphi = len(jj), len(qs), len(phis)
+    dim, nq, nphi, blocks = len(jj), len(qs), len(phis), {}
 
     histories, C, _ = _walk_branches(
         seq.items[:last], qs, ladder.unit_columns((j_min, j_max), nq, (0,)), [()], cfg,
-        split_after, n, (j_min, j_max), rtol, atol)
+        split_after, n, (j_min, j_max), rtol, atol, blocks)
     final_closes = closes
     if n_prefix not in split_after:
         # the detector's branch sum commutes with the last pulse
@@ -334,9 +363,10 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
     ncol = C.shape[2]
     C = (np.conj(gauge)[:, None, :, None] * C[:, :, None, :]).reshape(dim, nq, nphi * ncol)
     items = (replace(seq.items[last], phase=float(phis[0])), *seq.items[last + 1:])
-    last_split = (0,) if n_prefix in split_after else ()
-    histories, C, _ = _walk_branches(items, qs, C, histories * nphi, cfg, last_split,
-                                     n, (j_min, j_max), rtol, atol)
+    # split after the last pulse too: the ports are classes, so the detected sum is
+    # unchanged, and columns confined to classes 0..n cross it by its class block
+    histories, C, _ = _walk_branches(items, qs, C, histories * nphi, cfg, (0,),
+                                     n, (j_min, j_max), rtol, atol, blocks)
     m = len(histories) // nphi
     C = C.reshape(dim, nq, nphi, m) * gauge[:, None, :, None]
     detected_cols = np.array([final_closes(h) for h in histories[:m]], dtype=bool)

@@ -50,13 +50,16 @@ as both ``Envelope`` kinds are.  The diagonal is real and the raising element
 at tau - t is e^{-i alpha} times the conjugate of the one at t, with
 alpha = dw*tau - 2*phi, so H(tau - t) = Lambda(-alpha) H(t)^* Lambda(-alpha)^dagger
 and U(tau, 0) = Lambda(-alpha) U_h^T Lambda(-alpha)^dagger U_h, U_h = U(tau/2, 0):
-P_{a->b} = |sum_k (U_h)_{kb} e^{i k alpha} (U_h)_{ka}|^2 needs only the
-half-pulse columns of a and b (``half_pulse_pops``).
+U_{ba} = e^{-i b alpha} sum_k (U_h)_{kb} e^{i k alpha} (U_h)_{ka} needs only the
+half-pulse columns of a and b (``half_pulse_block``); class populations and the
+interferometer's branches in classes 0..n both use it.
 
 The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
 operation, so bitwise equal to it, without dense output or a scipy import.
-Envelopes are closed form and smooth on the pulse, so each pulse, or half
-pulse, is one solve.
+Before each attempted step it hands the 11 stage times to ``prepare``, and the
+right-hand side takes its bond phases for all of them from one vectorized
+table.  Envelopes are closed form and smooth on the pulse, so each pulse, or
+half pulse, is one solve.
 """
 from __future__ import annotations
 
@@ -104,11 +107,13 @@ _E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361
                     0.220588235294117647058823529412e-1]
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, first_step, max_step=np.inf):
+def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, first_step, max_step=np.inf,
+              prepare=None):
     """Integrate y' = fun(t, y) over t_span = (t0, t1), t1 > t0, by DOP853 with scipy's
     step control; the result holds the end state as the one column of ``y``, ``t = [t1]``,
     ``nfev`` (1 + 12 per attempted step), ``naccepted``, ``nrejected``, ``message`` and
-    ``success``, False once the step is below the float spacing at t (a NaN derivative)."""
+    ``success``, False once the step is below the float spacing at t (a NaN derivative).
+    ``prepare``, if given, receives the stage times t + C[1:] h before each attempt."""
     if method != "DOP853":
         raise ParameterError(f"the ladder stepper is DOP853, not {method!r}")
     t, t1 = map(float, t_span)
@@ -121,6 +126,8 @@ def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, first_step, max_s
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs, K[0] = np.abs(h), f
+            if prepare:
+                prepare(t + _C[1:] * h)
             for s in range(1, 12):
                 K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
             y_new = y + h * np.dot(K[:12].T, _B)
@@ -230,16 +237,16 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     return _solve(qs, c0, pulse, cfg, rtol, atol, j_window, 1.0)
 
 
-def half_pulse_pops(qs, pulse, cfg, inputs, classes, j_window, rtol, atol):
-    """Populations (len(inputs), nq, len(classes)) after a time-symmetric pulse, from
-    the inputs' columns over its first half (module docstring); classes must be inputs.
-    The solve runs at rtol/4 and atol/4: its error enters each amplitude twice."""
+def half_pulse_block(qs, pulse, cfg, classes, j_window, rtol, atol):
+    """Amplitudes U[b, q, a], a and b in classes, of a time-symmetric pulse from the
+    classes' columns over its first half (module docstring).  The solve runs at rtol/4
+    and atol/4: its error enters each amplitude twice."""
     tau, _, dw, phi = pulse.dimensionless(cfg)
-    u = _solve(qs, unit_columns(j_window, len(qs), inputs), pulse, cfg, rtol / 4, atol / 4,
+    u = _solve(qs, unit_columns(j_window, len(qs), classes), pulse, cfg, rtol / 4, atol / 4,
                j_window, 0.5)
     lam = np.exp(1j * np.arange(j_window[0], j_window[1] + 1) * (dw * tau - 2 * phi))
-    cols = u[:, :, [list(inputs).index(b) for b in classes]]
-    return np.abs(np.einsum("kqa,k,kqb->aqb", u, lam, cols)) ** 2
+    back = np.conj(lam[np.asarray(classes) - j_window[0]])
+    return np.einsum("kqb,k,kqa->bqa", u, lam, u) * back[:, None, None]
 
 
 def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
@@ -262,10 +269,18 @@ def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
     eiphi = complex(np.exp(1j * phi))
     w_j, w_q = 2 * j[:-1] + 1 - dw, 2 * qs
 
+    table = {}   # stage time -> bond phases of the step being attempted
+
+    def bond_phases(ts):   # the outer product of rhs for every stage at once, bit for bit
+        a, b = np.exp(1j * (ts[:, None] * w_j)) * eiphi, np.exp(1j * (ts[:, None] * w_q))
+        table.clear()
+        table.update(zip(ts.tolist(), a[:, :, None] * b[:, None, :]))
+
     def rhs(t, y):
         a = y.reshape(dim, nq, ni)
         f = env(t / tau)
-        P = np.outer(np.exp(1j * (t * w_j)) * eiphi, np.exp(1j * (t * w_q)))
+        P = table[t] if t in table else np.outer(np.exp(1j * (t * w_j)) * eiphi,
+                                                 np.exp(1j * (t * w_q)))
         da = np.empty_like(a)
         da[1:] = P[:, :, None] * a[:-1]
         da[0] = 0.0
@@ -275,7 +290,8 @@ def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
         return da.ravel()
 
     sol = solve_ivp(rhs, (0.0, t1), np.ascontiguousarray(c0).ravel(), method="DOP853",
-                    rtol=rtol, atol=atol, first_step=tau / 1000, max_step=tau / 50)
+                    rtol=rtol, atol=atol, first_step=tau / 1000, max_step=tau / 50,
+                    prepare=bond_phases)
     if not sol.success:
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})

@@ -14,7 +14,6 @@ import json
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -181,6 +180,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     args = [(*node_params[i], *setting) for i in todo]
     with ExitStack() as stack:
         if jobs > 1 and len(args) > 1:
+            from multiprocessing import Pool   # ~30 ms of start-up that --jobs 1 skips
             pool = stack.enter_context(Pool(processes=jobs, initializer=_one_blas_thread))
             fresh = pool.imap(_map_node, args, chunksize=max(1, len(args) // (4 * jobs)))
         else:

@@ -152,7 +152,7 @@ def test_all_failed_map_fails_its_spot_check(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise IntegrationError("step size underflow")
     monkeypatch.setattr(ladder, "propagate_batch", boom)
-    monkeypatch.setattr(ladder, "half_pulse_pops", boom)
+    monkeypatch.setattr(ladder, "half_pulse_block", boom)
     cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
     assert main(["map", "-c", cfg, "--jobs", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -225,7 +225,7 @@ def test_default_map_node_cache_key(tmp_path, monkeypatch):
     assert main(["map", "-o", str(tmp_path), "--jobs", "1",
                  "--set", "scan.spot_check_nodes=0"]) == 0
     with open(f"{tmp_path}/map_cache.jsonl") as fh:
-        assert json.loads(fh.readline())["hash"] == "0c1398344691bea6"
+        assert json.loads(fh.readline())["hash"] == "455e68bbfebe7302"
 
 
 def test_mirror_response_command(tmp_path, capsys):
@@ -284,7 +284,7 @@ def test_path_resolved_rejects_grid_backend(tmp_path, capsys):
 
 def test_commands_use_configured_ladder_tolerances(tmp_path, capsys, monkeypatch):
     seen = []
-    for name in ("propagate_batch", "half_pulse_pops"):
+    for name in ("propagate_batch", "half_pulse_block"):
         def recording(*args, _fn=getattr(ladder, name), **kwargs):
             seen.append((kwargs["rtol"], kwargs["atol"]))
             return _fn(*args, **kwargs)

@@ -192,6 +192,6 @@ class TestManifest:
         # package.  A change of what the hash covers must change this literal.
         assert main(["check", "-o", str(tmp_path)]) == 0
         man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
-        assert man["manifest_hash"] == "9dc435a2f6c5252e"
+        assert man["manifest_hash"] == "936f5b780fef84fc"
         table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
-        assert table.provenance["manifest_hash"] == "9dc435a2f6c5252e"
+        assert table.provenance["manifest_hash"] == "936f5b780fef84fc"

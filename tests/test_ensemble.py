@@ -40,7 +40,7 @@ class TestDistribution:
         d = MomentumDistribution("gaussian", 0.0, 0.13)
         p, w = d.nodes(Quadrature("gauss-hermite", 41))
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(p) == 41
+        assert len(p) == 31
 
     def test_delta_single_node(self):
         d = MomentumDistribution("delta", 0.4, 0.0)
@@ -263,9 +263,9 @@ class TestResponseTable:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Counts of reflectivity_matrix calls and of ladder solves, whole or half pulse."""
-        calls = {"reflectivity_matrix": 0, "propagate_batch": 0, "half_pulse_pops": 0}
+        calls = {"reflectivity_matrix": 0, "propagate_batch": 0, "half_pulse_block": 0}
         for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch"),
-                             (ladder, "half_pulse_pops")):
+                             (ladder, "half_pulse_block")):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -291,20 +291,20 @@ class TestResponseTable:
     def test_table_takes_few_solves(self, rb87, calls, mirror):
         recs, stats = robustness_curve(mirror, self.DPS, rb87)
         assert len(recs) == 21 and calls["reflectivity_matrix"] == 0
-        assert calls["propagate_batch"] + calls["half_pulse_pops"] <= 3
+        assert calls["propagate_batch"] + calls["half_pulse_block"] <= 3
         assert stats["quasimomenta_propagated"] == stats["response_points"]
         assert stats["response_tail"] < 1e-12
 
     def test_fallbacks_solve_each_spread(self, rb87, calls, monkeypatch, mirror):
         monkeypatch.setattr(ensemble, "_class_masses", lambda *args: (np.eye(4), None))
         dps = self.DPS[:3]
-        for kw, nodes in [({"backend": "grid"}, 1 + 41 * 2),     # dp = 0 is one node
+        for kw, nodes in [({"backend": "grid"}, 1 + 31 * 2),     # dp = 0 is one node
                           ({"quadrature": Quadrature("monte-carlo", 9)}, 1 + 9 * 2),
-                          ({"p0": 0.1}, 1 + 41 * 2)]:
+                          ({"p0": 0.1}, 1 + 31 * 2)]:
             calls["reflectivity_matrix"] = 0
             recs, stats = robustness_curve(mirror, dps, rb87, **kw)
             assert calls["reflectivity_matrix"] == len(recs) == 3, kw
-            assert calls["propagate_batch"] == calls["half_pulse_pops"] == 0
+            assert calls["propagate_batch"] == calls["half_pulse_block"] == 0
             assert stats == {"response_points": 0, "response_tail": 0.0,
                              "quasimomenta_propagated": nodes}
 
@@ -316,15 +316,15 @@ class TestMomentumMirror:
     def batch_sizes(self, monkeypatch):
         """Quasimomenta per ladder batch, whole sequence or half pulse, in call order."""
         sizes = []
-        for name in ("run_sequence", "half_pulse_pops"):
+        for name in ("run_sequence", "half_pulse_block"):
             def spy(qs, *args, _run=getattr(ladder, name), **kwargs):
                 sizes.append(len(qs))
                 return _run(qs, *args, **kwargs)
             monkeypatch.setattr(ladder, name, spy)
         return sizes
 
-    @pytest.mark.parametrize("n, p_c, nodes, half", [(3, 0.0, 41, 21), (3, 0.3, 40, 20),
-                                                     (4, 0.3, 41, 21), (4, 0.0, 40, 20)])
+    @pytest.mark.parametrize("n, p_c, nodes, half", [(3, 0.0, 41, 16), (3, 0.3, 40, 16),
+                                                     (4, 0.3, 41, 16), (4, 0.0, 40, 16)])
     def test_centred_gauss_hermite_runs_half(self, rb87, batch_sizes, n, p_c, nodes, half):
         pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
                                    p0=p_c * rb87.unit("momentum"))
@@ -359,7 +359,7 @@ class TestMomentumMirror:
     def test_half_pulse_only_for_one_symmetric_pulse(self, rb87, mirror, cloud, ramp_pulse,
                                                      monkeypatch):
         paths = []
-        for name in ("run_sequence", "half_pulse_pops"):
+        for name in ("run_sequence", "half_pulse_block"):
             def spy(*args, _name=name, _run=getattr(ladder, name), **kwargs):
                 paths.append(_name)
                 return _run(*args, **kwargs)
@@ -370,7 +370,7 @@ class TestMomentumMirror:
                             quadrature=gh)
         ensemble_average(mirror, cloud, rb87, quadrature=gh)
         reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87, quadrature=gh)
-        assert paths == ["half_pulse_pops"] + ["run_sequence"] * 3
+        assert paths == ["half_pulse_block"] + ["run_sequence"] * 3
 
     def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
                                           monkeypatch):

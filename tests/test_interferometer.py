@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from braggsim import gridprop, ladder
+from braggsim import gridprop, interferometer, ladder
 from braggsim.config import parse_config
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import ParameterError
@@ -218,6 +218,35 @@ class TestFringe:
         new = np.array([[r["port_0"], r["port_3"]] for r in rows])
         assert [r["phi3"] for r in rows] == list(phis)
         assert np.max(np.abs(new - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("split_after", [(0, 1), (0, 1, 2), (2,)])
+    def test_class_blocks_match_whole_pulses(self, rb87, cloud, monkeypatch, split_after):
+        # split segments and the last pulse through half-pulse class blocks against
+        # every pulse propagated whole on the full window
+        seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
+                                    TWO_PI * 21e3, 3e-4, phi1=0.4321)
+        phis, tight = np.linspace(0, TWO_PI, 6, endpoint=False), {"rtol": 1e-13, "atol": 1e-15}
+        quad = Quadrature("gauss-hermite", 7)
+        rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
+                              split_after=split_after, **tight)
+        monkeypatch.setattr(interferometer, "_lone_pulse", lambda items: None)
+        whole, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
+                               split_after=split_after, **tight)
+        assert np.max([abs(r[k] - w[k]) for r, w in zip(rows, whole) for k in r]) <= 1e-12
+
+    def test_default_scan_takes_two_half_pulse_solves(self, rb87, cloud, monkeypatch):
+        # the beam splitters share one block, the mirror has the other, and the
+        # closing-path detector needs no whole pulse
+        calls = []
+        for name in ("half_pulse_block", "propagate_batch"):
+            def spy(*args, _name=name, _fn=getattr(ladder, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ladder, name, spy)
+        cfg = parse_config().physical()
+        fringe_scan(parse_config().mzi_sequence(cfg), np.linspace(0, TWO_PI, 8, endpoint=False),
+                    cloud, cfg, quadrature=FAST)
+        assert calls == ["half_pulse_block"] * 2
 
     def test_grid_backend_needs_all_detector(self, rb87):
         with pytest.raises(ParameterError):

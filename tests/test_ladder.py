@@ -188,20 +188,20 @@ class TestIntegrate:
     @pytest.mark.parametrize("p_c", [0.0, 0.21])
     def test_half_pulse_equals_whole_pulse(self, rb87, n, envelope, phi, p_c):
         # time reversal of a symmetric envelope: the first half's columns give
-        # every population among the input classes
+        # every amplitude among the classes
         pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3, phase=phi,
                                    p0=p_c * rb87.unit("momentum"), envelope_kind=envelope)
         qs, window, classes = p_c + np.array([-0.3, 0.17]), default_j_window(n), range(n + 1)
         c = propagate_batch(qs, ladder.unit_columns(window, len(qs), classes), pulse, rb87,
                             rtol=1e-13, atol=1e-15)
-        whole = np.abs(c[np.arange(n + 1) - window[0]].T) ** 2      # (a, q, b)
-        half = ladder.half_pulse_pops(qs, pulse, rb87, classes, classes, window,
-                                      rtol=1e-13, atol=1e-15)
-        assert np.max(np.abs(half - whole)) <= 1e-12
-        # a subset of the classes, read from a permuted input order
-        part = ladder.half_pulse_pops(qs, pulse, rb87, (2, 0, 1), (1, 2), window,
-                                      rtol=1e-13, atol=1e-15)
-        assert np.max(np.abs(part - whole[[2, 0, 1]][:, :, [1, 2]])) <= 1e-12
+        whole = c[np.arange(n + 1) - window[0]]                      # (b, q, a)
+        block = ladder.half_pulse_block(qs, pulse, rb87, classes, window,
+                                        rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(block - whole)) <= 1e-12
+        # a subset of the classes in a permuted order
+        part = ladder.half_pulse_block(qs, pulse, rb87, (2, 0, 1), window,
+                                       rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(part - whole[[2, 0, 1]][:, :, [2, 0, 1]])) <= 1e-12
 
     def test_half_pulse_no_farther_off_than_whole(self, rb87, mirror):
         qs, window, classes = np.array([-0.25, 0.0, 0.1, 0.4]), default_j_window(3), range(4)
@@ -209,8 +209,8 @@ class TestIntegrate:
         rows = np.arange(4) - window[0]
         ref = np.abs(propagate_batch(qs, c0, mirror, rb87, rtol=1e-13, atol=1e-15)[rows]) ** 2
         whole = np.abs(propagate_batch(qs, c0, mirror, rb87)[rows]) ** 2
-        half = ladder.half_pulse_pops(qs, mirror, rb87, classes, classes, window,
-                                      ladder.DEFAULT_RTOL, ladder.DEFAULT_ATOL).T
+        half = np.abs(ladder.half_pulse_block(qs, mirror, rb87, classes, window,
+                                              ladder.DEFAULT_RTOL, ladder.DEFAULT_ATOL)) ** 2
         assert np.max(np.abs(half - ref)) <= np.max(np.abs(whole - ref))
 
     def test_unitarity_on_identity_basis(self, rb87, mirror):
@@ -236,10 +236,29 @@ class TestStepper:
         c0 = ladder.unit_columns(default_j_window(3), len(qs), range(4))
         own = propagate_batch(qs, c0, pulse, rb87, rtol=rtol, atol=rtol / 100)
         # the reference is the call made before the port: scipy with t_eval = [t1]
-        monkeypatch.setattr(ladder, "solve_ivp", lambda fun, t_span, y0, **kw: solve_ivp(
-            fun, t_span, y0, t_eval=[t_span[1]], **kw))
+        # and scipy knows no stage-time table: the right-hand side makes its own phases
+        monkeypatch.setattr(ladder, "solve_ivp",
+                            lambda fun, t_span, y0, prepare=None, **kw: solve_ivp(
+                                fun, t_span, y0, t_eval=[t_span[1]], **kw))
         assert np.array_equal(own, propagate_batch(qs, c0, pulse, rb87, rtol=rtol,
                                                    atol=rtol / 100))
+
+    @pytest.mark.parametrize("envelope, rtol", [("blackman", 1e-10), ("rectangular", 1e-13)])
+    def test_phase_table_is_bitwise(self, rb87, monkeypatch, envelope, rtol):
+        # the bond phases of all stages at once equal the per-call ones bit for bit
+        pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3, phase=0.4,
+                                   envelope_kind=envelope)
+        qs = np.linspace(-0.3, 0.4, 5)
+        c0 = ladder.unit_columns(default_j_window(3), len(qs), range(4))
+        outer, per_call = np.outer, []
+        with monkeypatch.context() as m:
+            m.setattr(np, "outer", lambda *a: per_call.append(a) or outer(*a))
+            tabled = propagate_batch(qs, c0, pulse, rb87, rtol=rtol, atol=rtol / 100)
+        assert len(per_call) == 1   # only the first evaluation comes before any table
+        stepper = ladder.solve_ivp
+        monkeypatch.setattr(ladder, "solve_ivp", lambda *a, prepare=None, **kw: stepper(*a, **kw))
+        assert np.array_equal(tabled, propagate_batch(qs, c0, pulse, rb87, rtol=rtol,
+                                                      atol=rtol / 100))
 
     def test_counts_every_stage(self, rb87, mirror, monkeypatch):
         # one evaluation at t0, then 12 per attempted step (FSAL); no dense output

@@ -63,7 +63,7 @@ class TestFailureTyping:
         def boom(*args, **kwargs):
             raise exc
         monkeypatch.setattr(ladder, "propagate_batch", boom)
-        monkeypatch.setattr(ladder, "half_pulse_pops", boom)
+        monkeypatch.setattr(ladder, "half_pulse_block", boom)
 
     def _scans(self, rb87, cloud9):
         grid = TWO_PI * 1e3 * np.array([18.0, 21.0])
