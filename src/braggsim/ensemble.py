@@ -47,7 +47,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from . import gridprop, ladder
 from .errors import ParameterError
-from .pulses import Envelope, Pulse, PulseSequence
+from .pulses import Pulse, PulseSequence
 
 DEFAULT_GH_NODES = 41
 RESPONSE_TAIL = 1e-12
@@ -151,15 +151,14 @@ def _mirror_order(seq, cfg, qs, inputs, classes):
 
 
 def _ladder_pops(qs, seq, cfg, j_window, inputs, classes, rtol, atol):
-    """Populations (len(inputs), len(qs), len(classes)) after one ladder batch: half of
-    a lone ``Envelope`` pulse when every class is an input (``ladder.half_pulse_block``)."""
-    pulse = seq.items[0]
-    if len(seq.items) == 1 and isinstance(pulse, Pulse) \
-            and isinstance(pulse.envelope, Envelope) and set(classes) <= set(inputs):
-        block = ladder.half_pulse_block(qs, pulse, cfg, inputs, j_window, rtol=rtol, atol=atol)
-        return np.abs(block[[list(inputs).index(b) for b in classes]].T) ** 2
-    c = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs), seq.items,
-                            cfg, j_window, rtol=rtol, atol=atol)
+    """Populations (len(inputs), len(qs), len(classes)) after one ladder batch.  When every
+    class is an input, it splits onto the inputs after the last pulse, which the runner
+    may cross by a class block; the split columns hold one row each and sum back exactly."""
+    split = (len(seq.pulses) - 1,) if set(classes) <= set(inputs) else ()
+    c, _ = ladder.run_sequence(qs, ladder.unit_columns(j_window, len(qs), inputs), seq.items,
+                               cfg, j_window, rtol=rtol, atol=atol, split_after=split,
+                               classes=inputs)
+    c = c.reshape(*c.shape[:2], len(inputs), -1).sum(axis=3)
     return np.abs(c[[cls - j_window[0] for cls in classes]].T) ** 2
 
 

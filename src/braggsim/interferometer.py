@@ -20,20 +20,19 @@ metrics, each also as a fraction of the branch mass:
   quantity the path-resolved population plots visualize, and it does not
   depend on the free-evolution time.
 
-A split leaves every column in classes 0..n, so a segment of one time-symmetric
-pulse up to the next split needs only that pulse's (n+1) x (n+1) class block: one
-half-pulse solve (``ladder.half_pulse_block``) for all its lattice phases.
+``ladder.run_sequence`` splits the branches and picks how each segment crosses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from . import gridprop, ladder
 from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
-from .pulses import Envelope, Pulse
+from .pulses import Pulse
 
 MAX_BRANCHES = 64   # cap on (n+1)^splits, the branch columns of one batch
 
@@ -126,57 +125,6 @@ def _branch_plan(seq, split_after):
     return split_after, closes
 
 
-def _lone_pulse(items):
-    """The pulse of items that are free evolutions and one ``Envelope`` pulse, else None."""
-    pulses = [it for it in items if isinstance(it, Pulse)]
-    return pulses[0] if len(pulses) == 1 and isinstance(pulses[0].envelope, Envelope) else None
-
-
-def _class_block(blocks, qs, pulse, cfg, n, j_window, rtol, atol):
-    """Amplitudes U[b, q, a] of pulse on classes 0..n: Lambda(phi) U(0) Lambda(phi)^dagger,
-    U(0) from one half-pulse solve at lattice phase 0, cached in blocks for the call."""
-    key, c = replace(pulse, phase=0.0), np.arange(n + 1)
-    if key not in blocks:
-        blocks[key] = ladder.half_pulse_block(qs, key, cfg, c, j_window, rtol, atol)
-    return blocks[key] * np.exp(1j * np.subtract.outer(c, c) * pulse.phase)[:, None, :]
-
-
-def _walk_branches(items, qs, C, histories, cfg, split_after, n, j_window, rtol, atol,
-                   blocks):
-    """Run items on branch columns C (dim, nq, len(histories)); returns
-    (histories, C, pruned_per_q).
-
-    After each pulse whose ordinal (0-based, counting the pulses of `items`
-    only; larger ones are ignored) is in split_after, column b with history h
-    becomes its projections onto classes 0..n: column b * (n + 1) + c with
-    history h + (c,).  The mass outside those classes is pruned.  On columns
-    in classes 0..n, a segment with one ``Envelope`` pulse moves those rows
-    only, by the class block (cached in blocks); it prunes input minus kept mass.
-    """
-    rows = np.arange(n + 1) - j_window[0]
-    pruned_per_q = np.zeros(len(qs))
-    start = 0
-    for stop in [i + 1 for k, i in enumerate(_pulse_indices(items)) if k in split_after]:
-        seg, start = items[start:stop], stop
-        pulse = _lone_pulse(seg)
-        if pulse is not None and not np.any(np.delete(C, rows, axis=0)):
-            block = _class_block(blocks, qs, pulse, cfg, n, j_window, rtol, atol)
-            mass = np.sum(np.abs(C) ** 2, axis=0)
-            X = ladder.run_sequence(qs, C, seg[:-1], cfg, j_window)[rows]   # free time only
-            kept = np.einsum("bqa,aqc->bqc", block, X)
-        else:
-            C = ladder.run_sequence(qs, C, seg, cfg, j_window, rtol=rtol, atol=atol)
-            mass, kept = np.sum(np.abs(C) ** 2, axis=0), C[rows]
-        dim, nq, nb = C.shape
-        split = np.zeros((dim, nq, nb, n + 1), dtype=complex)
-        split[rows, :, :, np.arange(n + 1)] = kept
-        pruned_per_q += np.sum(mass - np.sum(np.abs(kept) ** 2, axis=0), axis=1)
-        C = split.reshape(dim, nq, nb * (n + 1))
-        histories = [h + (c,) for h in histories for c in range(n + 1)]
-    C = ladder.run_sequence(qs, C, items[start:], cfg, j_window, rtol=rtol, atol=atol)
-    return histories, C, pruned_per_q
-
-
 def _port_probs(wts, C, ports, j_min):
     """Distribution-weighted port probabilities of amplitudes C (dim, nq), and
     the rest of their norm under "undetected"."""
@@ -204,10 +152,11 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     split_after, closes = _branch_plan(seq, split_after)
 
     qs, wts = dist.nodes(quadrature)
-    j_min, j_max = ladder.default_j_window(n)
-    histories, C, pruned_per_q = _walk_branches(
-        seq.items, qs, ladder.unit_columns((j_min, j_max), len(qs), (0,)), [()], cfg,
-        split_after, n, (j_min, j_max), rtol, atol, {})
+    j_min, j_max = window = ladder.default_j_window(n)
+    C, pruned_per_q = ladder.run_sequence(
+        qs, ladder.unit_columns(window, len(qs), (0,)), seq.items, cfg, window, rtol=rtol,
+        atol=atol, split_after=split_after, classes=range(n + 1))
+    histories = list(product(range(n + 1), repeat=len(split_after)))
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
     branch_mass = np.tensordot(wts, pops.sum(axis=0), axes=(0, 0))   # (nb,)
@@ -249,8 +198,12 @@ class FringeFit:
 
 
 def fit_fringe(phis, values, harmonic):
-    """Least-squares single-harmonic fit offset*(1 + contrast*cos(n*phi - phase))."""
+    """Least-squares single-harmonic fit offset*(1 + contrast*cos(n*phi - phase)); NaN
+    but the harmonic from at most 2n phases, where cos and sin of n*phi alias lower
+    harmonics or lose rank."""
     phis = np.asarray(phis, dtype=float)
+    if len(phis) <= 2 * harmonic:
+        return FringeFit(np.nan, np.nan, np.nan, harmonic, np.nan)
     y = np.asarray(values, dtype=float)
     A = np.column_stack([np.ones_like(phis), np.cos(harmonic * phis),
                          np.sin(harmonic * phis)])
@@ -272,7 +225,8 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     The grid must span at least 2*pi (as a periodic sampling).  Returns
     the per-phase table and a single-harmonic fit at the 2n-photon
     harmonic (n = sequence order); the fit's max residual quantifies
-    multipath distortion.
+    multipath distortion.  The fit needs at least 2n + 1 phases and is NaN
+    below that.
 
     split_after sets the detector.  Branches are split after the pulses in
     split_after as in path_resolved_mzi, and the far-field detector sees only
@@ -282,8 +236,8 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     tracks no branches.
 
     On the ladder backend the phase enters only as a gauge (see the
-    ladder module): with Lambda(phi) = diag(e^{i j phi}) and the first
-    grid phase as reference phi_ref,
+    ladder module): with Lambda(phi) = diag(e^{i j phi}) and the phase of the
+    sequence's first pulse as reference phi_ref,
     U(phi) = Lambda(phi - phi_ref) U(phi_ref) Lambda(phi - phi_ref)^dagger.
     The pulses before the last run once; the branch columns the detector
     adds up are summed by linearity (the unsplit state for
@@ -344,13 +298,14 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
     pulse_ids = _pulse_indices(seq.items)
     last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
     qs, wts = dist.nodes(quadrature)
-    j_min, j_max = ladder.default_j_window(n)
+    j_min, j_max = window = ladder.default_j_window(n)
     jj = np.arange(j_min, j_max + 1)
-    dim, nq, nphi, blocks = len(jj), len(qs), len(phis), {}
+    dim, nq, nphi, classes = len(jj), len(qs), len(phis), range(n + 1)
+    kw = {"rtol": rtol, "atol": atol, "classes": classes, "blocks": {}}
 
-    histories, C, _ = _walk_branches(
-        seq.items[:last], qs, ladder.unit_columns((j_min, j_max), nq, (0,)), [()], cfg,
-        split_after, n, (j_min, j_max), rtol, atol, blocks)
+    C, _ = ladder.run_sequence(qs, ladder.unit_columns(window, nq, (0,)), seq.items[:last],
+                               cfg, window, split_after=split_after, **kw)
+    histories = list(product(classes, repeat=sum(s < n_prefix for s in split_after)))
     final_closes = closes
     if n_prefix not in split_after:
         # the detector's branch sum commutes with the last pulse
@@ -358,17 +313,18 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
             axis=2, keepdims=True)
         histories, final_closes = [()], (lambda h: True)
 
-    # one gauge-rotated copy per phase, phase-major along the column axis
-    gauge = np.exp(1j * np.outer(jj, phis - phis[0]))               # (dim, nphi)
+    # one gauge-rotated copy per phase, phase-major along the column axis, about the
+    # first pulse's phase: a closing pulse like the opening one reuses its block
+    phi_ref = float(seq.pulses[0].phase)
+    gauge = np.exp(1j * np.outer(jj, phis - phi_ref))               # (dim, nphi)
     ncol = C.shape[2]
     C = (np.conj(gauge)[:, None, :, None] * C[:, :, None, :]).reshape(dim, nq, nphi * ncol)
-    items = (replace(seq.items[last], phase=float(phis[0])), *seq.items[last + 1:])
+    items = (replace(seq.items[last], phase=phi_ref), *seq.items[last + 1:])
     # split after the last pulse too: the ports are classes, so the detected sum is
     # unchanged, and columns confined to classes 0..n cross it by its class block
-    histories, C, _ = _walk_branches(items, qs, C, histories * nphi, cfg, (0,),
-                                     n, (j_min, j_max), rtol, atol, blocks)
-    m = len(histories) // nphi
-    C = C.reshape(dim, nq, nphi, m) * gauge[:, None, :, None]
-    detected_cols = np.array([final_closes(h) for h in histories[:m]], dtype=bool)
+    C, _ = ladder.run_sequence(qs, C, items, cfg, window, split_after=(0,), **kw)
+    histories = [h + (c,) for h in histories for c in classes]
+    C = C.reshape(dim, nq, nphi, len(histories)) * gauge[:, None, :, None]
+    detected_cols = np.array([final_closes(h) for h in histories], dtype=bool)
     pops = np.abs(C[:, :, :, detected_cols].sum(axis=3)) ** 2         # (dim, nq, nphi)
     return {p: wts @ pops[p - j_min] for p in _expected_ports(seq)}

@@ -51,8 +51,10 @@ at tau - t is e^{-i alpha} times the conjugate of the one at t, with
 alpha = dw*tau - 2*phi, so H(tau - t) = Lambda(-alpha) H(t)^* Lambda(-alpha)^dagger
 and U(tau, 0) = Lambda(-alpha) U_h^T Lambda(-alpha)^dagger U_h, U_h = U(tau/2, 0):
 U_{ba} = e^{-i b alpha} sum_k (U_h)_{kb} e^{i k alpha} (U_h)_{ka} needs only the
-half-pulse columns of a and b (``half_pulse_block``); class populations and the
-interferometer's branches in classes 0..n both use it.
+half-pulse columns of a and b (``half_pulse_block``).  A split of ``run_sequence``
+leaves every column in its classes, so a segment of one time-symmetric pulse up to
+the next split needs only that pulse's class block: one half-pulse solve for all
+columns.  ``run_sequence`` alone chooses between the block and the whole pulse.
 
 The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
 operation, so bitwise equal to it, without dense output or a scipy import.
@@ -70,7 +72,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
-from .pulses import FreeEvolution, Pulse, PulseSequence
+from .pulses import Envelope, FreeEvolution, Pulse, PulseSequence
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -306,13 +308,45 @@ def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0])
 
 
-def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Amplitudes of shape (dim, nq, ncol) after pulses and free evolutions.
+def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                 split_after=(), classes=(), blocks=None):
+    """(amplitudes of shape (dim, nq, ncol), pruned mass per quasimomentum) after pulses
+    and free evolutions; every column goes through the same items as one batch.
 
-    Every column goes through the same items; pulses propagate as one
-    batch.  Path-resolved runs split branches between calls
-    (``interferometer._walk_branches``).
+    After each pulse whose ordinal (0-based, counting pulses only; larger ones are
+    ignored) is in split_after, column b becomes its projections onto classes: column
+    b * len(classes) + k holds classes[k], and the rest is pruned.  A split segment of
+    free evolutions and one ``Envelope`` pulse, on columns zero outside classes, moves
+    only those rows, by the pulse's half-pulse block (cached in blocks, keyed by the
+    pulse); it prunes input mass minus kept mass.  Every other segment runs whole.
     """
+    rows, pruned, start = np.asarray(classes, dtype=int) - j_window[0], np.zeros(len(qs)), 0
+    blocks = {} if blocks is None else blocks
+    pulse_ids = [i for i, it in enumerate(items) if isinstance(it, Pulse)]
+    for stop in [i + 1 for k, i in enumerate(pulse_ids) if k in split_after]:
+        seg, start, pulse = items[start:stop], stop, items[stop - 1]
+        lone = isinstance(pulse.envelope, Envelope) and not any(
+            isinstance(it, Pulse) for it in seg[:-1])
+        if lone and not np.any(np.delete(c, rows, axis=0)):
+            if pulse not in blocks:
+                blocks[pulse] = half_pulse_block(qs, pulse, cfg, classes, j_window, rtol=rtol,
+                                                 atol=atol)
+            mass = np.sum(np.abs(c) ** 2, axis=0)
+            kept = np.einsum("bqa,aqc->bqc", blocks[pulse],
+                             _run(qs, c, seg[:-1], cfg, j_window, rtol, atol)[rows])
+        else:
+            c = _run(qs, c, seg, cfg, j_window, rtol, atol)
+            mass, kept = np.sum(np.abs(c) ** 2, axis=0), c[rows]
+        dim, nq, nb = c.shape
+        split = np.zeros((dim, nq, nb, len(rows)), dtype=complex)
+        split[rows, :, :, np.arange(len(rows))] = kept
+        pruned += np.sum(mass - np.sum(np.abs(kept) ** 2, axis=0), axis=1)
+        c = split.reshape(dim, nq, nb * len(rows))
+    return _run(qs, c, items[start:], cfg, j_window, rtol, atol), pruned
+
+
+def _run(qs, c, items, cfg, j_window, rtol, atol):
+    """Amplitudes after items, each pulse whole."""
     j = np.arange(j_window[0], j_window[1] + 1)
     for item in items:
         if isinstance(item, Pulse):
@@ -329,8 +363,8 @@ def run_sequence(qs, c, items, cfg, j_window, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
 def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,
                        atol=DEFAULT_ATOL):
     """Run a full pulse sequence on one ladder state (a 1x1 run_sequence batch)."""
-    c = run_sequence(np.array([state.q]), state.amps.reshape(state.dim, 1, 1), seq.items,
-                     cfg, (state.j_min, state.j_max), rtol=rtol, atol=atol)
+    c, _ = run_sequence(np.array([state.q]), state.amps.reshape(state.dim, 1, 1), seq.items,
+                        cfg, (state.j_min, state.j_max), rtol=rtol, atol=atol)
     return LadderState(state.q, state.j_min, state.j_max, c[:, 0, 0])
 
 

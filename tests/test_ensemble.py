@@ -314,9 +314,9 @@ class TestMomentumMirror:
 
     @pytest.fixture
     def batch_sizes(self, monkeypatch):
-        """Quasimomenta per ladder batch, whole sequence or half pulse, in call order."""
+        """Quasimomenta per ladder solve, whole pulse or half pulse, in call order."""
         sizes = []
-        for name in ("run_sequence", "half_pulse_block"):
+        for name in ("propagate_batch", "half_pulse_block"):
             def spy(qs, *args, _run=getattr(ladder, name), **kwargs):
                 sizes.append(len(qs))
                 return _run(qs, *args, **kwargs)
@@ -354,23 +354,30 @@ class TestMomentumMirror:
         ]
         for run in runs:
             run()
-        assert batch_sizes == [9, 9, 9, 9, 9, 1]
+        assert batch_sizes == [9] * 6 + [1]
 
     def test_half_pulse_only_for_one_symmetric_pulse(self, rb87, mirror, cloud, ramp_pulse,
                                                      monkeypatch):
         paths = []
-        for name in ("run_sequence", "half_pulse_block"):
+        for name in ("propagate_batch", "half_pulse_block"):
             def spy(*args, _name=name, _run=getattr(ladder, name), **kwargs):
                 paths.append(_name)
                 return _run(*args, **kwargs)
             monkeypatch.setattr(ladder, name, spy)
         gh = Quadrature("gauss-hermite", 5)
-        reflectivity_matrix(mirror, cloud, rb87, quadrature=gh)
+        lone = reflectivity_matrix(mirror, cloud, rb87, quadrature=gh).raw_matrix
         reflectivity_matrix(ramp_pulse(rb87, 3, 90e-6, TWO_PI * 23e3), cloud, rb87,
                             quadrature=gh)
         ensemble_average(mirror, cloud, rb87, quadrature=gh)
         reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87, quadrature=gh)
-        assert paths == ["half_pulse_block"] + ["run_sequence"] * 3
+        assert paths == ["half_pulse_block"] + ["propagate_batch"] * 4
+        # free time around the one pulse leaves it a half-pulse solve
+        paths.clear()
+        for items in ((FreeEvolution(3e-4), mirror), (mirror, FreeEvolution(3e-4))):
+            raw = reflectivity_matrix(PulseSequence(items), cloud, rb87,
+                                      quadrature=gh).raw_matrix
+            assert np.max(np.abs(raw - lone)) <= 1e-12
+        assert paths == ["half_pulse_block"] * 2
 
     def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
                                           monkeypatch):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from braggsim import gridprop, interferometer, ladder
+from braggsim import gridprop, ladder
 from braggsim.config import parse_config
 from braggsim.ensemble import MomentumDistribution, Quadrature
 from braggsim.errors import ParameterError
@@ -160,6 +160,22 @@ class TestFringe:
         assert fit.phase == pytest.approx(0.6, abs=1e-12)
         assert fit.max_residual < 1e-12
 
+    @pytest.mark.parametrize("points", [2, 4, 6, 7, 8])
+    def test_fit_needs_more_than_two_n_phases(self, points):
+        # at harmonic 3, 2, 4 or 6 uniform phases alias cos(3 phi) onto a lower
+        # harmonic or lose its sine, so the fit is NaN; 7 and 8 resolve it
+        phis = np.linspace(0, TWO_PI, points, endpoint=False)
+        distortion = 0.02 * np.cos(phis - 0.3)
+        fit = fit_fringe(phis, 0.4 * (1 + 0.85 * np.cos(3 * phis - 0.6)) + distortion,
+                         harmonic=3)
+        assert fit.harmonic == 3
+        values = (fit.offset, fit.contrast, fit.phase, fit.max_residual)
+        if points <= 6:
+            assert np.all(np.isnan(values))
+        else:
+            assert values == pytest.approx((0.4, 0.85, 0.6, np.max(np.abs(distortion))),
+                                           abs=1e-12)
+
     def test_grid_must_span_two_pi(self, rb87):
         seq = _ideal_two_level_mzi(rb87)
         with pytest.raises(ParameterError):
@@ -227,12 +243,24 @@ class TestFringe:
                                     TWO_PI * 21e3, 3e-4, phi1=0.4321)
         phis, tight = np.linspace(0, TWO_PI, 6, endpoint=False), {"rtol": 1e-13, "atol": 1e-15}
         quad = Quadrature("gauss-hermite", 7)
-        rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
-                              split_after=split_after, **tight)
-        monkeypatch.setattr(interferometer, "_lone_pulse", lambda items: None)
-        whole, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
-                               split_after=split_after, **tight)
-        assert np.max([abs(r[k] - w[k]) for r, w in zip(rows, whole) for k in r]) <= 1e-12
+
+        def run():
+            rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
+                                  split_after=split_after, **tight)
+            tree, rep = path_resolved_mzi(seq, cloud, rb87, quadrature=quad,
+                                          split_after=split_after, **tight)
+            return ([v for r in rows for v in r.values()]
+                    + [v for nd in tree
+                       for v in (nd.weight, nd.port_class_mass, nd.port_coupled_mass)]
+                    + [rep.pruned, *rep.ports.values(), *rep.meta["ports_closing"].values()],
+                    [nd.history for nd in tree])
+
+        blocks, histories = run()
+        # no pulse counts as time-symmetric, so the runner crosses every one whole
+        monkeypatch.setattr(ladder, "Envelope", type("NoEnvelope", (), {}))
+        whole, whole_histories = run()
+        assert histories == whole_histories and len(blocks) == len(whole)
+        assert np.max(np.abs(np.subtract(blocks, whole))) <= 1e-12
 
     def test_default_scan_takes_two_half_pulse_solves(self, rb87, cloud, monkeypatch):
         # the beam splitters share one block, the mirror has the other, and the

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from braggsim import gridprop, ladder
+from braggsim.config import parse_config
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.ladder import (LadderState, default_j_window,
                              integrate_ladder, ladder_hamiltonian, ladder_state,
@@ -316,6 +317,55 @@ class TestSequenceAndFree:
         T_t = rb87.to_dimensionless(1e-3, "time")
         assert out.amps[2 - st.j_min] == pytest.approx(
             np.exp(-1j * (0.3 + 2) ** 2 * T_t), rel=1e-12)
+
+
+class TestRunSequence:
+    """The runner's branch split, against a hand loop of whole pulses and projections."""
+
+    @staticmethod
+    def _hand_loop(qs, c, items, cfg, window, split_after, classes, **tol):
+        j, rows = np.arange(window[0], window[1] + 1), np.asarray(classes) - window[0]
+        pruned, k = np.zeros(len(qs)), 0
+        for it in items:
+            if isinstance(it, FreeEvolution):
+                K = (qs[None, :] + j[:, None]) ** 2
+                c = c * np.exp(-1j * K * cfg.to_dimensionless(it.duration, "time"))[:, :, None]
+                continue
+            c = propagate_batch(qs, c, it, cfg, j_window=window, **tol)
+            if k in split_after:
+                dim, nq, nb = c.shape
+                split = np.zeros((dim, nq, nb, len(rows)), dtype=complex)
+                for i, r in enumerate(rows):
+                    split[r, :, :, i] = c[r]
+                pruned += np.sum(np.sum(np.abs(c) ** 2, axis=0)
+                                 - np.sum(np.abs(c[rows]) ** 2, axis=0), axis=1)
+                c = split.reshape(dim, nq, nb * len(rows))
+            k += 1
+        return c, pruned
+
+    @pytest.mark.parametrize("split_after", [(0, 1), (0, 1, 2), (2,)])
+    @pytest.mark.parametrize("envelope", ["default", "ramp"])
+    def test_split_matches_hand_loop(self, ramp_pulse, split_after, envelope):
+        # the default MZI: its split segments cross by half-pulse blocks, and a ramp
+        # envelope, which has no time symmetry, takes the hand loop's own path
+        cfg = parse_config().physical()
+        items = parse_config().mzi_sequence(cfg).items
+        if envelope == "ramp":
+            items = tuple(ramp_pulse(cfg, 3, it.duration, it.rabi_avg, it.phase)
+                          if isinstance(it, Pulse) else it for it in items)
+        qs, window, classes = np.array([-0.2, 0.0, 0.13]), default_j_window(3), range(4)
+        tol = {"rtol": 1e-13, "atol": 1e-15}
+        c0 = ladder.unit_columns(window, len(qs), (0,))
+        c, pruned = ladder.run_sequence(qs, c0, items, cfg, window, split_after=split_after,
+                                        classes=classes, **tol)
+        ref, ref_pruned = self._hand_loop(qs, c0, items, cfg, window, split_after, classes,
+                                          **tol)
+        assert c.shape == ref.shape == (18, 3, 4 ** len(split_after))
+        if envelope == "ramp":
+            assert np.array_equal(c, ref) and np.array_equal(pruned, ref_pruned)
+        else:
+            assert np.max(np.abs(c - ref)) <= 1e-12
+            assert np.max(np.abs(pruned - ref_pruned)) <= 1e-12
 
 
 class TestTruncation:
