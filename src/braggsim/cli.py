@@ -74,10 +74,10 @@ def _oracle_settings(rc):
     return {k: v for k, v in rc.propagator().items() if k != "backend"}
 
 
-# Every handler takes (args, rc, outdir, manifest) and returns the exit code.
+# Every handler takes (args, rc, cfg, outdir, manifest), cfg being the run's one
+# PhysicalConfig, and returns the exit code.
 
-def cmd_rabi_scan(args, rc, outdir, manifest):
-    cfg = rc.physical()
+def cmd_rabi_scan(args, rc, cfg, outdir, manifest):
     sc = rc["scan"]
     n = sc["order"]
     tau = rc.get("pulse", "tau")
@@ -106,9 +106,8 @@ def cmd_rabi_scan(args, rc, outdir, manifest):
     return 0
 
 
-def _map(rc, outdir, manifest):
+def _map(rc, cfg, outdir, manifest):
     """Run the reflectivity map and its spot check, write map.tsv, return the map."""
-    cfg = rc.physical()
     sc = rc["scan"]
     n = sc["order"]
     taus = np.linspace(sc["tau_min"], sc["tau_max"], sc["tau_count"])
@@ -118,7 +117,7 @@ def _map(rc, outdir, manifest):
                                  spec=rc.pulse_spec(),
                                  cache_path=os.path.join(outdir, "map_cache.jsonl"),
                                  **rc.propagator())
-    manifest.failures.extend(res.meta["failures"])
+    manifest.failures.extend(pt.params for pt in res.points if pt.failed)
     if sc["spot_check_nodes"] > 0:
         manifest.spot_check = scans.spot_check(res, n_nodes=sc["spot_check_nodes"],
                                                seed=rc.get("ensemble", "seed"))
@@ -130,7 +129,7 @@ def _map(rc, outdir, manifest):
         table.add(pt.params["tau"] * 1e6, _khz(pt.params["rabi"]), *vals,
                   1 if pt.failed else 0)
     table.write(os.path.join(outdir, "map.tsv"), manifest.provenance(order=n))
-    print(f"map: {len(res.points)} nodes, {len(res.meta['failures'])} failures")
+    print(f"map: {len(res.points)} nodes, {len(manifest.failures)} failures")
     if manifest.spot_check:
         okmsg = "ok" if manifest.spot_check["passes"] else "FAILED"
         print(f"spot-check vs grid backend: max dev "
@@ -138,12 +137,12 @@ def _map(rc, outdir, manifest):
     return res
 
 
-def cmd_map(args, rc, outdir, manifest):
-    _map(rc, outdir, manifest)
+def cmd_map(args, rc, cfg, outdir, manifest):
+    _map(rc, cfg, outdir, manifest)
     return 0
 
 
-def cmd_dmp_find(args, rc, outdir, manifest):
+def cmd_dmp_find(args, rc, cfg, outdir, manifest):
     sc = rc["scan"]
     n = sc["order"]
     crit = DmpCriterion.for_order(n, lambda_pen=sc["lambda_pen"],
@@ -153,7 +152,7 @@ def cmd_dmp_find(args, rc, outdir, manifest):
     if missing:
         raise ConfigurationError(f"[scan] pairs lacks {', '.join(f'{a}-{b}' for a, b in missing)}, "
                                  f"which the order-{n} criterion scores")
-    res = _map(rc, outdir, manifest)
+    res = _map(rc, cfg, outdir, manifest)
     rep = scans.find_dmp(res, crit, refine=sc["refine"])
     payload = {"found": rep.found, "tau_us": rep.tau * 1e6,
                "omega_over_2pi_kHz": _khz(rep.rabi), "objective": rep.objective,
@@ -174,8 +173,7 @@ def cmd_dmp_find(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_mirror_response(args, rc, outdir, manifest):
-    cfg = rc.physical()
+def cmd_mirror_response(args, rc, cfg, outdir, manifest):
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
     rows = interferometer.mirror_response(pulse, rc.distribution(), cfg,
@@ -194,7 +192,7 @@ def cmd_mirror_response(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_mzi(args, rc, outdir, manifest):
+def cmd_mzi(args, rc, cfg, outdir, manifest):
     if args.phi3_scan < 0:
         raise ConfigurationError(f"--phi3-scan needs a point count >= 0, got {args.phi3_scan}")
     if args.phi3_scan and args.path_resolved:
@@ -210,7 +208,6 @@ def cmd_mzi(args, rc, outdir, manifest):
     except ValueError:
         raise ConfigurationError(f"--split-after needs pulse ordinals like \"0,1\", "
                                  f"got {split_spec!r}") from None
-    cfg = rc.physical()
     seq = rc.mzi_sequence(cfg)
     dist = rc.distribution()
     n = seq.order_hint
@@ -266,8 +263,7 @@ def cmd_mzi(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_robustness(args, rc, outdir, manifest):
-    cfg = rc.physical()
+def cmd_robustness(args, rc, cfg, outdir, manifest):
     pulse = rc.pulse(cfg)
     n = pulse.order_hint
     pairs = rc.get("scan", "pairs")
@@ -286,8 +282,7 @@ def cmd_robustness(args, rc, outdir, manifest):
     return 0
 
 
-def cmd_check(args, rc, outdir, manifest):
-    cfg = rc.physical()
+def cmd_check(args, rc, cfg, outdir, manifest):
     results = validation.check_suite(cfg, **_oracle_settings(rc))
     table = ResultTable([("check", "name"), ("passed", "flag"), ("detail", "text")])
     for name, passed, detail in results:
@@ -297,8 +292,7 @@ def cmd_check(args, rc, outdir, manifest):
     return 0 if all(passed for _, passed, _ in results) else 3
 
 
-def cmd_oracle_diff(args, rc, outdir, manifest):
-    cfg = rc.physical()
+def cmd_oracle_diff(args, rc, cfg, outdir, manifest):
     pulse = rc.pulse(cfg)
     od = validation.oracle_diff(pulse, cfg, **_oracle_settings(rc))
     manifest.write_json(os.path.join(outdir, "oracle_diff.json"), od)
@@ -318,7 +312,7 @@ def main(argv=None):
         outdir = output_dir(rc.get("output", "dir"), args.output)
         manifest = RunManifest(args.command, rc.echo(),
                                jobs=rc.get("output", "jobs") or os.cpu_count() or 1)
-        code = args.handler(args, rc, outdir, manifest)
+        code = args.handler(args, rc, rc.physical(), outdir, manifest)
         manifest.wall_time_s = time.time() - t0
         manifest.write(os.path.join(outdir, f"{args.command.replace('-', '_')}_manifest.json"))
         return code

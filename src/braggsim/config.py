@@ -17,7 +17,7 @@ follow the envelope-averaged lab convention unless
 
 Unknown keys are rejected; defaults are applied and echoed into the run
 manifest.  On the command line, ``--set section.key=value`` (repeatable)
-overrides a key after the file is read.
+overrides a key after the file is read, checked as a file key is.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
@@ -236,8 +236,7 @@ class RunConfig:
         p = self.sections["pulse"]
         return PulseSpec(p["envelope"], p["omega_convention"], p["p0"], p["phase"])
 
-    def pulse(self, cfg=None) -> Pulse:
-        cfg = cfg or self.physical()
+    def pulse(self, cfg) -> Pulse:
         p = self.sections["pulse"]
         return self.pulse_spec().build(cfg, p["order"], p["tau"], p["omega"])
 
@@ -284,8 +283,15 @@ def parse_config(path=None, overrides=(), text=None):
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path or '<text>'}: {exc}") from None
 
+    entries = list(read.items())   # (section, {key: raw}), overrides after the file
+    for ov in overrides:
+        dotted, eq, raw = ov.partition("=")
+        sec, dot, key = dotted.partition(".")
+        if not (eq and dot):
+            raise ConfigurationError(f"override {ov!r} must look like section.key=value")
+        entries.append((sec, {key: raw}))
     sections = {s: {k: v[1] for k, v in kv.items()} for s, kv in _SCHEMA.items()}
-    for sec, kv in read.items():
+    for sec, kv in entries:
         if sec not in _SCHEMA:
             raise ConfigurationError(
                 f"unknown config section [{sec}]; expected {sorted(_SCHEMA)}")
@@ -294,14 +300,4 @@ def parse_config(path=None, overrides=(), text=None):
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{sec}]; expected {sorted(_SCHEMA[sec])}")
             sections[sec][key] = _parse_value(sec, key, raw)
-    for ov in overrides:
-        if "=" not in ov:
-            raise ConfigurationError(f"override {ov!r} must look like section.key=value")
-        dotted, raw = ov.split("=", 1)
-        if "." not in dotted:
-            raise ConfigurationError(f"override {ov!r} must look like section.key=value")
-        sec, key = dotted.split(".", 1)
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
-            raise ConfigurationError(f"unknown override target {dotted!r}")
-        sections[sec][key] = _parse_value(sec, key, raw)
     return RunConfig(sections)

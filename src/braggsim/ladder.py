@@ -372,6 +372,7 @@ def propagate_sequence(state, seq: PulseSequence, cfg, rtol=DEFAULT_RTOL,
 class TruncationReport:
     max_population_change: float
     passes: bool
+    norm_drift: float   # |norm - 1| of the run on the state's own window
 
 
 def truncation_check(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -392,4 +393,4 @@ def truncation_check(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
                 + list(range(state.j_max + 1, wide_max + 1)))
     max_change = max(max(changes), outer)
     return TruncationReport(max_population_change=float(max_change),
-                            passes=bool(max_change < 1e-8))
+                            passes=bool(max_change < 1e-8), norm_drift=abs(base.norm - 1.0))

@@ -148,8 +148,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     map resumes where it stopped and reproduces a fresh run exactly; the
     node of a line that a kill cut short is recomputed.  The `_map_node`
     arguments other than (tau, rabi) are kept as meta["setting"] for
-    refinement and the spot check; meta["failures"] lists the params of
-    failed nodes.
+    refinement and the spot check; a failed node is a point marked failed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
@@ -201,10 +200,9 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
         rec = cached[h]
         points.append(ScanPoint(rec["params"], rec["values"], rec["failed"],
                                 rec.get("error", "")))
-    failures = [p.params for p in points if p.failed]
     return ScanResult(axes=(("tau", tuple(float(v) for v in tau_grid)),
                             ("rabi", tuple(float(v) for v in rabi_grid))),
-                      points=points, meta={"failures": failures, "setting": setting})
+                      points=points, meta={"setting": setting})
 
 
 def _setting(map_result):
@@ -286,12 +284,13 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
     if refine == "local":
         from scipy.optimize import minimize
         setting = _setting(map_result)
+        solved = {}   # (tau, rabi) -> ScanPoint of every node the simplex ran
 
         def neg_obj(x):
             t, o = x
             if t <= 0 or o <= 0:
                 return 1e3
-            p = _map_node((t, o, *setting))
+            p = solved[t, o] = _map_node((t, o, *setting))
             if p.failed:
                 return 1e3
             obj, _, _, _ = criterion.evaluate(p.values)
@@ -309,8 +308,7 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
         if r.fun < -objective:
             tau, om = float(r.x[0]), float(r.x[1])
             objective = -float(r.fun)
-            p = _map_node((tau, om, *setting))
-            _, _, res, paras = criterion.evaluate(p.values)
+            _, _, res, paras = criterion.evaluate(solved[tau, om].values)
             refined = True
     ratio = res / max(max(paras), 1e-12) if paras else np.inf
     return DmpReport(found=True, tau=tau, rabi=om, objective=objective,

@@ -308,6 +308,8 @@ def test_override_flags_dotted(tmp_path, capsys):
     assert main(["oracle-diff", "-c", cfg, "--set", "propagator.tol=1e-9"]) == 0
     man = json.load(open(f"{tmp_path}/out/oracle_diff_manifest.json"))
     assert man["config"]["propagator"]["tol"] == 1e-9
+    assert main(["oracle-diff", "-c", cfg, "--set", "nosuch.key=1"]) == 2
+    assert "unknown config section [nosuch]" in json.loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -75,6 +75,23 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config(text="", overrides=["propagator.speed=11"])
 
+    @pytest.mark.parametrize("section, key, raw, expected", [
+        ("nosuch", "key", "1", "unknown config section [nosuch]"),
+        ("pulse", "omega_r", "21", "unknown key 'omega_r' in [pulse]"),
+        ("pulse", "order", "three", "[pulse.order] expected an integer"),
+        ("pulse", "tau", '"-1 us"', "[pulse.tau] value -1e-06 out of range"),
+        ("pulse", "order", "5", "'order': 5"),
+    ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "valid"])
+    def test_override_reads_as_file_key(self, section, key, raw, expected):
+        def read(**route):
+            try:
+                return str(parse_config(**route).echo())
+            except ConfigurationError as exc:
+                return f"ConfigurationError: {exc}"
+        from_file = read(text=f"[{section}]\n{key} = {raw}\n")
+        assert expected in from_file
+        assert read(text="", overrides=[f"{section}.{key}={raw}"]) == from_file
+
     def test_pairs_checked_under_optimize(self):
         # python -O strips assert statements; the pairs check must not be one
         code = ("from braggsim.config import parse_config\n"
@@ -96,7 +113,7 @@ class TestParseConfig:
 
     def test_pulse_factory_uses_avg_convention(self, rb87):
         rc = parse_config(text='[pulse]\norder = 3\ntau = "120 us"\nomega = 21\n')
-        p = rc.pulse()
+        p = rc.pulse(rc.physical())
         assert p.rabi_avg == pytest.approx(TWO_PI * 21e3, rel=1e-12)
         assert p.rabi_peak == pytest.approx(TWO_PI * 21e3 / 0.42, rel=1e-12)
 

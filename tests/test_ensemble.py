@@ -219,6 +219,26 @@ class TestReflectivity:
         rg = reflectivity_matrix(mirror, delta, rb87, backend="grid")
         assert np.max(np.abs(rl.matrix - rg.matrix)) < 1e-4
 
+    def test_order_5_mirror_matches_tight_reference(self, rb87, cloud):
+        # the order-5 Blackman mirror at 200 us, 2*pi*110 kHz; the literals are the
+        # raw matrix of an rtol 1e-13, atol 1e-15 run over the same 41 nodes
+        pulse = Pulse.on_resonance(rb87, 5, 200e-6, rabi_avg=TWO_PI * 110e3)
+        ref = np.array([
+            [0.360037267728819, 0.00258469182081496, 6.83280993016272e-05,
+             7.9182158541467e-05, 0.00545914891728509, 0.62994339002377],
+            [0.00258469182081495, 0.950007863537528, 0.0131795042641964,
+             0.0028160846596266, 0.0259502814122752, 0.00545914891728513],
+            [6.83280993016272e-05, 0.0131795042641964, 0.981682696034638,
+             0.00217415804708883, 0.00281608465962673, 7.91821585414808e-05],
+            [7.9182158541467e-05, 0.0028160846596266, 0.00217415804708883,
+             0.981682696034638, 0.0131795042641965, 6.83280993015989e-05],
+            [0.00545914891728508, 0.0259502814122752, 0.00281608465962673,
+             0.0131795042641965, 0.950007863537528, 0.00258469182081495],
+            [0.62994339002377, 0.00545914891728513, 7.91821585414808e-05,
+             6.83280993015988e-05, 0.00258469182081495, 0.360037267728819]])
+        raw = reflectivity_matrix(pulse, cloud, rb87).raw_matrix
+        assert np.max(np.abs(raw - ref)) <= 1e-9
+
 
 class TestReciprocity:
     """A time-symmetric envelope gives P(a -> b) = P(b -> a) exactly."""

@@ -161,7 +161,8 @@ class TestIntegrate:
                                      j_window=(j_min - 1, j_max - 1))
         assert np.max(np.abs(np.abs(here) ** 2 - np.abs(relabelled) ** 2)) <= 1e-12
 
-    @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (4, 120e-6, 30.0)])
+    @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (4, 120e-6, 30.0),
+                                                  (5, 200e-6, 110.0)])
     @pytest.mark.parametrize("p_c", [0.0, 0.3])
     @pytest.mark.parametrize("envelope", ["blackman", "rectangular", "ramp"])
     def test_momentum_reflection(self, rb87, ramp_pulse, n, tau, rabi_khz, p_c, envelope):
@@ -378,6 +379,7 @@ class TestTruncation:
         st = ladder_state(0, 0.0, j_window=(-6, 9))
         rep = truncation_check(st, mirror, rb87)
         assert rep.passes
+        assert rep.norm_drift == abs(integrate_ladder(st, mirror, rb87).norm - 1.0)
 
     def test_extreme_rabi_flagged(self, rb87):
         pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_peak=TWO_PI * 500e3)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from braggsim import ensemble, ladder, scans
 from braggsim.ensemble import MomentumDistribution, Quadrature
@@ -289,7 +290,12 @@ class TestFindDmp:
         rep = find_dmp(m, crit)
         assert not rep.found and "no" in rep.message.lower()
 
-    def test_local_refinement_reruns_the_map_setting(self, rb87):
+    def test_local_refinement_reruns_the_map_setting(self, rb87, monkeypatch):
+        solved, runs = [], []
+        node, minimize = scans._map_node, scipy.optimize.minimize
+        monkeypatch.setattr(scans, "_map_node", lambda a: solved.append(a) or node(a))
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **kw: runs.append(minimize(*a, **kw)) or runs[-1])
         delta = MomentumDistribution("delta", 0.0, 0.0)
         m = reflectivity_map(rb87, 3, np.array([90e-6, 120e-6]),
                              TWO_PI * 1e3 * np.array([40.0, 56.0]), [(0, 3), (1, 2)], delta,
@@ -297,6 +303,8 @@ class TestFindDmp:
         crit = DmpCriterion.for_order(3, min_resonant=0.0, max_parasitic=1.0)
         rep = find_dmp(m, crit, refine="local", max_refine_evals=8)
         assert rep.refined
+        # each node is solved once: the simplex's best vertex is not run again
+        assert len(solved) == len(m.points) + runs[0].nfev
         objective, _, res, paras = crit.evaluate(
             scans._map_node((rep.tau, rep.rabi, *m.meta["setting"])).values)
         assert (rep.objective, rep.resonant, rep.parasitic) == (objective, res, tuple(paras))
