@@ -7,7 +7,7 @@ __version__ = "0.1.3"
 from .physics import PhysicalConfig, default_rb87
 from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
                      mach_zehnder_sequence, resonance_delta_omega)
-from .splitting import PP34A, STRANG, SplittingScheme, get_scheme
+from .splitting import PP34A, STRANG, SplittingScheme
 from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
                        ReflectivityRecord, class_populations, ensemble_average,
                        reflectivity_matrix, robustness_curve)
@@ -21,7 +21,7 @@ __all__ = [
     "PhysicalConfig", "default_rb87",
     "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec",
     "mach_zehnder_sequence", "resonance_delta_omega",
-    "PP34A", "STRANG", "SplittingScheme", "get_scheme",
+    "PP34A", "STRANG", "SplittingScheme",
     "ClassPopulations", "MomentumDistribution", "Quadrature", "ReflectivityRecord",
     "class_populations", "ensemble_average", "reflectivity_matrix", "robustness_curve",
     "DmpCriterion", "DmpReport", "ScanResult", "find_dmp", "first_maximum",

@@ -39,7 +39,7 @@ from .errors import ConfigurationError
 from .physics import ATOMIC_MASS_KG, PhysicalConfig, default_rb87
 from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
 from .ensemble import MomentumDistribution, Quadrature
-from .splitting import PP34A, SCHEMES, get_scheme
+from .splitting import PP34A, SCHEMES
 
 TWO_PI = 6.283185307179586476925286766559
 
@@ -258,7 +258,7 @@ class RunConfig:
     def grid_opts(self) -> gridprop.GridOptions:
         pr = self.sections["propagator"]
         return gridprop.GridOptions(gridprop.Grid(pr["grid_points"], pr["grid_periods"]),
-                                    get_scheme(pr["scheme"]), pr["tol"])
+                                    SCHEMES[pr["scheme"]], pr["tol"])
 
     def propagator(self):
         """backend, rtol, atol and grid_opts keyword arguments from [propagator]."""

@@ -174,6 +174,21 @@ def _weigh(pops, wts, n, inputs, classes):
     return np.tensordot(wts, pops, axes=(0, 1))
 
 
+def backend_window(order, classes, backend, grid_opts):
+    """The backend's class window for this order, (lowest, highest); ParameterError
+    for classes outside it or a grid whose Nyquist margin cannot resolve the order."""
+    if backend not in ("ladder", "grid"):
+        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
+    nyq = int(grid_opts.grid.nyquist)
+    j_window = ladder.default_j_window(order) if backend == "ladder" else (-nyq, nyq - 1)
+    outside = sorted({c for c in classes if not j_window[0] <= c <= j_window[1]})
+    if outside:
+        raise ParameterError(f"classes {outside} outside the {backend} window {j_window}")
+    if backend == "grid":
+        grid_opts.grid.check_order(order)
+    return j_window
+
+
 def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, atol,
                   grid_opts):
     """(distribution-weighted class populations, shape (len(inputs), len(classes)),
@@ -185,13 +200,7 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
     propagates them as the rows of one state on the comb grid, and the norm
     drift is their largest |norm - 1| (None on the ladder).
     """
-    if backend not in ("ladder", "grid"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'ladder' or 'grid'")
-    nyq = int(grid_opts.grid.nyquist)
-    j_window = ladder.default_j_window(seq.order_hint) if backend == "ladder" else (-nyq, nyq - 1)
-    outside = [c for c in (*inputs, *classes) if not j_window[0] <= c <= j_window[1]]
-    if outside:
-        raise ParameterError(f"classes {outside} outside the {backend} window {j_window}")
+    j_window = backend_window(seq.order_hint, (*inputs, *classes), backend, grid_opts)
     qs, wts = dist.nodes(quadrature)
     n = drift = None
     if backend == "ladder":

@@ -98,9 +98,6 @@ class GridState:
     psi: np.ndarray            # complex, (num_points,) or (rows, num_points), unit rows
     q: float = 0.0             # hbar*k_eff; an array of one offset per row
 
-    def copy(self):
-        return GridState(self.grid, self.psi.copy(), self.q)
-
     @property
     def k(self):
         """Kinetic wavenumbers k + q, one row per row of psi."""
@@ -254,10 +251,8 @@ def free_evolve(state, T):
     factor exp(-i (k+q)^2 T)."""
     if T < 0:
         raise ParameterError(f"free evolution must be nonnegative, got {T}")
-    if T == 0.0:
-        return state.copy()
     k = state.k
-    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T))
+    psi = ifft(fft(state.psi) * np.exp(-1j * k * k * T)) if T else state.psi.copy()
     return GridState(state.grid, psi, state.q)
 
 

@@ -73,15 +73,10 @@ class PathNode:
         return self._fraction(self.port_coupled_mass)
 
 
-def _expected_ports(seq):
-    n = seq.order_hint
-    return (0, n)
-
-
 def run_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
     """Coherent propagation through the full sequence; no path splitting."""
     cp = ensemble_average(seq, dist, cfg, quadrature=quadrature, backend=backend, **kw)
-    port_mass = {p: cp.raw[p] for p in _expected_ports(seq)}
+    port_mass = {p: cp.raw[p] for p in (0, seq.order_hint)}
     return PortReport(ports=port_mass, undetected=1.0 - sum(port_mass.values()))
 
 
@@ -148,7 +143,7 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     if backend != "ladder":
         raise ParameterError("path-resolved runs support the ladder backend only")
     n = seq.order_hint
-    ports = _expected_ports(seq)
+    ports = (0, n)
     split_after, closes = _branch_plan(seq, split_after)
 
     qs, wts = dist.nodes(quadrature)
@@ -255,7 +250,7 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
     if span + step < 2 * np.pi - 1e-9:   # periodic sampling covers a full turn
         raise ParameterError("phi3 grid must span at least 2*pi")
     n = seq.order_hint
-    ports = _expected_ports(seq)
+    ports = (0, n)
     if backend == "ladder":
         port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, split_after,
                                    rtol, atol)
@@ -286,7 +281,7 @@ def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
     st = gridprop.GridState(st.grid, np.tile(st.psi, (len(phis), 1)), np.tile(st.q, len(phis)))
     items = (replace(seq.items[last], phase=np.repeat(phis, len(qs))), *seq.items[last + 1:])
     st = gridprop.run_sequence(st, items, cfg, grid_opts)
-    ports = _expected_ports(seq)
+    ports = (0, seq.order_hint)
     pops = gridprop.class_masses(st, ports).reshape(len(phis), len(qs), len(ports))
     return {p: pops[:, :, i] @ wts for i, p in enumerate(ports)}
 
@@ -327,4 +322,4 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
     C = C.reshape(dim, nq, nphi, len(histories)) * gauge[:, None, :, None]
     detected_cols = np.array([final_closes(h) for h in histories], dtype=bool)
     pops = np.abs(C[:, :, :, detected_cols].sum(axis=3)) ** 2         # (dim, nq, nphi)
-    return {p: wts @ pops[p - j_min] for p in _expected_ports(seq)}
+    return {p: wts @ pops[p - j_min] for p in (0, n)}

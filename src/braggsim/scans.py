@@ -13,7 +13,7 @@ import glob
 import json
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class ScanResult:
 
     axes: tuple                 # ((name, values), ...)
     points: list
-    meta: dict = field(default_factory=dict)
+    setting: tuple | None = None    # a map's `_map_node` arguments, see `_setting`
 
 
 def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
@@ -50,13 +50,14 @@ def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
 
     rabi_grid in rad/s, ascending; spec builds each pulse and sets the Rabi
     convention the grid is quoted in.
-    Per-point failures (BraggSimError) are recorded, not raised; any other
-    exception is a bug and propagates.
+    Per-point failures (BraggSimError) are recorded, not raised, once the
+    backend holds classes 0..n; any other exception is a bug and propagates.
     """
     rabi_grid = np.asarray(rabi_grid, dtype=float)
     if np.any(np.diff(rabi_grid) <= 0):
         raise ParameterError("rabi grid must be strictly ascending")
     classes = tuple(range(n + 1))
+    ensemble.backend_window(n, classes, backend, kw.get("grid_opts", gridprop.GridOptions()))
     points = []
     for om in rabi_grid:
         params = {"rabi": float(om)}
@@ -147,8 +148,9 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
     of every `_map_node` argument and the code version, so an interrupted
     map resumes where it stopped and reproduces a fresh run exactly; the
     node of a line that a kill cut short is recomputed.  The `_map_node`
-    arguments other than (tau, rabi) are kept as meta["setting"] for
-    refinement and the spot check; a failed node is a point marked failed.
+    arguments other than (tau, rabi) are kept as its setting for refinement
+    and the spot check.  A backend that cannot hold classes 0..n raises before
+    the first node; a node that fails is a point marked failed.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     rabi_grid = np.asarray(rabi_grid, dtype=float)
@@ -156,6 +158,7 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
         if len(g) < 2 or np.any(np.diff(g) <= 0):
             raise ParameterError(f"{name} grid must be ascending with >= 2 points")
     check_pairs(pairs, n)
+    ensemble.backend_window(n, range(n + 1), backend, grid_opts)
 
     node_params = [(float(tau), float(om)) for tau in tau_grid for om in rabi_grid]
     setting = (n, cfg, dist, quadrature, backend, spec, tuple(pairs),
@@ -202,17 +205,16 @@ def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
                                 rec.get("error", "")))
     return ScanResult(axes=(("tau", tuple(float(v) for v in tau_grid)),
                             ("rabi", tuple(float(v) for v in rabi_grid))),
-                      points=points, meta={"setting": setting})
+                      points=points, setting=setting)
 
 
 def _setting(map_result):
     """The `_map_node` arguments other than (tau, rabi) that made the map:
     (n, cfg, dist, quadrature, backend, spec, pairs, rtol, atol, grid_opts)."""
-    setting = map_result.meta.get("setting")
-    if setting is None:
+    if map_result.setting is None:
         raise ParameterError("this needs a map from reflectivity_map, whose "
-                             "meta['setting'] holds how its nodes were computed")
-    return setting
+                             "setting holds how its nodes were computed")
+    return map_result.setting
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def find_dmp(map_result, criterion: DmpCriterion, refine="none", max_refine_eval
 
     refine="local" polishes (tau, rabi) with a derivative-free simplex
     running fresh map nodes around the best node, under the map's own
-    meta["setting"] (physics, distribution, quadrature, backend, pulse spec,
+    setting (physics, distribution, quadrature, backend, pulse spec,
     tolerances and grid options).
     """
     best = None

@@ -91,14 +91,6 @@ STRANG = SplittingScheme(
 SCHEMES = {"pp34a": PP34A, "strang": STRANG}
 
 
-def get_scheme(name):
-    try:
-        return SCHEMES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown splitting scheme {name!r}; available: {sorted(SCHEMES)}") from None
-
-
 def composition_defect(scheme, h=0.05, dim=6, seed=42, swap_roles=False, average=False):
     """Operator-norm defect of one step against expm(h*(A+B)) on random matrices.
 

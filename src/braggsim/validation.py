@@ -21,10 +21,10 @@ def oracle_diff(pulse, cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAUL
     comb rows, one per input.
     """
     n = pulse.order_hint
-    delta = MomentumDistribution("delta", 0.0, 0.0)
-    rec_l = reflectivity_matrix(pulse, delta, cfg, order=n, backend="ladder",
+    point = MomentumDistribution()   # dp = 0: the plane wave q = 0
+    rec_l = reflectivity_matrix(pulse, point, cfg, order=n, backend="ladder",
                                 rtol=rtol, atol=atol)
-    rec_g = reflectivity_matrix(pulse, delta, cfg, order=n, backend="grid",
+    rec_g = reflectivity_matrix(pulse, point, cfg, order=n, backend="grid",
                                 grid_opts=grid_opts)
     dev = float(np.max(np.abs(rec_l.matrix - rec_g.matrix)))
     return {"max_abs_dev": dev, "norm_drift": rec_g.norm_drift, "tol": ORACLE_TOL,
@@ -84,25 +84,18 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
         record("palindromic_reversal", ret < 1e-8, f"return error {ret:.2e}")
 
     # phase gauge invariance (tight tolerance run)
-    st0 = ladder.integrate_ladder(ladder.ladder_state(0, 0.0, order=3),
-                                  Pulse.on_resonance(cfg, 3, 60e-6,
-                                                     rabi_avg=2 * np.pi * 20e3),
-                                  cfg, rtol=1e-13, atol=1e-15)
-    st1 = ladder.integrate_ladder(ladder.ladder_state(0, 0.0, order=3),
-                                  Pulse.on_resonance(cfg, 3, 60e-6,
-                                                     rabi_avg=2 * np.pi * 20e3,
-                                                     phase=1.234567),
-                                  cfg, rtol=1e-13, atol=1e-15)
+    base = Pulse.on_resonance(cfg, 3, 60e-6, rabi_avg=2 * np.pi * 20e3)
+    st0, st1 = (ladder.integrate_ladder(ladder.ladder_state(0, 0.0, order=3), p, cfg,
+                                        rtol=1e-13, atol=1e-15)
+                for p in (base, replace(base, phase=1.234567)))
     gauge = max(abs(st0.population(j) - st1.population(j))
                 for j in range(st0.j_min, st0.j_max + 1))
     record("phase_gauge_invariance", gauge < 1e-12, f"max pop change {gauge:.2e}")
 
     # quadrature convergence N vs N+8
-    dist = MomentumDistribution("gaussian", 0.0, 0.13)
-    cpa = ensemble_average(pulse, dist, cfg, quadrature=Quadrature("gauss-hermite", 41),
-                           rtol=rtol, atol=atol)
-    cpb = ensemble_average(pulse, dist, cfg, quadrature=Quadrature("gauss-hermite", 49),
-                           rtol=rtol, atol=atol)
+    cpa, cpb = (ensemble_average(pulse, MomentumDistribution(dp=0.13), cfg,
+                                 quadrature=Quadrature("gauss-hermite", nodes),
+                                 rtol=rtol, atol=atol) for nodes in (41, 49))
     qdev = max(abs(cpa[c] - cpb[c]) for c in cpa.probs)
     record("quadrature_convergence", qdev < 1e-4, f"max class change {qdev:.2e}")
 

@@ -322,13 +322,18 @@ def test_override_flags_dotted(tmp_path, capsys):
      "ConfigurationError"),                                # the grid scan has no branches
     (["mzi", "--split-after", "7"], "ConfigurationError"),  # a port run has no branches
     (["mzi", "--path-resolved", "--phi3-scan", "4"], "ConfigurationError"),
+    # a grid no scan node fits (classes 2, 3 beyond Nyquist, or no margin 4 above order 3)
+    *[([command, "--set", "propagator.backend=grid", "--set", f"propagator.grid_points={n}"],
+       "ParameterError") for command in ("map", "rabi-scan") for n in (32, 64)],
 ], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing",
         "negative-jobs", "split-after-on-grid-scan", "split-after-on-port-run",
-        "path-resolved-with-phi3-scan"])
+        "path-resolved-with-phi3-scan", "map-grid-32", "map-grid-64", "rabi-scan-grid-32",
+        "rabi-scan-grid-64"])
 def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     assert main([*argv, "-c", cfg]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")   # failed before any node
 
 
 def test_fringe_scan_follows_split_after(tmp_path, capsys):
@@ -381,6 +386,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
                          text=True, check=True).stdout
     assert os.path.exists(tmp_path / "rob" / "robustness.tsv")
     assert out.splitlines()[-1] == "[]"
+
+
+def test_every_package_export_resolves():
+    # a name deleted from its module must leave __all__ too, or the star import breaks
+    assert [name for name in braggsim.__all__ if not hasattr(braggsim, name)] == []
 
 
 def test_tables_do_not_depend_on_blas_threads(tmp_path):

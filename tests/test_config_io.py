@@ -80,8 +80,10 @@ class TestParseConfig:
         ("pulse", "omega_r", "21", "unknown key 'omega_r' in [pulse]"),
         ("pulse", "order", "three", "[pulse.order] expected an integer"),
         ("pulse", "tau", '"-1 us"', "[pulse.tau] value -1e-06 out of range"),
+        ("propagator", "scheme", "leapfrog", "[propagator.scheme] must be one of"),
         ("pulse", "order", "5", "'order': 5"),
-    ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "valid"])
+    ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "unknown-scheme",
+            "valid"])
     def test_override_reads_as_file_key(self, section, key, raw, expected):
         def read(**route):
             try:

@@ -148,10 +148,12 @@ class TestIntegrate:
                 single = integrate_ladder(ladder_state(cls, q, order=3), mirror, rb87)
                 assert np.max(np.abs(batch[:, iq, col] - single.amps)) < 5e-9
 
-    def test_comb_relabelling(self, rb87, mirror):
+    @pytest.mark.parametrize("n, tau, rabi_khz", [(3, 90e-6, 23.0), (5, 200e-6, 110.0)])
+    def test_comb_relabelling(self, rb87, n, tau, rabi_khz):
         # the Hamiltonian depends on q + j only, so class j at q on window W
         # evolves like class j-1 at q+1 on window W-1
-        j_min, j_max = default_j_window(3)
+        mirror = Pulse.on_resonance(rb87, n, tau, rabi_avg=TWO_PI * rabi_khz * 1e3)
+        j_min, j_max = default_j_window(n)
         qs = np.array([-0.4, -0.1, 0.2, 0.35])
         c0 = np.zeros((j_max - j_min + 1, len(qs), 2), dtype=complex)
         c0[0 - j_min, :, 0] = 1.0

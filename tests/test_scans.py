@@ -263,8 +263,7 @@ def _synth_map():
                                     {"R_0_3": res, "R_1_2": par,
                                      "R_0_3_fwd": res, "R_0_3_rev": res,
                                      "R_1_2_fwd": par, "R_1_2_rev": par}))
-    return ScanResult(axes=(("tau", taus), ("rabi", oms)), points=points,
-                      meta={"n": 3})
+    return ScanResult(axes=(("tau", taus), ("rabi", oms)), points=points)
 
 
 class TestFindDmp:
@@ -306,7 +305,7 @@ class TestFindDmp:
         # each node is solved once: the simplex's best vertex is not run again
         assert len(solved) == len(m.points) + runs[0].nfev
         objective, _, res, paras = crit.evaluate(
-            scans._map_node((rep.tau, rep.rabi, *m.meta["setting"])).values)
+            scans._map_node((rep.tau, rep.rabi, *m.setting)).values)
         assert (rep.objective, rep.resonant, rep.parasitic) == (objective, res, tuple(paras))
         with pytest.raises(ParameterError):
             find_dmp(_synth_map(), crit, refine="local")

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from braggsim.errors import ConfigurationError
-from braggsim.splitting import PP34A, STRANG, composition_defect, get_scheme
+from braggsim.splitting import PP34A, STRANG, composition_defect
 
 
 def test_coefficients_sum_to_one():
@@ -52,10 +51,3 @@ def test_substeps_swap():
     assert [s for s, _ in subs] == ["A", "B"] * len(PP34A.a)
     assert [s for s, _ in swapped] == ["B", "A"] * len(PP34A.a)
     assert [w for _, w in subs] == [w for _, w in swapped]
-
-
-def test_get_scheme():
-    assert get_scheme("pp34a") is PP34A
-    assert get_scheme("strang") is STRANG
-    with pytest.raises(ConfigurationError):
-        get_scheme("leapfrog")
