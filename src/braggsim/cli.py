@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, interferometer, scans, validation
 from .config import parse_config
-from .ensemble import robustness_curve
+from .ensemble import backend_window, robustness_curve
 from .errors import BraggSimError, ConfigurationError, ParameterError
 from .results import ResultTable, RunManifest, output_dir
 from .scans import DmpCriterion
@@ -112,6 +112,8 @@ def _map(rc, cfg, outdir, manifest):
     n = sc["order"]
     taus = np.linspace(sc["tau_min"], sc["tau_max"], sc["tau_count"])
     oms = np.linspace(sc["omega_min"], sc["omega_max"], sc["omega_count"])
+    if sc["spot_check_nodes"] > 0:   # the grid of the spot check must hold the order first
+        backend_window(n, range(n + 1), "grid", rc.grid_opts())
     res = scans.reflectivity_map(cfg, n, taus, oms, sc["pairs"], rc.distribution(),
                                  quadrature=rc.quadrature(), jobs=manifest.jobs,
                                  spec=rc.pulse_spec(),

@@ -163,7 +163,7 @@ class _Stepper:
 
     def potential(self, psi, t, dt):
         # V(x,t) = W f (1 + cos(x - dw*t + phi)); f evaluated at fraction t/tau
-        f = self.env.scalar(t / self.tau)
+        f = self.env.value_frac(t / self.tau)
         if f == 0.0 or self.W == 0.0:
             return psi
         theta = self.dw * t - self.phi

@@ -60,8 +60,8 @@ The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
 operation, so bitwise equal to it, without dense output or a scipy import.
 Before each attempted step it hands the 11 stage times to ``prepare``, and the
 right-hand side takes its bond phases for all of them from one vectorized
-table.  Envelopes are closed form and smooth on the pulse, so each pulse, or
-half pulse, is one solve.
+table.  Envelopes are closed form and smooth on the pulse, so each pulse is one
+``propagate_batch`` solve, and each half pulse one ``propagate_batch(part=0.5)`` solve.
 """
 from __future__ import annotations
 
@@ -228,31 +228,14 @@ def ladder_hamiltonian(q, pulse, cfg, t, j_window):
 
 
 def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                    j_window=None):
-    """Propagate amplitudes c0 of shape (dim, nq, ni) through one pulse.
+                    j_window=None, part=1.0):
+    """Propagate amplitudes c0 of shape (dim, nq, ni) through the first `part`
+    (1 or 1/2) of one pulse.
 
     qs has shape (nq,); all quasimomenta share one integration (their
     dynamics are independent, the batching only amortizes solver
-    overhead).  Returns the bare-frame amplitudes at the end of the
-    pulse.
+    overhead).  Returns the bare-frame amplitudes at the end.
     """
-    return _solve(qs, c0, pulse, cfg, rtol, atol, j_window, 1.0)
-
-
-def half_pulse_block(qs, pulse, cfg, classes, j_window, rtol, atol):
-    """Amplitudes U[b, q, a], a and b in classes, of a time-symmetric pulse from the
-    classes' columns over its first half (module docstring).  The solve runs at rtol/4
-    and atol/4: its error enters each amplitude twice."""
-    tau, _, dw, phi = pulse.dimensionless(cfg)
-    u = _solve(qs, unit_columns(j_window, len(qs), classes), pulse, cfg, rtol / 4, atol / 4,
-               j_window, 0.5)
-    lam = np.exp(1j * np.arange(j_window[0], j_window[1] + 1) * (dw * tau - 2 * phi))
-    back = np.conj(lam[np.asarray(classes) - j_window[0]])
-    return np.einsum("kqb,k,kqa->bqa", u, lam, u) * back[:, None, None]
-
-
-def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
-    """Bare-frame amplitudes after the first `part` (1 or 1/2) of the pulse."""
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if j_window is None:
         j_window = default_j_window(pulse.order_hint)
@@ -262,7 +245,7 @@ def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
         raise ParameterError("c0 shape does not match window/quasimomentum batch")
     tau, W, dw, phi = pulse.dimensionless(cfg)
     t1 = part * tau
-    env = pulse.envelope.scalar
+    env = pulse.envelope.value_frac
     K = (qs[None, :] + j[:, None]) ** 2          # (dim, nq)
     if W == 0.0:
         return c0 * np.exp(-1j * K * t1)[:, :, None]
@@ -298,6 +281,18 @@ def _solve(qs, c0, pulse, cfg, rtol, atol, j_window, part):
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})
     return sol.y[:, -1].reshape(dim, nq, ni) * np.exp(-1j * K * t1)[:, :, None]
+
+
+def half_pulse_block(qs, pulse, cfg, classes, j_window, rtol, atol):
+    """Amplitudes U[b, q, a], a and b in classes, of a time-symmetric pulse from one
+    ``propagate_batch(part=0.5)`` solve of the classes' columns (module docstring).
+    The solve runs at rtol/4 and atol/4: its error enters each amplitude twice."""
+    tau, _, dw, phi = pulse.dimensionless(cfg)
+    u = propagate_batch(qs, unit_columns(j_window, len(qs), classes), pulse, cfg,
+                        rtol=rtol / 4, atol=atol / 4, j_window=j_window, part=0.5)
+    lam = np.exp(1j * np.arange(j_window[0], j_window[1] + 1) * (dw * tau - 2 * phi))
+    back = np.conj(lam[np.asarray(classes) - j_window[0]])
+    return np.einsum("kqb,k,kqa->bqa", u, lam, u) * back[:, None, None]
 
 
 def integrate_ladder(state, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

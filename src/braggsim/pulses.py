@@ -17,29 +17,17 @@ A ``PulseSpec`` names the convention once, for every pulse it builds.
 
 Envelopes are closed form, Blackman or rectangular: each is smooth on
 [0, duration], so the ladder integrates a pulse without a restart.
+``Envelope.value_frac`` evaluates one at one float, the fractional time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ParameterError
 from .physics import PhysicalConfig
 
 BLACKMAN_MEAN = 0.42  # exact: the DC Fourier coefficient of the window
-
-
-def blackman_frac(u, cos=np.cos):
-    """Blackman window 0.42 - 0.5*cos(2*pi*u) + 0.08*cos(4*pi*u) at fractional
-    time u, without the cut to [0, 1].
-
-    The one place the formula is written.  ``Envelope.scalar`` passes
-    cos=math.cos to evaluate a Python float without numpy overhead.
-    """
-    w = 2 * np.pi * u
-    return 0.42 - 0.5 * cos(w) + 0.08 * cos(2 * w)
 
 
 @dataclass(frozen=True)
@@ -56,19 +44,15 @@ class Envelope:
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
 
     def value_frac(self, u):
-        """Envelope at fractional time u = t/duration, zero outside [0, 1]."""
-        u = np.asarray(u, dtype=float)
-        val = blackman_frac(u) if self.kind == "blackman" else np.ones_like(u)
-        out = np.where((u >= 0) & (u <= 1), val, 0.0)
-        return out if out.ndim else float(out)
-
-    def scalar(self, u):
-        """``value_frac`` of one Python float u, without numpy overhead; the
-        ladder right-hand side and the grid's potential substep call it once
-        per evaluation."""
+        """Envelope at one float u = t/duration, zero outside [0, 1]: the one place
+        the Blackman formula is written, called once per ladder right-hand side
+        and grid potential substep."""
         if not 0.0 <= u <= 1.0:
             return 0.0
-        return blackman_frac(u, math.cos) if self.kind == "blackman" else 1.0
+        if self.kind == "rectangular":
+            return 1.0
+        w = 2 * math.pi * u
+        return 0.42 - 0.5 * math.cos(w) + 0.08 * math.cos(2 * w)
 
     @property
     def mean(self):

@@ -31,7 +31,7 @@ class Ramp:
     duration: float
     mean = 0.5                     # time average of 1 - u over [0, 1]
 
-    def scalar(self, u):
+    def value_frac(self, u):
         return 1.0 - u if 0.0 <= u <= 1.0 else 0.0
 
 

@@ -152,7 +152,6 @@ def test_all_failed_map_fails_its_spot_check(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise IntegrationError("step size underflow")
     monkeypatch.setattr(ladder, "propagate_batch", boom)
-    monkeypatch.setattr(ladder, "half_pulse_block", boom)
     cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
     assert main(["map", "-c", cfg, "--jobs", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -283,12 +282,14 @@ def test_path_resolved_rejects_grid_backend(tmp_path, capsys):
 
 
 def test_commands_use_configured_ladder_tolerances(tmp_path, capsys, monkeypatch):
+    # every ladder solve is one propagate_batch call; a half pulse runs at a quarter of
+    # the configured tolerances
     seen = []
-    for name in ("propagate_batch", "half_pulse_block"):
-        def recording(*args, _fn=getattr(ladder, name), **kwargs):
-            seen.append((kwargs["rtol"], kwargs["atol"]))
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(ladder, name, recording)
+    def recording(*args, _fn=ladder.propagate_batch, **kwargs):
+        quarter = 4 if kwargs.get("part") == 0.5 else 1
+        seen.append((quarter * kwargs["rtol"], quarter * kwargs["atol"]))
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(ladder, "propagate_batch", recording)
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     for command in ("mzi", "robustness", "mirror-response"):
         seen.clear()
@@ -334,6 +335,21 @@ def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     assert main([*argv, "-c", cfg]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")   # failed before any node
+
+
+def test_spot_check_grid_is_checked_before_the_ladder_map(tmp_path, capsys):
+    # the spot check runs on the [propagator] grid, whatever the map's backend: a grid
+    # that cannot hold order 3 stops the map before its first node, not after the sweep
+    small = ["--jobs", "1", "--set", "propagator.grid_points=64", "--set", "scan.tau_count=2",
+             "--set", "scan.omega_count=2", "--set", "ensemble.nodes=7"]
+    cfg = _cfg(tmp_path, f"[output]\ndir = {tmp_path}/out\n")
+    assert main(["map", "-c", cfg, *small, "--set", "scan.spot_check_nodes=2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "cannot resolve order 3" in err["message"]
+    assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")
+    # without a spot check the same grid setting is never used, and the ladder maps
+    assert main(["map", "-c", cfg, *small, "--set", "scan.spot_check_nodes=0"]) == 0
+    assert len(ResultTable.read(f"{tmp_path}/out/map.tsv").rows) == 4
 
 
 def test_fringe_scan_follows_split_after(tmp_path, capsys):

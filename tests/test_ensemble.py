@@ -283,9 +283,8 @@ class TestResponseTable:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Counts of reflectivity_matrix calls and of ladder solves, whole or half pulse."""
-        calls = {"reflectivity_matrix": 0, "propagate_batch": 0, "half_pulse_block": 0}
-        for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch"),
-                             (ladder, "half_pulse_block")):
+        calls = {"reflectivity_matrix": 0, "propagate_batch": 0}
+        for module, name in ((ensemble, "reflectivity_matrix"), (ladder, "propagate_batch")):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -311,7 +310,7 @@ class TestResponseTable:
     def test_table_takes_few_solves(self, rb87, calls, mirror):
         recs, stats = robustness_curve(mirror, self.DPS, rb87)
         assert len(recs) == 21 and calls["reflectivity_matrix"] == 0
-        assert calls["propagate_batch"] + calls["half_pulse_block"] <= 3
+        assert calls["propagate_batch"] <= 3
         assert stats["quasimomenta_propagated"] == stats["response_points"]
         assert stats["response_tail"] < 1e-12
 
@@ -324,7 +323,7 @@ class TestResponseTable:
             calls["reflectivity_matrix"] = 0
             recs, stats = robustness_curve(mirror, dps, rb87, **kw)
             assert calls["reflectivity_matrix"] == len(recs) == 3, kw
-            assert calls["propagate_batch"] == calls["half_pulse_block"] == 0
+            assert calls["propagate_batch"] == 0
             assert stats == {"response_points": 0, "response_tail": 0.0,
                              "quasimomenta_propagated": nodes}
 
@@ -336,11 +335,10 @@ class TestMomentumMirror:
     def batch_sizes(self, monkeypatch):
         """Quasimomenta per ladder solve, whole pulse or half pulse, in call order."""
         sizes = []
-        for name in ("propagate_batch", "half_pulse_block"):
-            def spy(qs, *args, _run=getattr(ladder, name), **kwargs):
-                sizes.append(len(qs))
-                return _run(qs, *args, **kwargs)
-            monkeypatch.setattr(ladder, name, spy)
+        def spy(qs, *args, _run=ladder.propagate_batch, **kwargs):
+            sizes.append(len(qs))
+            return _run(qs, *args, **kwargs)
+        monkeypatch.setattr(ladder, "propagate_batch", spy)
         return sizes
 
     @pytest.mark.parametrize("n, p_c, nodes, half", [(3, 0.0, 41, 16), (3, 0.3, 40, 16),
@@ -378,26 +376,25 @@ class TestMomentumMirror:
 
     def test_half_pulse_only_for_one_symmetric_pulse(self, rb87, mirror, cloud, ramp_pulse,
                                                      monkeypatch):
-        paths = []
-        for name in ("propagate_batch", "half_pulse_block"):
-            def spy(*args, _name=name, _run=getattr(ladder, name), **kwargs):
-                paths.append(_name)
-                return _run(*args, **kwargs)
-            monkeypatch.setattr(ladder, name, spy)
+        paths = []   # the part of the pulse each ladder solve crosses
+        def spy(*args, _run=ladder.propagate_batch, **kwargs):
+            paths.append(kwargs.get("part", 1.0))
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(ladder, "propagate_batch", spy)
         gh = Quadrature("gauss-hermite", 5)
         lone = reflectivity_matrix(mirror, cloud, rb87, quadrature=gh).raw_matrix
         reflectivity_matrix(ramp_pulse(rb87, 3, 90e-6, TWO_PI * 23e3), cloud, rb87,
                             quadrature=gh)
         ensemble_average(mirror, cloud, rb87, quadrature=gh)
         reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87, quadrature=gh)
-        assert paths == ["half_pulse_block"] + ["propagate_batch"] * 4
+        assert paths == [0.5] + [1.0] * 4
         # free time around the one pulse leaves it a half-pulse solve
         paths.clear()
         for items in ((FreeEvolution(3e-4), mirror), (mirror, FreeEvolution(3e-4))):
             raw = reflectivity_matrix(PulseSequence(items), cloud, rb87,
                                       quadrature=gh).raw_matrix
             assert np.max(np.abs(raw - lone)) <= 1e-12
-        assert paths == ["half_pulse_block"] * 2
+        assert paths == [0.5] * 2
 
     def test_grid_backend_runs_every_node(self, rb87, batch_sizes, mirror, cloud,
                                           monkeypatch):

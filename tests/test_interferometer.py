@@ -265,16 +265,15 @@ class TestFringe:
     def test_default_scan_takes_two_half_pulse_solves(self, rb87, cloud, monkeypatch):
         # the beam splitters share one block, the mirror has the other, and the
         # closing-path detector needs no whole pulse
-        calls = []
-        for name in ("half_pulse_block", "propagate_batch"):
-            def spy(*args, _name=name, _fn=getattr(ladder, name), **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(ladder, name, spy)
+        parts = []
+        def spy(*args, _fn=ladder.propagate_batch, **kwargs):
+            parts.append(kwargs.get("part", 1.0))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ladder, "propagate_batch", spy)
         cfg = parse_config().physical()
         fringe_scan(parse_config().mzi_sequence(cfg), np.linspace(0, TWO_PI, 8, endpoint=False),
                     cloud, cfg, quadrature=FAST)
-        assert calls == ["half_pulse_block"] * 2
+        assert parts == [0.5] * 2
 
     def test_grid_backend_needs_all_detector(self, rb87):
         with pytest.raises(ParameterError):

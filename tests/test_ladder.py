@@ -308,7 +308,7 @@ class TestStepper:
                                first_step=1e-3, max_step=0.02)
         assert not sol.success and sol.naccepted == 0 and sol.nrejected > 0
         assert sol.nfev == 1 + 12 * sol.nrejected and "spacing" in sol.message
-        monkeypatch.setattr(Envelope, "scalar", lambda self, u: np.nan)
+        monkeypatch.setattr(Envelope, "value_frac", lambda self, u: np.nan)
         with pytest.raises(IntegrationError, match="ladder integration failed"):
             integrate_ladder(ladder_state(0, 0.0, order=3), mirror, rb87)
 

@@ -3,6 +3,9 @@ import os
 
 import numpy as np
 
+from braggsim.ensemble import MomentumDistribution, Quadrature, reflectivity_matrix
+from braggsim.pulses import Pulse
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -34,3 +37,20 @@ def test_reference_rows_still_compute(monkeypatch):
             _, _, row = TABLES[table](parse_config(overrides=overrides[label]))
             want = stored[wl.name][table]["rows"]["1"]
             assert np.max(np.abs(np.subtract(row(1), want))) <= 1e-12, table
+
+
+def test_traced_mirror_node_counts_its_solve_and_envelope(monkeypatch, rb87):
+    # the half-pulse node is one propagate_batch span, and every right-hand side
+    # evaluates the envelope once through the one traced evaluator
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+    mirror = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=2 * np.pi * 23e3)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        reflectivity_matrix(mirror, MomentumDistribution("gaussian", 0.0, 0.13), rb87,
+                            quadrature=Quadrature("gauss-hermite", 5))
+    finally:
+        tracer.restore()
+    assert [s[1] for s in tracer.spans].count("ladder.propagate_batch") == 1
+    assert tracer.leaves["pulses.envelope"][0] == tracer.leaves["ladder.rhs"][0] > 0

@@ -30,8 +30,8 @@ class TestBlackman:
         tau = 123e-6
         env = Envelope("blackman", tau)
         rng = np.random.default_rng(5)
-        t = rng.uniform(0, tau, 200)
-        assert np.max(np.abs(env.value_frac(t / tau) - env.value_frac((tau - t) / tau))) < 1e-14
+        for t in rng.uniform(0, tau, 200).tolist():
+            assert abs(env.value_frac(t / tau) - env.value_frac((tau - t) / tau)) < 1e-14
 
     def test_fwhm(self):
         # independent root finding of f(t) = 1/2
@@ -56,14 +56,6 @@ class TestEnvelope:
         assert env.mean == 1.0
         assert env.value_frac(1.0 / 2.0) == 1.0
         assert env.value_frac(2.5 / 2.0) == 0.0
-
-    @pytest.mark.parametrize("kind", ["blackman", "rectangular"])
-    def test_scalar_matches_value_frac_bitwise(self, kind):
-        # the scalar evaluator of the ladder right-hand side and the grid
-        # potential rounds like the numpy envelope, inside and outside [0, 1]
-        env = Envelope(kind, 1.0)
-        for u in np.linspace(-0.25, 1.25, 1201).tolist() + [0.0, 0.5, 1.0]:
-            assert env.scalar(u) == env.value_frac(u)
 
 
 class TestResonance:

@@ -64,7 +64,6 @@ class TestFailureTyping:
         def boom(*args, **kwargs):
             raise exc
         monkeypatch.setattr(ladder, "propagate_batch", boom)
-        monkeypatch.setattr(ladder, "half_pulse_block", boom)
 
     def _scans(self, rb87, cloud9):
         grid = TWO_PI * 1e3 * np.array([18.0, 21.0])
@@ -82,9 +81,9 @@ class TestFailureTyping:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_right_hand_side_is_a_failed_node(self, rb87, cloud9, monkeypatch):
         # the stepper fails on a NaN derivative; only that node is recorded as failed
-        scalar = Envelope.scalar
-        monkeypatch.setattr(Envelope, "scalar", lambda self, u: (
-            np.nan if self.duration == 105e-6 else scalar(self, u)))
+        value_frac = Envelope.value_frac
+        monkeypatch.setattr(Envelope, "value_frac", lambda self, u: (
+            np.nan if self.duration == 105e-6 else value_frac(self, u)))
         points = reflectivity_map(rb87, 3, np.array([90e-6, 105e-6]),
                                   TWO_PI * 1e3 * np.array([18.0, 21.0]), [(0, 3)], cloud9,
                                   quadrature=FAST).points
