@@ -195,6 +195,8 @@ def _parse_value(section, key, raw):
         if val is None or any(len(p) != 2 for p in val):
             raise ConfigurationError(
                 f"[{section}.{key}] expected pairs like \"0-3,1-2\", got {raw!r}")
+        if len(set(val)) < len(val):   # a repeat would name the same table columns twice
+            raise ConfigurationError(f"[{section}.{key}] repeats a pair in {raw!r}")
     else:
         val = s
     if isinstance(extra, tuple) and val not in extra:

@@ -21,6 +21,8 @@ metrics, each also as a fraction of the branch mass:
   depend on the free-evolution time.
 
 ``ladder.run_sequence`` splits the branches and picks how each segment crosses.
+``_branch_plan`` holds the one closing rule, a mask over the class histories in
+that runner's column order, which both ladder detectors read.
 """
 from __future__ import annotations
 
@@ -80,14 +82,12 @@ def run_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
     return PortReport(ports=port_mass, undetected=1.0 - sum(port_mass.values()))
 
 
-def _pulse_indices(items):
-    return [i for i, it in enumerate(items) if isinstance(it, Pulse)]
-
-
 def _branch_plan(seq, split_after):
-    """Validated split ordinals and the trajectory-closing test on histories."""
+    """Validated split ordinals, their class histories in ``ladder.run_sequence``
+    column order, and the one closing rule: a mask over those histories that keeps
+    the paths whose free-flight displacement matches one of the two resonant arms."""
     n = seq.order_hint
-    n_pulses = len(_pulse_indices(seq.items))
+    n_pulses = len(seq.pulses)
     split_after = tuple(sorted(set(split_after)))
     for s in split_after:
         if s not in range(n_pulses):
@@ -105,19 +105,13 @@ def _branch_plan(seq, split_after):
             free_after.append(0.0)
         elif free_after:
             free_after[-1] += it.duration
-
-    def displacement(history):
-        return sum(cls * free_after[s] for s, cls in zip(split_after, history))
-
-    ref_lower = displacement(tuple(0 if k % 2 == 0 else n for k in range(len(split_after))))
-    ref_upper = displacement(tuple(n if k % 2 == 0 else 0 for k in range(len(split_after))))
-
-    def closes(history):
-        d = displacement(history)
-        return abs(d - ref_lower) < 1e-12 * max(1.0, abs(ref_lower)) \
-            or abs(d - ref_upper) < 1e-12 * max(1.0, abs(ref_upper))
-
-    return split_after, closes
+    gaps = [free_after[s] for s in split_after]
+    histories = list(product(range(n + 1), repeat=len(split_after)))
+    disp = np.array([sum(c * g for c, g in zip(h, gaps)) for h in histories])
+    # the two resonant arms alternate between classes 0 and n
+    arms = [sum((a if k % 2 == 0 else n - a) * g for k, g in enumerate(gaps)) for a in (0, n)]
+    closing = np.any([np.abs(disp - r) < 1e-12 * max(1.0, abs(r)) for r in arms], axis=0)
+    return split_after, histories, closing
 
 
 def _port_probs(wts, C, ports, j_min):
@@ -144,14 +138,13 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
         raise ParameterError("path-resolved runs support the ladder backend only")
     n = seq.order_hint
     ports = (0, n)
-    split_after, closes = _branch_plan(seq, split_after)
+    split_after, histories, closing = _branch_plan(seq, split_after)
 
     qs, wts = dist.nodes(quadrature)
     j_min, j_max = window = ladder.default_j_window(n)
     C, pruned_per_q = ladder.run_sequence(
         qs, ladder.unit_columns(window, len(qs), (0,)), seq.items, cfg, window, rtol=rtol,
         atol=atol, split_after=split_after, classes=range(n + 1))
-    histories = list(product(range(n + 1), repeat=len(split_after)))
 
     pops = np.abs(C) ** 2                                            # (dim, nq, nb)
     branch_mass = np.tensordot(wts, pops.sum(axis=0), axes=(0, 0))   # (nb,)
@@ -159,14 +152,13 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     port_mass_b = np.tensordot(wts, pops[port_rows].sum(axis=0), axes=(0, 0))
     tree = [PathNode(history=h, weight=float(branch_mass[b]),
                      port_class_mass=float(port_mass_b[b]),
-                     port_coupled_mass=float(branch_mass[b]) if closes(h) else 0.0)
+                     port_coupled_mass=float(branch_mass[b]) if closing[b] else 0.0)
             for b, h in enumerate(histories)]
 
     # coherent recombination of branches (exact by linearity)
     coherent = _port_probs(wts, C.sum(axis=2), ports, j_min)
     # detector model: only trajectory-closing paths overlap the port spots
-    closing_cols = [b for b, nd in enumerate(tree) if nd.port_coupled_mass > 0]
-    ports_closing = _port_probs(wts, C[:, :, closing_cols].sum(axis=2), ports, j_min)
+    ports_closing = _port_probs(wts, C[:, :, closing].sum(axis=2), ports, j_min)
     report = PortReport(ports={p: coherent[p] for p in ports},
                         undetected=coherent["undetected"],
                         pruned=float(np.dot(wts, pruned_per_q)),
@@ -251,31 +243,27 @@ def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
         raise ParameterError("phi3 grid must span at least 2*pi")
     n = seq.order_hint
     ports = (0, n)
-    if backend == "ladder":
-        port_vals = _ladder_fringe(seq, phi3_grid, dist, cfg, quadrature, split_after,
-                                   rtol, atol)
-    elif split_after:
+    if backend != "ladder" and split_after:
         raise ParameterError("path-resolved runs support the ladder backend only")
+    last = max(i for i, it in enumerate(seq.items) if isinstance(it, Pulse))
+    nodes = dist.nodes(quadrature)
+    if backend == "ladder":
+        port_vals = _ladder_fringe(seq, last, phi3_grid, nodes, cfg, split_after, rtol, atol)
     else:
-        port_vals = _grid_fringe(seq, phi3_grid, dist, cfg, quadrature, grid_opts)
+        port_vals = _grid_fringe(seq, last, phi3_grid, nodes, cfg, grid_opts)
     rows = []
     for k, phi3 in enumerate(phi3_grid):
         vals = {p: float(port_vals[p][k]) for p in ports}
         rows.append({"phi3": float(phi3),
                      **{f"port_{p}": vals[p] for p in ports},
                      "undetected": 1.0 - sum(vals.values())})
-    fits = {}
-    for p in ports:
-        fits[p] = fit_fringe([r["phi3"] for r in rows],
-                             [r[f"port_{p}"] for r in rows], harmonic=n)
-    return rows, fits
+    return rows, {p: fit_fringe(phi3_grid, port_vals[p], harmonic=n) for p in ports}
 
 
-def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
-    """{port: probabilities at each phase} from one run of the shared prefix;
-    row k * len(nodes) + i of the last pulse is phase k at node i."""
-    last = _pulse_indices(seq.items)[-1]
-    qs, wts = dist.nodes(quadrature)
+def _grid_fringe(seq, last, phis, nodes, cfg, grid_opts):
+    """{port: probabilities at each phase} from one run of the items before the last
+    pulse, items[last]; its row k * len(qs) + i is phase k at node i."""
+    qs, wts = nodes
     st = gridprop.run_sequence(gridprop.plane_wave(grid_opts.grid.comb, np.zeros(len(qs), int),
                                                    qs), seq.items[:last], cfg, grid_opts)
     st = gridprop.GridState(st.grid, np.tile(st.psi, (len(phis), 1)), np.tile(st.q, len(phis)))
@@ -286,13 +274,11 @@ def _grid_fringe(seq, phis, dist, cfg, quadrature, grid_opts):
     return {p: pops[:, :, i] @ wts for i, p in enumerate(ports)}
 
 
-def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
-    """{port: probabilities at each phase} from one run of the shared prefix."""
+def _ladder_fringe(seq, last, phis, nodes, cfg, split_after, rtol, atol):
+    """{port: probabilities at each phase} from one run of the items before items[last]."""
     n = seq.order_hint
-    split_after, closes = _branch_plan(seq, split_after)
-    pulse_ids = _pulse_indices(seq.items)
-    last, n_prefix = pulse_ids[-1], len(pulse_ids) - 1
-    qs, wts = dist.nodes(quadrature)
+    split_after, _, closing = _branch_plan(seq, split_after)
+    qs, wts = nodes
     j_min, j_max = window = ladder.default_j_window(n)
     jj = np.arange(j_min, j_max + 1)
     dim, nq, nphi, classes = len(jj), len(qs), len(phis), range(n + 1)
@@ -300,26 +286,20 @@ def _ladder_fringe(seq, phis, dist, cfg, quadrature, split_after, rtol, atol):
 
     C, _ = ladder.run_sequence(qs, ladder.unit_columns(window, nq, (0,)), seq.items[:last],
                                cfg, window, split_after=split_after, **kw)
-    histories = list(product(classes, repeat=sum(s < n_prefix for s in split_after)))
-    final_closes = closes
-    if n_prefix not in split_after:
+    if len(seq.pulses) - 1 not in split_after:
         # the detector's branch sum commutes with the last pulse
-        C = C[:, :, np.array([closes(h) for h in histories], dtype=bool)].sum(
-            axis=2, keepdims=True)
-        histories, final_closes = [()], (lambda h: True)
+        C = C[:, :, closing].sum(axis=2, keepdims=True)
+        closing = np.ones(n + 1, dtype=bool)
 
     # one gauge-rotated copy per phase, phase-major along the column axis, about the
     # first pulse's phase: a closing pulse like the opening one reuses its block
     phi_ref = float(seq.pulses[0].phase)
     gauge = np.exp(1j * np.outer(jj, phis - phi_ref))               # (dim, nphi)
-    ncol = C.shape[2]
-    C = (np.conj(gauge)[:, None, :, None] * C[:, :, None, :]).reshape(dim, nq, nphi * ncol)
+    C = (np.conj(gauge)[:, None, :, None] * C[:, :, None, :]).reshape(dim, nq, -1)
     items = (replace(seq.items[last], phase=phi_ref), *seq.items[last + 1:])
     # split after the last pulse too: the ports are classes, so the detected sum is
     # unchanged, and columns confined to classes 0..n cross it by its class block
     C, _ = ladder.run_sequence(qs, C, items, cfg, window, split_after=(0,), **kw)
-    histories = [h + (c,) for h in histories for c in classes]
-    C = C.reshape(dim, nq, nphi, len(histories)) * gauge[:, None, :, None]
-    detected_cols = np.array([final_closes(h) for h in histories], dtype=bool)
-    pops = np.abs(C[:, :, :, detected_cols].sum(axis=3)) ** 2         # (dim, nq, nphi)
+    C = C.reshape(dim, nq, nphi, len(closing)) * gauge[:, None, :, None]
+    pops = np.abs(C[:, :, :, closing].sum(axis=3)) ** 2               # (dim, nq, nphi)
     return {p: wts @ pops[p - j_min] for p in (0, n)}

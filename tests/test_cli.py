@@ -326,10 +326,11 @@ def test_override_flags_dotted(tmp_path, capsys):
     # a grid no scan node fits (classes 2, 3 beyond Nyquist, or no margin 4 above order 3)
     *[([command, "--set", "propagator.backend=grid", "--set", f"propagator.grid_points={n}"],
        "ParameterError") for command in ("map", "rabi-scan") for n in (32, 64)],
+    (["map", "--set", "scan.pairs=0-3,0-3"], "ConfigurationError"),  # columns named twice
 ], ids=["split-after", "phi3-scan", "pairs-beyond-order", "grid-periods-not-dividing",
         "negative-jobs", "split-after-on-grid-scan", "split-after-on-port-run",
         "path-resolved-with-phi3-scan", "map-grid-32", "map-grid-64", "rabi-scan-grid-32",
-        "rabi-scan-grid-64"])
+        "rabi-scan-grid-64", "repeated-pair"])
 def test_bad_command_line_value_is_a_typed_error(tmp_path, capsys, argv, error):
     cfg = _cfg(tmp_path, f"[ensemble]\nnodes = 3\n[output]\ndir = {tmp_path}/out\n")
     assert main([*argv, "-c", cfg]) == 2

@@ -105,6 +105,29 @@ class TestPathResolved:
         for cls in (1, 2):
             assert out[3e-4][cls] == pytest.approx(out[8e-4][cls], abs=1e-9)
 
+    def test_closing_rule_with_unequal_gaps(self, rb87, cloud):
+        # with gaps T and 2T the history (c0, c1) drifts (c0 + 2 c1) T and closes at 3T
+        # or 6T, the arms (3, 0) and (0, 3); with equal gaps it closes when c0 + c1 = 3
+        bs1, mirror, bs3 = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
+                                                 TWO_PI * 21e3, 3e-4, phi1=0.4321).pulses
+        point = MomentumDistribution("gaussian", 0.0, 0.0)
+
+        def mzi(t2):
+            return PulseSequence((bs1, FreeEvolution(3e-4), mirror, FreeEvolution(t2), bs3))
+
+        closing = [{nd.history for nd in path_resolved_mzi(mzi(t2), point, rb87)[0]
+                    if nd.port_coupled_mass > 0} for t2 in (6e-4, 3e-4)]
+        assert closing == [{(0, 3), (1, 1), (2, 2), (3, 0)}, {(0, 3), (1, 2), (2, 1), (3, 0)}]
+        # the fringe scan's detector keeps the same paths
+        phis = np.array([0.3, 0.5, 1.7, 2.2, 3.9, 5.0, 6.6])
+        fast = Quadrature("gauss-hermite", 7)
+        for split_after in ((0, 1), (0, 1, 2)):
+            ref = TestFringe._per_phase_reference(mzi(6e-4), phis, cloud, rb87, fast,
+                                                  "closing", split_after)
+            rows, _ = fringe_scan(mzi(6e-4), phis, cloud, rb87, quadrature=fast,
+                                  split_after=split_after)
+            new = np.array([[r["port_0"], r["port_3"]] for r in rows])
+            assert np.max(np.abs(new - ref)) <= 1e-10
 
     def test_branch_walk_keeps_its_values(self):
         # stored runs of the default MZI: every PathNode field, the ports and

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Check that two source trees of braggsim give the same CLI outputs.
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
+
+Each command runs once per tree as a fresh ``python3 -m braggsim.cli ...
+--jobs 1`` process with ``PYTHONPATH=<tree>/src``, in an empty working
+directory, so its results land in that directory's ``out/``.  The commands
+are every benchmark workload command (``perfbench/workloads.py``) at seeds
+0, 3 and 7, plus, at the config defaults, the CLI paths no workload runs.
+
+Every output file, stdout, stderr and the exit code must be identical; the
+``*_manifest.json`` files are compared as JSON without ``wall_time_s`` and
+``timestamp``.  Each difference is printed, and the exit code is 1 if there
+is any, else 0.
+"""
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SEEDS = (0, 3, 7)
+TIMING_KEYS = ("wall_time_s", "timestamp")
+EXTRA_COMMANDS = [
+    ("rabi_scan", ["rabi-scan"]),
+    ("mirror_response", ["mirror-response"]),
+    ("mzi", ["mzi"]),
+    *[(f"mzi_path_resolved_{s.replace(',', '')}",
+       ["mzi", "--path-resolved", "--split-after", s, "--set", "sequence.phi3=0.5"])
+      for s in ("0,1", "0,1,2")],
+    ("mzi_phi3_scan", ["mzi", "--phi3-scan", "8"]),
+    ("mzi_grid_phi3_scan", ["mzi", "--phi3-scan", "4", "--set", "propagator.backend=grid",
+                            "--set", "ensemble.nodes=3"]),
+    ("oracle_diff", ["oracle-diff"]),
+    ("check", ["check"]),
+    ("check_strang", ["check", "--set", "propagator.scheme=strang"]),
+]
+
+
+def commands():
+    """[(label, argv after ``braggsim.cli``)], each with ``--jobs 1``."""
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+    sys.dont_write_bytecode = True        # import the workloads without writing to them
+    from workloads import WORKLOADS
+    out = [(f"{name}/{label}/seed{seed}", argv)
+           for name, w in WORKLOADS.items() for seed in SEEDS
+           for label, argv, _ in w.commands(seed)]
+    out += [(label, [*argv, "--jobs", "1"]) for label, argv in EXTRA_COMMANDS]
+    return out
+
+
+def run(tree, argv, cwd):
+    """(exit code, stdout, stderr) of one CLI process on tree's sources."""
+    env = {k: v for k, v in os.environ.items() if k != "BRAGGSIM_OUTPUT_ROOT"}
+    env.update(PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    p = subprocess.run([sys.executable, "-m", "braggsim.cli", *argv], cwd=cwd, env=env,
+                       capture_output=True)
+    return p.returncode, p.stdout, p.stderr
+
+
+def files(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def same_file(a, b):
+    if not a.endswith("_manifest.json"):
+        return filecmp.cmp(a, b, shallow=False)
+    docs = []
+    for path in (a, b):
+        with open(path) as fh:
+            doc = json.load(fh)
+        docs.append({k: v for k, v in doc.items() if k not in TIMING_KEYS})
+    return docs[0] == docs[1]
+
+
+def compare(label, argv, trees):
+    """The differences between the trees' runs of one command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, str(k)) for k in range(len(trees))]
+        results = []
+        for tree, d in zip(trees, dirs):
+            os.makedirs(d)
+            results.append(run(tree, argv, d))
+        diffs = [f"{label}: {what} differs" for what, a, b in
+                 zip(("exit code", "stdout", "stderr"), *results) if a != b]
+        names = [files(d) for d in dirs]
+        for name in sorted(set(names[0]) ^ set(names[1])):
+            diffs.append(f"{label}: {name} written by one tree only")
+        for name in sorted(set(names[0]) & set(names[1])):
+            if not same_file(*(os.path.join(d, name) for d in dirs)):
+                diffs.append(f"{label}: {name} differs")
+        return diffs, len(names[0]), results[0][0]
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    diffs, n_files, cmds = [], 0, commands()
+    for label, cmd in cmds:
+        found, n, code = compare(label, cmd, args)
+        n_files += n
+        print(f"{'DIFF' if found else 'same'}  {label}  (exit {code}, {n} files)", flush=True)
+        for d in found:
+            print(f"  {d}", flush=True)
+        diffs += found
+    print(f"{len(cmds)} commands, {n_files} files per tree, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
