@@ -21,6 +21,8 @@ overrides a key after the file is read, checked as a file key is.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
+Its tol defaults to the chosen scheme's own: 1e-10 for the default pp56,
+1e-8 for pp34a and strang; pp34a at tol 1e-8 reproduces braggsim 0.1.3.
 ``[pulse]`` envelope, omega_convention, p0 (the momentum the pulses are
 tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
 every command that makes one; ``mzi`` takes its phases, durations, Rabi
@@ -39,7 +41,7 @@ from .errors import ConfigurationError
 from .physics import ATOMIC_MASS_KG, PhysicalConfig, default_rb87
 from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
 from .ensemble import MomentumDistribution, Quadrature
-from .splitting import PP34A, SCHEMES
+from .splitting import PP56, SCHEMES
 
 TWO_PI = 6.283185307179586476925286766559
 
@@ -142,8 +144,8 @@ _SCHEMA = {
     },
     "propagator": {
         "backend": ("str", "ladder", ("ladder", "grid")),
-        "scheme": ("str", PP34A.name, tuple(SCHEMES)),
-        "tol": ("float", gridprop.DEFAULT_TOL, _positive),
+        "scheme": ("str", PP56.name, tuple(SCHEMES)),
+        "tol": ("float", None, _positive),   # None: the scheme's own default
         "ladder_rtol": ("float", ladder.DEFAULT_RTOL, _positive),
         "ladder_atol": ("float", ladder.DEFAULT_ATOL, _positive),
         "grid_points": ("int", gridprop.DEFAULT_NUM_POINTS, _positive),
@@ -302,4 +304,6 @@ def parse_config(path=None, overrides=(), text=None):
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{sec}]; expected {sorted(_SCHEMA[sec])}")
             sections[sec][key] = _parse_value(sec, key, raw)
+    pr = sections["propagator"]
+    pr["tol"] = SCHEMES[pr["scheme"]].tol if pr["tol"] is None else pr["tol"]
     return RunConfig(sections)

@@ -16,7 +16,8 @@ vector norm.  A plane wave occupies every num_periods-th mode only, so
 Steps follow a splitting scheme from :mod:`braggsim.splitting`; the
 kinetic substep carries the clock, the potential substep is evaluated at
 the frozen clock time.  Adaptive stepping controls the embedded pair
-estimate of the scheme per unit time.
+estimate per unit time, by default below the scheme's own tol: 1e-10 for
+pp56 (the default), 1e-8 for pp34a and strang; pp34a at 1e-8 reproduces 0.1.3.
 """
 from __future__ import annotations
 
@@ -27,11 +28,10 @@ from numpy.fft import fft, ifft
 
 from .errors import ParameterError, StiffnessError
 from .pulses import Pulse
-from .splitting import PP34A, SplittingScheme
+from .splitting import PP56, SplittingScheme
 
 DEFAULT_NUM_POINTS = 512
 DEFAULT_NUM_PERIODS = 8
-DEFAULT_TOL = 1e-8          # error estimate per unit dimensionless time
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Settings of the split-step backend: grid, splitting scheme, step tolerance."""
+    """Settings of the split-step backend: grid, scheme, tol (None: the scheme's)."""
 
     grid: Grid = Grid()
-    scheme: SplittingScheme = PP34A
-    tol: float = DEFAULT_TOL
+    scheme: SplittingScheme = PP56
+    tol: float = None
+
+    def __post_init__(self):
+        if self.tol is None:
+            object.__setattr__(self, "tol", self.scheme.tol)
 
 
 @dataclass
@@ -138,9 +142,9 @@ class _Stepper:
     """One pulse's splitting substeps on one grid, after the Nyquist check.
 
     ``step`` applies the scheme's plain member, or with swap_roles the
-    role-swapped one.  Both take the same kinetic weights (PP34A: b =
-    reversed(a)), so each exp(-i (k+q)^2 w h) is computed once per step
-    size h, for both.  The pulse's phase may be one per row.
+    role-swapped one.  Both take the same kinetic weights (a palindromic
+    pair: b = reversed(a)), so each exp(-i (k+q)^2 w h) is computed once per
+    step size h, for both.  The pulse's phase may be one per row.
     """
 
     def __init__(self, state, pulse, cfg, scheme):
@@ -148,7 +152,7 @@ class _Stepper:
         self.tau, self.W, self.dw, phi = pulse.dimensionless(cfg)
         self.phi = np.reshape(phi, (-1, 1)) if np.ndim(phi) else phi
         self.env = pulse.envelope
-        self.scheme = scheme
+        self.members = (scheme.substeps(), scheme.substeps(swap_roles=True))
         k = state.k
         self.k2 = k * k
         x = state.grid.x
@@ -162,8 +166,10 @@ class _Stepper:
         return ifft(fft(psi) * self.kinetic_factors[dt])
 
     def potential(self, psi, t, dt):
-        # V(x,t) = W f (1 + cos(x - dw*t + phi)); f evaluated at fraction t/tau
-        f = self.env.value_frac(t / self.tau)
+        # V(x,t) = W f (1 + cos(x - dw*t + phi)); f at fraction u = t/tau, mirrored
+        # about the nearer edge when u leaves [0, 1]: f's smooth continuation
+        u = t / self.tau
+        f = self.env.value_frac(min(abs(u), 2.0 - u))
         if f == 0.0 or self.W == 0.0:
             return psi
         theta = self.dw * t - self.phi
@@ -175,7 +181,7 @@ class _Stepper:
         if h != self.h:
             self.h, self.kinetic_factors = h, {}
         clock = t
-        for slot, w in self.scheme.substeps(swap_roles=swap_roles):
+        for slot, w in self.members[swap_roles]:
             if slot == "A":
                 psi = self.kinetic(psi, w * h)
                 clock += w * h
@@ -184,14 +190,14 @@ class _Stepper:
         return psi
 
 
-def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
-                    tol=DEFAULT_TOL):
+def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP56, tol=None):
     """Advance a grid state through one pulse with adaptive splitting steps.
 
-    tol bounds the embedded-pair error estimate per unit dimensionless
-    time.  Raises StiffnessError if the controller underflows below
-    tau * 1e-9.
+    tol (None: ``scheme.tol``) bounds the embedded-pair error estimate per
+    unit dimensionless time.  Raises StiffnessError if the controller
+    underflows below tau * 1e-9.
     """
+    tol = scheme.tol if tol is None else tol
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     st = _Stepper(state, pulse, cfg, scheme)
@@ -223,7 +229,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP34A,
     return GridState(state.grid, psi, state.q)
 
 
-def propagate_pulse_fixed(state, pulse, cfg, scheme=PP34A, n_steps=400, backward=False):
+def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, backward=False):
     """Fixed-step propagation, forward or exactly reversed.
 
     Forward steps advance as ``scheme.advance`` says.  backward=True runs

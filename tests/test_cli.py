@@ -50,6 +50,26 @@ def test_check_command(tmp_path, capsys):
     assert all(isinstance(row[2], str) for row in table.rows)
 
 
+def test_check_under_the_other_schemes(tmp_path, capsys):
+    # pp34a at its own default tol writes the data rows of 0.1.3's default check;
+    # strang passes at its own default tol
+    assert main(["check", "-o", f"{tmp_path}/pp34a", "--set", "propagator.scheme=pp34a"]) == 0
+    with open(f"{tmp_path}/pp34a/check.tsv") as fh:
+        rows = [line for line in fh if not line.startswith("#")][1:]
+    assert rows == [
+        "unit_round_trip\t1\tmax rel err 2.22e-16\n",
+        "ladder_norm_drift\t1\t4.11e-13\n",
+        "grid_norm_drift\t1\t2.50e-13 over comb rows 0..3\n",
+        "offcomb_population\t1\t2.16e-29 after 600 fixed steps\n",
+        "palindromic_reversal\t1\treturn error 6.90e-14\n",
+        "phase_gauge_invariance\t1\tmax pop change 1.67e-15\n",
+        "quadrature_convergence\t1\tmax class change 1.89e-15\n",
+        "ladder_truncation\t1\tmax change 8.02e-14\n",
+        "oracle_diff\t1\tmax dev 7.61e-13\n"]
+    assert main(["check", "-o", f"{tmp_path}/strang", "--set", "propagator.scheme=strang"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_rabi_scan_follows_omega_convention(tmp_path, capsys):
     # peak Rabi values reach P3's first maximum at about 54 kHz, avg at 23 kHz
     cfg = _cfg(tmp_path, "[scan]\nomega_min = 10\nomega_max = 80\nomega_count = 15\n"
@@ -224,7 +244,7 @@ def test_default_map_node_cache_key(tmp_path, monkeypatch):
     assert main(["map", "-o", str(tmp_path), "--jobs", "1",
                  "--set", "scan.spot_check_nodes=0"]) == 0
     with open(f"{tmp_path}/map_cache.jsonl") as fh:
-        assert json.loads(fh.readline())["hash"] == "455e68bbfebe7302"
+        assert json.loads(fh.readline())["hash"] == "6c7b64c3d69ea44f"
 
 
 def test_mirror_response_command(tmp_path, capsys):

@@ -13,7 +13,7 @@ from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
 from braggsim.gridprop import Grid, GridOptions
 from braggsim.results import ResultTable, RunManifest, manifest_hash
-from braggsim.splitting import STRANG
+from braggsim.splitting import PP34A, PP56, STRANG
 
 TWO_PI = 2 * np.pi
 
@@ -44,7 +44,8 @@ class TestParseConfig:
         assert set(echo) == {"physics", "pulse", "sequence", "ensemble",
                              "propagator", "scan", "output"}
         assert rc.get("pulse", "order") == 3
-        assert rc.get("propagator", "scheme") == "pp34a"
+        assert rc.get("propagator", "scheme") == "pp56"
+        assert rc.get("propagator", "tol") == PP56.tol
         assert rc.get("ensemble", "nodes") == 41
         assert rc.physical().wavelength == 780.226e-9
 
@@ -112,6 +113,10 @@ class TestParseConfig:
                                               "propagator.tol=1e-9"])
         assert rc.grid_opts() == GridOptions(Grid(256, 4), STRANG, 1e-9)
         assert parse_config(text="").grid_opts() == GridOptions()
+        # an unset tol is the chosen scheme's own
+        rc = parse_config(text="", overrides=["propagator.scheme=pp34a"])
+        assert rc.get("propagator", "tol") == 1e-8
+        assert rc.grid_opts() == GridOptions(scheme=PP34A) == GridOptions(Grid(), PP34A, 1e-8)
 
     def test_pulse_factory_uses_avg_convention(self, rb87):
         rc = parse_config(text='[pulse]\norder = 3\ntau = "120 us"\nomega = 21\n')
@@ -211,6 +216,6 @@ class TestManifest:
         # package.  A change of what the hash covers must change this literal.
         assert main(["check", "-o", str(tmp_path)]) == 0
         man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
-        assert man["manifest_hash"] == "936f5b780fef84fc"
+        assert man["manifest_hash"] == "947910c150cdf801"
         table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
-        assert table.provenance["manifest_hash"] == "936f5b780fef84fc"
+        assert table.provenance["manifest_hash"] == "947910c150cdf801"

@@ -10,7 +10,7 @@ from braggsim.errors import ParameterError
 from braggsim.gridprop import Grid, class_masses, free_evolve, plane_wave, \
     momentum_populations, propagate_pulse, propagate_pulse_fixed
 from braggsim.pulses import Pulse
-from braggsim.splitting import PP34A, STRANG
+from braggsim.splitting import PP34A, PP56, STRANG
 
 TWO_PI = 2 * np.pi
 
@@ -165,10 +165,29 @@ class TestPropagatePulse:
         lout = ladder.integrate_ladder(ladder.ladder_state(0, 0.0, order=3), mirror, rb87)
         assert pops[3] == pytest.approx(lout.population(3), abs=1e-4)
 
+    def test_rectangular_pulse_keeps_the_order_at_its_edges(self, rb87):
+        # pp56's substep clocks leave the pulse by up to 0.21 h, where the envelope's
+        # mirror image continues it; a zero there would be a jump that no step clears
+        pulse = Pulse.on_resonance(rb87, 1, 100e-6, rabi_avg=(np.pi / 2) / 100e-6,
+                                   envelope_kind="rectangular")
+        out = propagate_pulse(plane_wave(Grid().comb, np.arange(2), 0.0), pulse, rb87)
+        for j in (0, 1):
+            lout = ladder.integrate_ladder(ladder.ladder_state(j, 0.0, order=1), pulse, rb87,
+                                           rtol=1e-13, atol=1e-15)
+            pops = class_masses(gridprop.GridState(out.grid, out.psi[j], 0.0), (0, 1))
+            assert np.max(np.abs(pops - [lout.population(0), lout.population(1)])) < 1e-11
+
     def test_stiffness_guard(self, rb87):
         pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3)
         with pytest.raises(ParameterError):
             propagate_pulse(plane_wave(Grid(), 0, 0.0), pulse, rb87, tol=-1.0)
+
+    def test_pp56_tol_has_a_tenfold_margin_above_underflow(self, rb87, mirror):
+        # the pair's estimate has a roundoff floor, below which a step can never pass;
+        # pp56 clears it at a tenth of its default tol on the check pulse's comb rows
+        rows = plane_wave(Grid().comb, np.arange(4), 0.0)
+        out = propagate_pulse(rows, mirror, rb87, scheme=PP56, tol=PP56.tol / 10)
+        assert np.max(np.abs(np.linalg.norm(out.psi, axis=-1) - 1.0)) < 1e-10
 
 
 class TestFixedStepAndReversal:
@@ -188,7 +207,7 @@ class TestFixedStepAndReversal:
                                      backward=True)
         assert np.linalg.norm(back.psi - st.psi) < 1e-8
 
-    @pytest.mark.parametrize("scheme,min_slope", [(PP34A, 3.8), (STRANG, 1.8)])
+    @pytest.mark.parametrize("scheme,min_slope", [(PP34A, 3.8), (STRANG, 1.8), (PP56, 4.8)])
     def test_convergence_order(self, rb87, scheme, min_slope):
         pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
         st = plane_wave(Grid(256, 8), 0, 0.0)
@@ -232,16 +251,18 @@ class TestRows:
 
     def test_rows_match_one_at_a_time(self, rb87):
         # the rows share the steps of the worst row, so each differs from its own
-        # run by less than the controller's error; tol 1e-9 puts that below 1e-12
+        # run by less than the controller's error: below 1e-12 for pp34a at tol 1e-9
+        # and for pp56 at its default tol
         pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
         g = Grid(64, 1)
-        rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, tol=1e-9)
-        assert rows.psi.shape == (4, 64)
-        single = [propagate_pulse(plane_wave(g, j, q), pulse, rb87, tol=1e-9)
-                  for j, q in zip(self.JS, self.QS)]
         classes = range(-2, 6)
-        one = np.array([gridprop.class_masses(st, classes) for st in single])
-        assert np.max(np.abs(gridprop.class_masses(rows, classes) - one)) <= 1e-12
+        for scheme, tol in ((PP34A, 1e-9), (PP56, None)):
+            rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, scheme, tol)
+            assert rows.psi.shape == (4, 64)
+            one = np.array([gridprop.class_masses(propagate_pulse(
+                plane_wave(g, j, q), pulse, rb87, scheme, tol), classes)
+                for j, q in zip(self.JS, self.QS)])
+            assert np.max(np.abs(gridprop.class_masses(rows, classes) - one)) <= 1e-12
 
     def test_fixed_steps_and_free_evolution_broadcast(self, rb87, mirror):
         g = Grid(64, 1)
@@ -266,7 +287,7 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         out = propagate_pulse(plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"]), pulse,
-                              rb87, tol=ref["tol"])
+                              rb87, scheme=PP34A, tol=ref["tol"])
         assert np.array_equal(steps, ref["h"])
         assert np.array_equal(out.psi, np.array(ref["psi_re"]) + 1j * np.array(ref["psi_im"]))
 
@@ -279,8 +300,9 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         st = plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"])
-        fwd = propagate_pulse_fixed(st, pulse, rb87, n_steps=ref["n_steps"])
-        back = propagate_pulse_fixed(fwd, pulse, rb87, n_steps=ref["n_steps"], backward=True)
+        fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"])
+        back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
+                                     backward=True)
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))
@@ -296,7 +318,8 @@ class TestRows:
         st = plane_wave(Grid(*ref["grid"]), np.array(ref["inputs"]), np.array(ref["q"]))
         fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=replace(PP34A, advance="primary"),
                                     n_steps=ref["n_steps"])
-        back = propagate_pulse_fixed(fwd, pulse, rb87, n_steps=ref["n_steps"], backward=True)
+        back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
+                                     backward=True)
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))

@@ -30,3 +30,9 @@ def test_offcomb_mass_after_the_reversal_forward_pass(rb87, check_pulse):
     fwd = propagate_pulse_fixed(plane_wave(Grid(), 0, 0.0), check_pulse, rb87,
                                 scheme=replace(PP34A, advance="primary"), n_steps=600)
     assert momentum_populations(fwd)["offcomb"] < 1e-12
+
+
+def test_default_grid_matches_a_tight_ladder_on_the_check_pulse(rb87, check_pulse):
+    # pp56 at its default tol; 0.1.3's pp34a at tol 1e-8 read 7.5e-13
+    od = oracle_diff(check_pulse, rb87, rtol=1e-13, atol=1e-15)
+    assert od["max_abs_dev"] <= 1e-12
