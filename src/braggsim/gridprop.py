@@ -17,7 +17,7 @@ Steps follow a splitting scheme from :mod:`braggsim.splitting`; the
 kinetic substep carries the clock, the potential substep is evaluated at
 the frozen clock time.  Adaptive stepping controls the embedded pair
 estimate per unit time, by default below the scheme's own tol: 1e-10 for
-pp56 (the default), 1e-8 for pp34a and strang; pp34a at 1e-8 reproduces 0.1.3.
+pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 reproduces 0.1.3.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Settings of the split-step backend: grid, scheme, tol (None: the scheme's)."""
+    """Settings of the split-step backend: grid, scheme, tol > 0 (None: the scheme's)."""
 
     grid: Grid = Grid()
     scheme: SplittingScheme = PP56
@@ -92,6 +92,8 @@ class GridOptions:
     def __post_init__(self):
         if self.tol is None:
             object.__setattr__(self, "tol", self.scheme.tol)
+        if self.tol <= 0:
+            raise ParameterError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -142,9 +144,9 @@ class _Stepper:
     """One pulse's splitting substeps on one grid, after the Nyquist check.
 
     ``step`` applies the scheme's plain member, or with swap_roles the
-    role-swapped one.  Both take the same kinetic weights (a palindromic
-    pair: b = reversed(a)), so each exp(-i (k+q)^2 w h) is computed once per
-    step size h, for both.  The pulse's phase may be one per row.
+    role-swapped one.  Both take the same kinetic weights, so each
+    exp(-i (k+q)^2 w h) is computed once per step size h, for both.  The
+    pulse's phase may be one per row.
     """
 
     def __init__(self, state, pulse, cfg, scheme):
@@ -190,16 +192,15 @@ class _Stepper:
         return psi
 
 
-def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP56, tol=None):
-    """Advance a grid state through one pulse with adaptive splitting steps.
+def propagate_pulse(state, pulse: Pulse, cfg, opts=GridOptions()):
+    """Advance a grid state through one pulse with adaptive pair-mean steps.
 
-    tol (None: ``scheme.tol``) bounds the embedded-pair error estimate per
-    unit dimensionless time.  Raises StiffnessError if the controller
-    underflows below tau * 1e-9.
+    opts.tol bounds opts.scheme's pair error estimate per unit dimensionless
+    time.  A step ending within 1% of tau ends on it (Hairer's DOPRI rule),
+    so no remainder falls below the estimate's roundoff floor.  Raises
+    StiffnessError if the controller underflows below tau * 1e-9.
     """
-    tol = scheme.tol if tol is None else tol
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    scheme, tol = opts.scheme, opts.tol
     st = _Stepper(state, pulse, cfg, scheme)
     psi = state.psi.copy()
     t = 0.0
@@ -207,7 +208,8 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP56, to
     h_min = st.tau * 1e-9
     expo = 1.0 / (scheme.err_order + 1)
     while t < st.tau:
-        h = min(h, st.tau - t)
+        if t + 1.01 * h >= st.tau:
+            h = st.tau - t
         psi_ab = st.step(psi, t, h)
         psi_ba = st.step(psi, t, h, swap_roles=True)
         d = psi_ab - psi_ba
@@ -215,7 +217,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP56, to
                           np.max(np.linalg.norm(d, axis=-1)))
         tol_step = tol * h
         if err <= tol_step:
-            psi = 0.5 * (psi_ab + psi_ba) if scheme.advance == "average" else psi_ab
+            psi = 0.5 * (psi_ab + psi_ba)
             t += h
         if err > 0:
             h *= min(5.0, max(0.2, 0.9 * (tol_step / err) ** expo))
@@ -229,23 +231,24 @@ def propagate_pulse(state, pulse: Pulse, cfg, scheme: SplittingScheme = PP56, to
     return GridState(state.grid, psi, state.q)
 
 
-def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, backward=False):
+def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, run="average"):
     """Fixed-step propagation, forward or exactly reversed.
 
-    Forward steps advance as ``scheme.advance`` says.  backward=True runs
-    the role-swapped member with step -h, the clock from tau down to 0;
-    for a palindromic scheme this is the exact inverse (to roundoff) of a
-    forward pass with advance "primary".
+    run "average" advances the pair mean, "primary" the plain member, and
+    "backward" the role-swapped member with step -h, the clock from tau
+    down to 0: the exact inverse (to roundoff) of a "primary" pass.
     """
+    if run not in ("average", "primary", "backward"):
+        raise ParameterError(f"run must be 'average', 'primary' or 'backward', got {run!r}")
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     st = _Stepper(state, pulse, cfg, scheme)
     psi = state.psi.copy()
     h = st.tau / n_steps
-    for i in reversed(range(n_steps)) if backward else range(n_steps):
-        if backward:
+    for i in reversed(range(n_steps)) if run == "backward" else range(n_steps):
+        if run == "backward":
             psi = st.step(psi, (i + 1) * h, -h, swap_roles=True)
-        elif scheme.advance == "average":
+        elif run == "average":
             psi = 0.5 * (st.step(psi, i * h, h) + st.step(psi, i * h, h, swap_roles=True))
         else:
             psi = st.step(psi, i * h, h)
@@ -267,7 +270,7 @@ def run_sequence(state, items, cfg, opts):
     pulses step with the scheme and tolerance of opts."""
     for item in items:
         if isinstance(item, Pulse):
-            state = propagate_pulse(state, item, cfg, scheme=opts.scheme, tol=opts.tol)
+            state = propagate_pulse(state, item, cfg, opts)
         else:
             state = free_evolve(state, cfg.to_dimensionless(item.duration, "time"))
     return state

@@ -1,23 +1,20 @@
 """Operator-splitting schemes for the split-step propagator.
 
-A scheme advances exp(h*(A+B)) as the ordered product
-A(a_1) B(b_1) ... A(a_s) B(b_s), where A is the kinetic flow (which also
-carries the clock for time-dependent potentials) and B the potential flow
-evaluated at the frozen clock time.
-
-The "pp34a" and default "pp56" schemes are palindromic pairs: the
-coefficient string read backwards with the roles of A and B swapped
-reproduces itself (a_i = b_{s+1-i}).  The role-swapped partner is the
-adjoint, so the pair average gains an order and the half-difference is a
-free local-error estimate.  Swapping roles and negating the step size
-inverts a step exactly.  That time-reversal identity is `check`'s
-palindromic_reversal row, through
-``gridprop.propagate_pulse_fixed(backward=True)``, and the tests use it.
+Every scheme is a palindromic pair.  Its plain member advances
+exp(h*(A+B)) as the ordered product A(a_1) B(a_s) A(a_2) B(a_{s-1}) ...
+A(a_s) B(a_1), where A is the kinetic flow (which also carries the clock
+for time-dependent potentials) and B the potential flow evaluated at the
+frozen clock time: the B weights are the A weights reversed.  The
+role-swapped member, B first, is its adjoint, so the pair average gains an
+order and the half-difference is a free local-error estimate.  Swapping
+roles and negating the step size inverts a step exactly.  That
+time-reversal identity is `check`'s palindromic_reversal row, through
+``gridprop.propagate_pulse_fixed(run="backward")``, and the tests use it.
 
 pp56 is a "PP 5/6" pair (Auzinger, Hofstaetter, Ketcheson and Koch, BIT
 Numer. Math. 57, 55-74 (2017)): members of order 5, pair average of order
-6.  With b = reversed(a), sum a = 1 and the order conditions on the Lyndon
-words of degree 2-5 are 8 equations in 8 a_i; of their real roots, which
+6.  Sum a = 1 and the order conditions on the Lyndon words of degree 2-5
+are 8 equations in 8 a_i; of their real roots, which
 ``tools/splitting_roots.py`` finds, pp56 is the one of smallest sum |a_i|
 (2.6346).  Defect slopes (h 0.1 -> 0.05): members 6.0, pair average 7.0.
 Its default tol is the loosest of 1e-10, 3e-11 and 1e-11 at which the grid
@@ -49,50 +46,30 @@ _PP56_A = (   # see the module docstring
 
 @dataclass(frozen=True)
 class SplittingScheme:
-    """Splitting coefficients plus the embedded error-estimation strategy.
+    """A palindromic pair: A weights a, B weights reversed(a).
 
-    err_order: order of the pair member underlying the error estimate
-      (controller exponent is 1/(err_order + 1)).
-    advance: "average" propagates the pair mean (local extrapolation),
-      "primary" propagates the plain scheme.
+    err_order: order of the pair members, which the error estimate
+      compares (controller exponent is 1/(err_order + 1)).
     tol: default bound on the error estimate per unit time.
     """
 
     name: str
     a: tuple
-    b: tuple
     err_order: int
-    advance: str
     tol: float = 1e-8
 
     def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise ConfigurationError("coefficient lists a and b must have equal length")
-        if self.advance not in ("average", "primary"):
-            raise ConfigurationError(f"unknown advance mode {self.advance!r}")
-        if abs(sum(self.a) - 1.0) > 1e-12 or abs(sum(self.b) - 1.0) > 1e-12:
-            raise ConfigurationError(f"scheme {self.name}: coefficients must each sum to 1")
-
-    @property
-    def is_palindromic(self):
-        s = len(self.a)
-        return all(abs(self.a[i] - self.b[s - 1 - i]) < 1e-14 for i in range(s))
+        if abs(sum(self.a) - 1.0) > 1e-12:
+            raise ConfigurationError(f"scheme {self.name}: coefficients must sum to 1")
 
     def substeps(self, swap_roles=False):
         """Ordered (slot, weight) pairs; slot "A" = kinetic+clock, "B" = potential."""
-        out = []
-        for ai, bi in zip(self.a, self.b):
-            first, second = ("B", "A") if swap_roles else ("A", "B")
-            out.append((first, ai))
-            out.append((second, bi))
-        return [(slot, w) for slot, w in out if w != 0.0]
+        first, second = ("B", "A") if swap_roles else ("A", "B")
+        return [pair for ai, bi in zip(self.a, reversed(self.a))
+                for pair in ((first, ai), (second, bi))]
 
 
-PP34A = SplittingScheme(name="pp34a", a=_PP34A_A, b=tuple(reversed(_PP34A_A)), err_order=3,
-                        advance="average")
-STRANG = SplittingScheme(name="strang", a=(0.5, 0.5), b=(1.0, 0.0), err_order=2,
-                         advance="primary")
-PP56 = SplittingScheme(name="pp56", a=_PP56_A, b=tuple(reversed(_PP56_A)), err_order=5,
-                       advance="average", tol=1e-10)
+PP34A = SplittingScheme(name="pp34a", a=_PP34A_A, err_order=3)
+PP56 = SplittingScheme(name="pp56", a=_PP56_A, err_order=5, tol=1e-10)
 
-SCHEMES = {"pp56": PP56, "pp34a": PP34A, "strang": STRANG}
+SCHEMES = {"pp56": PP56, "pp34a": PP34A}

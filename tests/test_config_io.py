@@ -13,7 +13,7 @@ from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
 from braggsim.gridprop import Grid, GridOptions
 from braggsim.results import ResultTable, RunManifest, manifest_hash
-from braggsim.splitting import PP34A, PP56, STRANG
+from braggsim.splitting import PP34A, PP56
 
 TWO_PI = 2 * np.pi
 
@@ -82,9 +82,10 @@ class TestParseConfig:
         ("pulse", "order", "three", "[pulse.order] expected an integer"),
         ("pulse", "tau", '"-1 us"', "[pulse.tau] value -1e-06 out of range"),
         ("propagator", "scheme", "leapfrog", "[propagator.scheme] must be one of"),
+        ("propagator", "scheme", "strang", "[propagator.scheme] must be one of"),
         ("pulse", "order", "5", "'order': 5"),
     ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "unknown-scheme",
-            "valid"])
+            "removed-scheme", "valid"])
     def test_override_reads_as_file_key(self, section, key, raw, expected):
         def read(**route):
             try:
@@ -109,9 +110,9 @@ class TestParseConfig:
     def test_grid_options_from_propagator_section(self):
         rc = parse_config(text="", overrides=["propagator.grid_points=256",
                                               "propagator.grid_periods=4",
-                                              "propagator.scheme=strang",
+                                              "propagator.scheme=pp34a",
                                               "propagator.tol=1e-9"])
-        assert rc.grid_opts() == GridOptions(Grid(256, 4), STRANG, 1e-9)
+        assert rc.grid_opts() == GridOptions(Grid(256, 4), PP34A, 1e-9)
         assert parse_config(text="").grid_opts() == GridOptions()
         # an unset tol is the chosen scheme's own
         rc = parse_config(text="", overrides=["propagator.scheme=pp34a"])
@@ -216,6 +217,6 @@ class TestManifest:
         # package.  A change of what the hash covers must change this literal.
         assert main(["check", "-o", str(tmp_path)]) == 0
         man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
-        assert man["manifest_hash"] == "947910c150cdf801"
+        assert man["manifest_hash"] == "5c81226eb2f5fba8"
         table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
-        assert table.provenance["manifest_hash"] == "947910c150cdf801"
+        assert table.provenance["manifest_hash"] == "5c81226eb2f5fba8"

@@ -135,7 +135,7 @@ class TestEnsembleAverage:
         for a, kv in zip(amps, comps):
             psi += a * np.exp(1j * kv * g.x) / np.sqrt(g.num_points)
         st = gridprop.GridState(g, psi, 0.0)
-        out = gridprop.propagate_pulse(st, pulse, rb87, tol=1e-9)
+        out = gridprop.propagate_pulse(st, pulse, rb87, gridprop.GridOptions(tol=1e-9))
         pk = np.abs(np.fft.fft(out.psi)) ** 2
         pk /= pk.sum()
         coherent = {c: float(pk[(g.k >= c - 0.5) & (g.k < c + 0.5)].sum())

@@ -1,16 +1,15 @@
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from braggsim import gridprop, ladder
 from braggsim.errors import ParameterError
-from braggsim.gridprop import Grid, class_masses, free_evolve, plane_wave, \
+from braggsim.gridprop import Grid, GridOptions, class_masses, free_evolve, plane_wave, \
     momentum_populations, propagate_pulse, propagate_pulse_fixed
 from braggsim.pulses import Pulse
-from braggsim.splitting import PP34A, PP56, STRANG
+from braggsim.splitting import PP34A, PP56
 
 TWO_PI = 2 * np.pi
 
@@ -177,17 +176,29 @@ class TestPropagatePulse:
             pops = class_masses(gridprop.GridState(out.grid, out.psi[j], 0.0), (0, 1))
             assert np.max(np.abs(pops - [lout.population(0), lout.population(1)])) < 1e-11
 
-    def test_stiffness_guard(self, rb87):
-        pulse = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3)
-        with pytest.raises(ParameterError):
-            propagate_pulse(plane_wave(Grid(), 0, 0.0), pulse, rb87, tol=-1.0)
+    def test_stiffness_guard(self):
+        for tol in (-1.0, 0.0):
+            with pytest.raises(ParameterError):
+                GridOptions(tol=tol)
 
     def test_pp56_tol_has_a_tenfold_margin_above_underflow(self, rb87, mirror):
         # the pair's estimate has a roundoff floor, below which a step can never pass;
         # pp56 clears it at a tenth of its default tol on the check pulse's comb rows
         rows = plane_wave(Grid().comb, np.arange(4), 0.0)
-        out = propagate_pulse(rows, mirror, rb87, scheme=PP56, tol=PP56.tol / 10)
+        out = propagate_pulse(rows, mirror, rb87, GridOptions(scheme=PP56, tol=PP56.tol / 10))
         assert np.max(np.abs(np.linalg.norm(out.psi, axis=-1) - 1.0)) < 1e-10
+
+    def test_last_step_ends_on_tau(self, rb87):
+        # at tol 3e-11 an accepted step used to end 1.2e-6 short of tau, a
+        # remainder below the pair estimate's roundoff floor: every retry failed
+        pulse = Pulse.on_resonance(rb87, 3, 120e-6, rabi_avg=TWO_PI * 21e3, phase=0.4)
+        out = propagate_pulse(plane_wave(Grid().comb, np.arange(4), 0.0), pulse, rb87,
+                              GridOptions(tol=3e-11))
+        for j in range(4):
+            lout = ladder.integrate_ladder(ladder.ladder_state(j, 0.0, order=3), pulse, rb87,
+                                           rtol=1e-13, atol=1e-15)
+            pops = class_masses(gridprop.GridState(out.grid, out.psi[j], 0.0), range(4))
+            assert np.max(np.abs(pops - [lout.population(c) for c in range(4)])) < 1e-12
 
 
 class TestFixedStepAndReversal:
@@ -199,15 +210,18 @@ class TestFixedStepAndReversal:
         with pytest.raises(ParameterError):   # nyquist 4 < 3 + 4
             propagate_pulse_fixed(plane_wave(Grid(16, 2), 0, 0.0), mirror, rb87)
 
+    def test_unknown_run_rejected(self, rb87, mirror):
+        with pytest.raises(ParameterError):
+            propagate_pulse_fixed(plane_wave(Grid(), 0, 0.0), mirror, rb87, run="reverse")
+
     def test_palindromic_reversal(self, rb87, mirror):
         st = plane_wave(Grid(), 0, 0.0)
-        fwd = propagate_pulse_fixed(st, mirror, rb87, scheme=replace(PP34A, advance="primary"),
-                                    n_steps=700)
+        fwd = propagate_pulse_fixed(st, mirror, rb87, scheme=PP34A, n_steps=700, run="primary")
         back = propagate_pulse_fixed(fwd, mirror, rb87, scheme=PP34A, n_steps=700,
-                                     backward=True)
+                                     run="backward")
         assert np.linalg.norm(back.psi - st.psi) < 1e-8
 
-    @pytest.mark.parametrize("scheme,min_slope", [(PP34A, 3.8), (STRANG, 1.8), (PP56, 4.8)])
+    @pytest.mark.parametrize("scheme,min_slope", [(PP34A, 3.8), (PP56, 4.8)])
     def test_convergence_order(self, rb87, scheme, min_slope):
         pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
         st = plane_wave(Grid(256, 8), 0, 0.0)
@@ -257,10 +271,11 @@ class TestRows:
         g = Grid(64, 1)
         classes = range(-2, 6)
         for scheme, tol in ((PP34A, 1e-9), (PP56, None)):
-            rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, scheme, tol)
+            opts = GridOptions(scheme=scheme, tol=tol)
+            rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, opts)
             assert rows.psi.shape == (4, 64)
             one = np.array([gridprop.class_masses(propagate_pulse(
-                plane_wave(g, j, q), pulse, rb87, scheme, tol), classes)
+                plane_wave(g, j, q), pulse, rb87, opts), classes)
                 for j, q in zip(self.JS, self.QS)])
             assert np.max(np.abs(gridprop.class_masses(rows, classes) - one)) <= 1e-12
 
@@ -287,7 +302,7 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         out = propagate_pulse(plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"]), pulse,
-                              rb87, scheme=PP34A, tol=ref["tol"])
+                              rb87, GridOptions(scheme=PP34A, tol=ref["tol"]))
         assert np.array_equal(steps, ref["h"])
         assert np.array_equal(out.psi, np.array(ref["psi_re"]) + 1j * np.array(ref["psi_im"]))
 
@@ -302,7 +317,7 @@ class TestRows:
         st = plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"])
         fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"])
         back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
-                                     backward=True)
+                                     run="backward")
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))
@@ -316,10 +331,10 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         st = plane_wave(Grid(*ref["grid"]), np.array(ref["inputs"]), np.array(ref["q"]))
-        fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=replace(PP34A, advance="primary"),
-                                    n_steps=ref["n_steps"])
+        fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
+                                    run="primary")
         back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
-                                     backward=True)
+                                     run="backward")
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from braggsim.splitting import PP34A, PP56, STRANG
+from braggsim.splitting import PP34A, PP56
 
 
 def composition_defect(scheme, h=0.05, dim=6, seed=42, swap_roles=False, average=False):
@@ -32,17 +32,8 @@ def composition_defect(scheme, h=0.05, dim=6, seed=42, swap_roles=False, average
 
 
 def test_coefficients_sum_to_one():
-    for scheme in (PP34A, PP56, STRANG):
+    for scheme in (PP34A, PP56):
         assert sum(scheme.a) == pytest.approx(1.0, abs=1e-12)
-        assert sum(scheme.b) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pp34a_is_palindromic():
-    s = len(PP34A.a)
-    for i in range(s):
-        assert PP34A.a[i] == pytest.approx(PP34A.b[s - 1 - i], abs=1e-15)
-    assert PP34A.is_palindromic
-    assert not STRANG.is_palindromic
 
 
 def test_pp34a_member_is_order_three():
@@ -66,11 +57,6 @@ def test_pp34a_pair_average_is_order_four():
     assert np.log2(e1 / e2) > 4.8
 
 
-def test_pp56_is_palindromic():
-    assert PP56.b == tuple(reversed(PP56.a))
-    assert PP56.is_palindromic
-
-
 @pytest.mark.parametrize("swap_roles, average, min_slope", [
     (False, False, 5.8), (True, False, 5.8), (False, True, 6.8)],
     ids=["member", "swapped-member", "pair-average"])
@@ -79,12 +65,6 @@ def test_pp56_orders(swap_roles, average, min_slope):
     e1, e2 = (composition_defect(PP56, h=h, swap_roles=swap_roles, average=average)
               for h in (0.1, 0.05))
     assert np.log2(e1 / e2) >= min_slope
-
-
-def test_strang_is_order_two():
-    e1 = composition_defect(STRANG, h=0.1)
-    e2 = composition_defect(STRANG, h=0.05)
-    assert 2.7 < np.log2(e1 / e2) < 3.3  # local h^3
 
 
 def test_substeps_swap():

@@ -1,6 +1,4 @@
 """The grid states behind `check`'s grid_norm_drift and offcomb_population."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ def test_offcomb_mass_after_the_reversal_forward_pass(rb87, check_pulse):
     # about 2e-29 on Grid(512, 8); the adaptive pulse's 6e-29 is test_gridprop's
     # test_quasimomentum_conservation
     fwd = propagate_pulse_fixed(plane_wave(Grid(), 0, 0.0), check_pulse, rb87,
-                                scheme=replace(PP34A, advance="primary"), n_steps=600)
+                                scheme=PP34A, n_steps=600, run="primary")
     assert momentum_populations(fwd)["offcomb"] < 1e-12
 
 

@@ -11,12 +11,15 @@ are every benchmark workload command (``perfbench/workloads.py``) at seeds
 
 Every output file, stdout, stderr and the exit code must be identical; the
 ``*_manifest.json`` files are compared as JSON without ``wall_time_s`` and
-``timestamp``.  Each difference is printed, and the exit code is 1 if there
-is any, else 0.
+``timestamp``.  When the trees' ``--version`` differ, one line names both
+versions and the identity fields that hash the version are left out: the
+``# manifest_hash`` and ``# code_version`` lines of tables, the
+``manifest_hash`` and ``code_version`` keys of JSON files, and the ``hash``
+of each ``map_cache.jsonl`` line.  Each difference is printed, and the exit
+code is 1 if there is any, else 0.
 """
 from __future__ import annotations
 
-import filecmp
 import json
 import os
 import subprocess
@@ -26,6 +29,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 3, 7)
 TIMING_KEYS = ("wall_time_s", "timestamp")
+IDENTITY_KEYS = ("manifest_hash", "code_version")
 EXTRA_COMMANDS = [
     ("rabi_scan", ["rabi-scan"]),
     ("mirror_response", ["mirror-response"]),
@@ -38,7 +42,7 @@ EXTRA_COMMANDS = [
                             "--set", "ensemble.nodes=3"]),
     ("oracle_diff", ["oracle-diff"]),
     ("check", ["check"]),
-    ("check_strang", ["check", "--set", "propagator.scheme=strang"]),
+    ("check_pp34a", ["check", "--set", "propagator.scheme=pp34a"]),
 ]
 
 
@@ -69,18 +73,24 @@ def files(root):
                   for d, _, names in os.walk(root) for f in names)
 
 
-def same_file(a, b):
-    if not a.endswith("_manifest.json"):
-        return filecmp.cmp(a, b, shallow=False)
-    docs = []
-    for path in (a, b):
-        with open(path) as fh:
-            doc = json.load(fh)
-        docs.append({k: v for k, v in doc.items() if k not in TIMING_KEYS})
-    return docs[0] == docs[1]
+def comparable(path, same_version):
+    """What two trees' copies of one output file must share: every byte, but
+    for a manifest's timing keys and, across versions, the identity fields."""
+    manifest = path.endswith("_manifest.json")
+    if same_version and not manifest:
+        with open(path, "rb") as fh:
+            return fh.read()
+    drop = (TIMING_KEYS if manifest else ()) + (() if same_version else IDENTITY_KEYS)
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return {k: v for k, v in json.load(fh).items() if k not in drop}
+        if os.path.basename(path) == "map_cache.jsonl":
+            return [{k: v for k, v in json.loads(line).items() if k != "hash"} for line in fh]
+        return [line for line in fh
+                if not line.startswith(tuple(f"# {k} = " for k in IDENTITY_KEYS))]
 
 
-def compare(label, argv, trees):
+def compare(label, argv, trees, same_version):
     """The differences between the trees' runs of one command."""
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, str(k)) for k in range(len(trees))]
@@ -94,7 +104,8 @@ def compare(label, argv, trees):
         for name in sorted(set(names[0]) ^ set(names[1])):
             diffs.append(f"{label}: {name} written by one tree only")
         for name in sorted(set(names[0]) & set(names[1])):
-            if not same_file(*(os.path.join(d, name) for d in dirs)):
+            a, b = (comparable(os.path.join(d, name), same_version) for d in dirs)
+            if a != b:
                 diffs.append(f"{label}: {name} differs")
         return diffs, len(names[0]), results[0][0]
 
@@ -105,8 +116,11 @@ def main():
         print("usage: python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
         return 2
     diffs, n_files, cmds = [], 0, commands()
+    versions = [run(tree, ["--version"], tree)[1].decode().strip() for tree in args]
+    if versions[0] != versions[1]:
+        print(f"version {versions[0]} -> {versions[1]}: identity fields not compared")
     for label, cmd in cmds:
-        found, n, code = compare(label, cmd, args)
+        found, n, code = compare(label, cmd, args, versions[0] == versions[1])
         n_files += n
         print(f"{'DIFF' if found else 'same'}  {label}  (exit {code}, {n} files)", flush=True)
         for d in found:
