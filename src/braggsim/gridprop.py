@@ -15,9 +15,11 @@ vector norm.  A plane wave occupies every num_periods-th mode only, so
 
 Steps follow a splitting scheme from :mod:`braggsim.splitting`; the
 kinetic substep carries the clock, the potential substep is evaluated at
-the frozen clock time.  Adaptive stepping controls the embedded pair
-estimate per unit time, by default below the scheme's own tol: 1e-10 for
-pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 reproduces 0.1.3.
+the frozen clock time.  The pair's two members advance in lockstep as one
+array, one FFT pair per kinetic substep for both, from per-step tables of
+kinetic and potential factors.  Adaptive stepping controls the embedded
+pair estimate per unit time, by default below the scheme's own tol: 1e-10
+for pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 reproduces 0.1.3.
 """
 from __future__ import annotations
 
@@ -143,10 +145,11 @@ def momentum_populations(state):
 class _Stepper:
     """One pulse's splitting substeps on one grid, after the Nyquist check.
 
-    ``step`` applies the scheme's plain member, or with swap_roles the
-    role-swapped one.  Both take the same kinetic weights, so each
-    exp(-i (k+q)^2 w h) is computed once per step size h, for both.  The
-    pulse's phase may be one per row.
+    Member 0 is the scheme's plain member, member 1 the role-swapped one.
+    ``kinetic_table`` and ``potential_table`` build a step's A and B factors
+    in one numpy call each.  ``pair`` advances both members in lockstep on one
+    (2, *psi.shape) array, one fft/ifft per A substep; ``member`` runs one.
+    Rows that share one q share one kinetic row; the phase may be one per row.
     """
 
     def __init__(self, state, pulse, cfg, scheme):
@@ -154,41 +157,61 @@ class _Stepper:
         self.tau, self.W, self.dw, phi = pulse.dimensionless(cfg)
         self.phi = np.reshape(phi, (-1, 1)) if np.ndim(phi) else phi
         self.env = pulse.envelope
-        self.members = (scheme.substeps(), scheme.substeps(swap_roles=True))
-        k = state.k
-        self.k2 = k * k
-        x = state.grid.x
-        self.cosx = np.cos(x)
-        self.sinx = np.sin(x)
-        self.h, self.kinetic_factors = None, {}
+        self.a = scheme.a
+        self.slots = [[slot for slot, _ in scheme.substeps(r)] for r in (False, True)]
+        self.axes = (-1,) + (1,) * state.psi.ndim      # a substep axis before psi's
+        k2 = state.k * state.k
+        self.k2 = k2[:1] if k2.ndim > 1 and (k2 == k2[0]).all() else k2
+        self.cosx, self.sinx = np.cos(state.grid.x), np.sin(state.grid.x)
+        self.h = None
 
-    def kinetic(self, psi, dt):
-        if dt not in self.kinetic_factors:
-            self.kinetic_factors[dt] = np.exp(-1j * self.k2 * dt)
-        return ifft(fft(psi) * self.kinetic_factors[dt])
+    def kinetic_table(self, h):
+        """exp(-i (k+q)^2 a_i h), cached per h: [i, 0] the plain member's i-th
+        A factor, [i, 1] the swapped member's, whose A weights are reversed(a);
+        then psi's axes, with one row if the rows share one q."""
+        if h != self.h:
+            k = np.exp((-1j * self.k2) * np.multiply(self.a, h).reshape(self.axes))
+            self.h, self.kin = h, np.stack((k, k[::-1]), axis=1)
+        return self.kin
 
-    def potential(self, psi, t, dt):
+    def potential_table(self, t, h, member=None):
+        """B factors at the frozen clock times, one per substep on axis 0: of
+        member 0 or 1 in its order, or with member None of both in lockstep
+        order, swapped B_1, plain B_1, swapped B_2, ..., swapped B_s, plain B_s."""
+        ws = [w * h for w in self.a]
+        subs, plain, swapped = ([], []), t, t          # (clock, substep length)
+        for w, v in zip(ws, reversed(ws)):
+            plain += w
+            subs[0].append((plain, v))
+            subs[1].append((swapped, w))
+            swapped += v
+        subs = [s for two in zip(subs[1], subs[0]) for s in two] if member is None \
+            else subs[member]
         # V(x,t) = W f (1 + cos(x - dw*t + phi)); f at fraction u = t/tau, mirrored
         # about the nearer edge when u leaves [0, 1]: f's smooth continuation
-        u = t / self.tau
-        f = self.env.value_frac(min(abs(u), 2.0 - u))
-        if f == 0.0 or self.W == 0.0:
-            return psi
-        theta = self.dw * t - self.phi
+        f = [self.env.value_frac(min(abs(u), 2.0 - u)) for u in (c / self.tau for c, _ in subs)]
+        clock, dt = np.array(subs).T.reshape((2, *self.axes))
+        theta = self.dw * clock - self.phi
         cosshift = self.cosx * np.cos(theta) + self.sinx * np.sin(theta)
-        c = self.W * f * dt
-        return psi * (np.exp(-1j * c) * np.exp(-1j * c * cosshift))
+        c = self.W * np.reshape(f, self.axes) * dt
+        return np.exp(-1j * c) * np.exp(-1j * c * cosshift)
 
-    def step(self, psi, t, h, swap_roles=False):
-        if h != self.h:
-            self.h, self.kinetic_factors = h, {}
-        clock = t
-        for slot, w in self.members[swap_roles]:
-            if slot == "A":
-                psi = self.kinetic(psi, w * h)
-                clock += w * h
-            else:
-                psi = self.potential(psi, clock, w * h)
+    def pair(self, psi, t, h):
+        """Both members' steps from psi, plain then role-swapped on axis 0."""
+        kin, pot = self.kinetic_table(h), self.potential_table(t, h)
+        two = np.stack((psi, psi * pot[0]))            # the swapped member's B_1 alone
+        for i, k in enumerate(kin):                    # A weights a_i and a_{s+1-i} cross
+            two = ifft(fft(two) * k)
+            if 2 * i + 2 < len(pot):
+                two *= pot[2 * i + 1:2 * i + 3]        # plain B_i beside swapped B_{i+1}
+        two[0] *= pot[-1]                              # the plain member's B_s alone
+        return two
+
+    def member(self, psi, t, h, m):
+        """Member m's step from psi: 0 the plain, 1 the role-swapped."""
+        kin, pot = iter(self.kinetic_table(h)[:, m]), iter(self.potential_table(t, h, m))
+        for slot in self.slots[m]:
+            psi = ifft(fft(psi) * next(kin)) if slot == "A" else psi * next(pot)
         return psi
 
 
@@ -210,14 +233,13 @@ def propagate_pulse(state, pulse: Pulse, cfg, opts=GridOptions()):
     while t < st.tau:
         if t + 1.01 * h >= st.tau:
             h = st.tau - t
-        psi_ab = st.step(psi, t, h)
-        psi_ba = st.step(psi, t, h, swap_roles=True)
-        d = psi_ab - psi_ba
+        two = st.pair(psi, t, h)
+        d = two[0] - two[1]
         err = 0.5 * float(np.linalg.norm(d) if d.ndim == 1 else
                           np.max(np.linalg.norm(d, axis=-1)))
         tol_step = tol * h
         if err <= tol_step:
-            psi = 0.5 * (psi_ab + psi_ba)
+            psi = 0.5 * (two[0] + two[1])
             t += h
         if err > 0:
             h *= min(5.0, max(0.2, 0.9 * (tol_step / err) ** expo))
@@ -247,11 +269,12 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, run="aver
     h = st.tau / n_steps
     for i in reversed(range(n_steps)) if run == "backward" else range(n_steps):
         if run == "backward":
-            psi = st.step(psi, (i + 1) * h, -h, swap_roles=True)
+            psi = st.member(psi, (i + 1) * h, -h, 1)
         elif run == "average":
-            psi = 0.5 * (st.step(psi, i * h, h) + st.step(psi, i * h, h, swap_roles=True))
+            two = st.pair(psi, i * h, h)
+            psi = 0.5 * (two[0] + two[1])
         else:
-            psi = st.step(psi, i * h, h)
+            psi = st.member(psi, i * h, h, 0)
     return GridState(state.grid, psi, state.q)
 
 

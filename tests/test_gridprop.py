@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from braggsim.errors import ParameterError
 from braggsim.gridprop import Grid, GridOptions, class_masses, free_evolve, plane_wave, \
     momentum_populations, propagate_pulse, propagate_pulse_fixed
 from braggsim.pulses import Pulse
-from braggsim.splitting import PP34A, PP56
+from braggsim.splitting import PP34A, PP56, SplittingScheme
 
 TWO_PI = 2 * np.pi
 
@@ -79,9 +80,14 @@ class TestKinetic:
         assert var == pytest.approx(expected, rel=1e-10)
 
 
+# one weight: the role-swapped member's first B substep is at clock t and lasts h
+ONE_WEIGHT = SplittingScheme(name="one-weight", a=(1.0,), err_order=1)
+
+
 def potential_phase(state, pulse, cfg, t, duration):
     """The potential substep's pointwise phase exp(-i V(x, t) duration) applied to psi."""
-    return gridprop._Stepper(state, pulse, cfg, PP34A).potential(state.psi, t, duration)
+    table = gridprop._Stepper(state, pulse, cfg, ONE_WEIGHT).potential_table(t, duration, 1)
+    return state.psi * table[0]
 
 
 class TestPotential:
@@ -235,6 +241,41 @@ class TestFixedStepAndReversal:
         assert -slope >= min_slope
 
 
+class TestLockstep:
+    """The pair's members advance side by side on one (2, *psi.shape) array."""
+
+    @pytest.mark.parametrize("case", ["comb-rows-at-q0", "rows-with-phases", "one-row"])
+    def test_pair_is_both_members_one_after_the_other(self, rb87, mirror, case):
+        comb, pulse = Grid().comb, mirror
+        if case == "comb-rows-at-q0":        # the oracle's rows: one shared kinetic row
+            st = plane_wave(comb, np.arange(4), np.zeros(4))
+        elif case == "rows-with-phases":     # the grid fringe scan's rows
+            st = plane_wave(comb, np.zeros(6, int), np.tile([-0.1, 0.2], 3))
+            pulse = replace(mirror, phase=np.repeat([0.0, 1.0, 2.5], 2))
+        else:
+            st = plane_wave(Grid(), 1, 0.07)
+        stepper = gridprop._Stepper(st, pulse, rb87, PP56)
+        tau = stepper.tau
+        for t, h in ((0.0, tau / 7), (0.4 * tau, tau / 11), (tau - tau / 9, tau / 9)):
+            two = stepper.pair(st.psi, t, h)
+            one_by_one = np.stack([stepper.member(st.psi, t, h, m) for m in (0, 1)])
+            assert two.tobytes() == one_by_one.tobytes()
+        rows = stepper.kinetic_table(tau / 9).shape[2:-1]
+        assert rows == {"comb-rows-at-q0": (1,), "rows-with-phases": (6,), "one-row": ()}[case]
+
+    def test_one_pp56_step_makes_eight_ffts(self, rb87, mirror, monkeypatch):
+        # both members' A substeps cross as one transform of the stacked array
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return np.fft.fft(a, *args, **kwargs)
+        monkeypatch.setattr(gridprop, "fft", counted)
+        st = plane_wave(Grid().comb, np.arange(4), np.zeros(4))
+        propagate_pulse_fixed(st, mirror, rb87, scheme=PP56, n_steps=1)
+        assert len(calls) == len(PP56.a) == 8
+
+
 class TestFreeEvolve:
     def test_zero_duration_identity(self, rb87):
         st = plane_wave(Grid(), 1, 0.2)
@@ -292,13 +333,12 @@ class TestRows:
         # a stored run of the one-row controller: every trial step and the result
         with open(os.path.join(os.path.dirname(__file__), "data", "grid_1d_steps.json")) as fh:
             ref = json.load(fh)
-        steps, step = [], gridprop._Stepper.step
+        steps, pair = [], gridprop._Stepper.pair
 
-        def spy(self, psi, t, h, swap_roles=False):
-            if not swap_roles:
-                steps.append(h)
-            return step(self, psi, t, h, swap_roles)
-        monkeypatch.setattr(gridprop._Stepper, "step", spy)
+        def spy(self, psi, t, h):
+            steps.append(h)
+            return pair(self, psi, t, h)
+        monkeypatch.setattr(gridprop._Stepper, "pair", spy)
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         out = propagate_pulse(plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"]), pulse,

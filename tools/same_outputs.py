@@ -33,6 +33,8 @@ IDENTITY_KEYS = ("manifest_hash", "code_version")
 EXTRA_COMMANDS = [
     ("rabi_scan", ["rabi-scan"]),
     ("mirror_response", ["mirror-response"]),
+    ("mirror_response_grid", ["mirror-response", "--set", "propagator.backend=grid",
+                              "--set", "ensemble.nodes=5"]),
     ("mzi", ["mzi"]),
     *[(f"mzi_path_resolved_{s.replace(',', '')}",
        ["mzi", "--path-resolved", "--split-after", s, "--set", "sequence.phi3=0.5"])
