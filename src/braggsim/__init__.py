@@ -2,7 +2,7 @@
 diffraction, including dichroic mirror pulses (mirrors that reflect the
 resonant momentum classes while transmitting the parasitic ones)."""
 
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 from .physics import PhysicalConfig, default_rb87
 from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,

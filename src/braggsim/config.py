@@ -22,7 +22,7 @@ overrides a key after the file is read, checked as a file key is.
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
 Its tol defaults to the chosen scheme's own: 1e-10 for the default pp56,
-1e-8 for pp34a; pp34a at tol 1e-8 reproduces braggsim 0.1.3.
+1e-8 for pp34a; pp34a at tol 1e-8 gives braggsim 0.1.3's grid results.
 ``[pulse]`` envelope, omega_convention, p0 (the momentum the pulses are
 tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
 every command that makes one; ``mzi`` takes its phases, durations, Rabi

@@ -19,7 +19,7 @@ the frozen clock time.  The pair's two members advance in lockstep as one
 array, one FFT pair per kinetic substep for both, from per-step tables of
 kinetic and potential factors.  Adaptive stepping controls the embedded
 pair estimate per unit time, by default below the scheme's own tol: 1e-10
-for pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 reproduces 0.1.3.
+for pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 gives 0.1.3's results.
 """
 from __future__ import annotations
 

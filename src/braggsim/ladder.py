@@ -56,12 +56,12 @@ leaves every column in its classes, so a segment of one time-symmetric pulse up 
 the next split needs only that pulse's class block: one half-pulse solve for all
 columns.  ``run_sequence`` alone chooses between the block and the whole pulse.
 
-The stepper is the module's own ``solve_ivp``: scipy's DOP853 operation for
-operation, so bitwise equal to it, without dense output or a scipy import.
-Before each attempted step it hands the 11 stage times to ``prepare``, and the
-right-hand side takes its bond phases for all of them from one vectorized
-table.  Envelopes are closed form and smooth on the pulse, so each pulse is one
-``propagate_batch`` solve, and each half pulse one ``propagate_batch(part=0.5)`` solve.
+The stepper is the module's own ``solve_ivp``: scipy's DOP853 steps (tableau, error
+norm, controller) but not its rounding, as each stage input is one real product over the
+(re, im) view of the state and stages; no dense output, no scipy import.  Before each
+attempted step it hands the 11 stage times to ``prepare``, which tables the right-hand
+side's couplings, one envelope call per stage time.  Envelopes are closed form and smooth
+on the pulse, so each (half) pulse is one ``propagate_batch`` (``part=0.5``) solve.
 """
 from __future__ import annotations
 
@@ -107,46 +107,53 @@ _E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589
 _E3 = np.append(_B, 0.0)
 _E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
                     0.220588235294117647058823529412e-1]
+_E = np.array([_E5, _E3])
+# rows (1, h A[s]) give stage s's input, (1, h B) y_new, from (y, K[0], K[1], ...)
+_AB = np.zeros((13, 13))
+_AB[:12, 1:], _AB[12, 1:] = _A, _B
 
 
 def solve_ivp(fun, t_span, y0, method="DOP853", *, rtol, atol, first_step, max_step=np.inf,
               prepare=None):
-    """Integrate y' = fun(t, y) over t_span = (t0, t1), t1 > t0, by DOP853 with scipy's
-    step control; the result holds the end state as the one column of ``y``, ``t = [t1]``,
-    ``nfev`` (1 + 12 per attempted step), ``naccepted``, ``nrejected``, ``message`` and
-    ``success``, False once the step is below the float spacing at t (a NaN derivative).
-    ``prepare``, if given, receives the stage times t + C[1:] h before each attempt."""
+    """Integrate complex y' = fun(t, y) over t_span = (t0, t1), t1 > t0, in scipy's DOP853
+    steps (module docstring); the result holds the end state as the one column of ``y``,
+    ``t = [t1]``, ``nfev`` (1 + 12 per attempted step), ``naccepted``, ``nrejected``,
+    ``message`` and ``success``, False once the step is below the float spacing at t (a
+    NaN derivative).  ``prepare``, if given, receives the stage times t + C[1:] h before
+    each attempt."""
     if method != "DOP853":
         raise ParameterError(f"the ladder stepper is DOP853, not {method!r}")
     t, t1 = map(float, t_span)
-    y, f, h_abs, acc, rej, ok = y0, fun(t, y0), first_step, 0, 0, True
-    rtol, K = max(rtol, 100 * np.finfo(float).eps), np.empty((13, len(y0)), dtype=complex)
+    f, h_abs, acc, rej, ok = fun(t, y0), first_step, 0, 0, True
+    rtol, Y = max(rtol, 100 * np.finfo(float).eps), np.empty((14, len(y0)), dtype=complex)
+    Y[0], Yr, K = y0, Y.view(float), Y[1:]   # the state, then the 13 stages
     while ok and t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = min(max(h_abs, min_step), max_step), False
         while ok := h_abs >= min_step:
             t_new = min(t + h_abs, t1)
             h = t_new - t
-            h_abs, K[0] = np.abs(h), f
+            h_abs, K[0], Ah = np.abs(h), f, _AB * h
+            Ah[:, 0] = 1.0
             if prepare:
                 prepare(t + _C[1:] * h)
             for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:12].T, _B)
+                K[s] = fun(t + _C[s] * h, np.dot(Ah[s, :s + 1], Yr[:s + 1]).view(complex))
+            y_new = np.dot(Ah[12], Yr[:13]).view(complex)
             K[12] = f_new = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            scale = atol + np.maximum(np.abs(Y[0]), np.abs(y_new)) * rtol
+            e = (np.dot(_E, Yr[1:]).view(complex) / scale).view(float)
+            e5, e3 = np.einsum("ij,ij->i", e, e)
             err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
-                t, y, f, acc = t_new, y_new, f_new, acc + 1
+                t, Y[0], f, acc = t_new, y_new, f_new, acc + 1
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected, rej = True, rej + 1
-    return SimpleNamespace(t=np.array([t]), y=y[:, None], nfev=1 + 12 * (acc + rej),
-                           naccepted=acc, nrejected=rej, success=ok,
+    return SimpleNamespace(t=np.array([t]), y=Y[0, :, None].copy(), naccepted=acc,
+                           nfev=1 + 12 * (acc + rej), nrejected=rej, success=ok,
                            message="" if ok else "step size below the float spacing at t")
 
 
@@ -234,7 +241,9 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
     qs has shape (nq,); all quasimomenta share one integration (their
     dynamics are independent, the batching only amortizes solver
-    overhead).  Returns the bare-frame amplitudes at the end.
+    overhead).  Returns the bare-frame amplitudes at the end.  The right-hand side is
+    diag a_j + down a_{j-1} + up a_{j+1}: diag = -iWf, down = (-iWf/2) e^{i(phi + t w)}
+    on bond j -> j+1, up = -conj(down), tabled per stage time.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     if j_window is None:
@@ -254,29 +263,28 @@ def propagate_batch(qs, c0, pulse, cfg, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     eiphi = complex(np.exp(1j * phi))
     w_j, w_q = 2 * j[:-1] + 1 - dw, 2 * qs
 
-    table = {}   # stage time -> bond phases of the step being attempted
+    table = {}   # stage time -> (diag, down, up) couplings of the step being attempted
 
-    def bond_phases(ts):   # the outer product of rhs for every stage at once, bit for bit
-        a, b = np.exp(1j * (ts[:, None] * w_j)) * eiphi, np.exp(1j * (ts[:, None] * w_q))
+    def couplings(ts):   # one envelope call per stage time
+        g = -0.5j * W * np.array([env(t / tau) for t in ts])
+        down = ((g[:, None] * eiphi * np.exp(1j * (ts[:, None] * w_j)))[:, :, None]
+                * np.exp(1j * (ts[:, None] * w_q))[:, None, :])[..., None]
         table.clear()
-        table.update(zip(ts.tolist(), a[:, :, None] * b[:, None, :]))
+        table.update(zip(ts.tolist(), zip(2 * g, down, -np.conj(down))))
 
     def rhs(t, y):
+        if t not in table:
+            couplings(np.array([t]))
+        diag, down, up = table[t]
         a = y.reshape(dim, nq, ni)
-        f = env(t / tau)
-        P = table[t] if t in table else np.outer(np.exp(1j * (t * w_j)) * eiphi,
-                                                 np.exp(1j * (t * w_q)))
-        da = np.empty_like(a)
-        da[1:] = P[:, :, None] * a[:-1]
-        da[0] = 0.0
-        da[:-1] += np.conj(P)[:, :, None] * a[1:]
-        da += 2.0 * a
-        da *= -0.5j * (W * f)
+        da = diag * a
+        da[1:] += down * a[:-1]
+        da[:-1] += up * a[1:]
         return da.ravel()
 
     sol = solve_ivp(rhs, (0.0, t1), np.ascontiguousarray(c0).ravel(), method="DOP853",
                     rtol=rtol, atol=atol, first_step=tau / 1000, max_step=tau / 50,
-                    prepare=bond_phases)
+                    prepare=couplings)
     if not sol.success:
         raise IntegrationError(f"ladder integration failed: {sol.message}",
                                context={"tau": tau, "rabi_peak": pulse.rabi_peak})

@@ -217,6 +217,6 @@ class TestManifest:
         # package.  A change of what the hash covers must change this literal.
         assert main(["check", "-o", str(tmp_path)]) == 0
         man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
-        assert man["manifest_hash"] == "5c81226eb2f5fba8"
+        assert man["manifest_hash"] == "3e6b42d7a4c7ba55"
         table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
-        assert table.provenance["manifest_hash"] == "5c81226eb2f5fba8"
+        assert table.provenance["manifest_hash"] == "3e6b42d7a4c7ba55"

@@ -40,8 +40,9 @@ def test_reference_rows_still_compute(monkeypatch):
 
 
 def test_traced_mirror_node_counts_its_solve_and_envelope(monkeypatch, rb87):
-    # the half-pulse node is one propagate_batch span, and every right-hand side
-    # evaluates the envelope once through the one traced evaluator
+    # the half-pulse node is one propagate_batch span, and the envelope is evaluated
+    # once per stage time through the one traced evaluator: at t0, then 11 times per
+    # attempted step, whose last stage time, t + h, also serves its 12th evaluation
     monkeypatch.syspath_prepend(PERFBENCH)
     from tracer import Tracer
     mirror = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=2 * np.pi * 23e3)
@@ -53,4 +54,6 @@ def test_traced_mirror_node_counts_its_solve_and_envelope(monkeypatch, rb87):
     finally:
         tracer.restore()
     assert [s[1] for s in tracer.spans].count("ladder.propagate_batch") == 1
-    assert tracer.leaves["pulses.envelope"][0] == tracer.leaves["ladder.rhs"][0] > 0
+    rhs = tracer.leaves["ladder.rhs"][0]
+    assert rhs == 1 + 12 * tracer.solver["attempts"] > 1
+    assert tracer.leaves["pulses.envelope"][0] == rhs - tracer.solver["attempts"]

@@ -16,12 +16,16 @@ versions and the identity fields that hash the version are left out: the
 ``# manifest_hash`` and ``# code_version`` lines of tables, the
 ``manifest_hash`` and ``code_version`` keys of JSON files, and the ``hash``
 of each ``map_cache.jsonl`` line.  Each difference is printed, and the exit
-code is 1 if there is any, else 0.
+code is 1 if there is any, else 0.  A differing file, stdout or stderr whose text
+differs only in its numbers (TSV cells, JSON numbers, ``map_cache.jsonl`` values,
+numbers inside text) also gets the largest absolute difference between them, so a
+change that moves results at roundoff can state by how much.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 3, 7)
 TIMING_KEYS = ("wall_time_s", "timestamp")
 IDENTITY_KEYS = ("manifest_hash", "code_version")
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 EXTRA_COMMANDS = [
     ("rabi_scan", ["rabi-scan"]),
     ("mirror_response", ["mirror-response"]),
@@ -92,6 +97,24 @@ def comparable(path, same_version):
                 if not line.startswith(tuple(f"# {k} = " for k in IDENTITY_KEYS))]
 
 
+def numeric_difference(a, b):
+    """Largest |x - y| over the numbers of two comparable forms of one file, or None
+    when they differ in more than their numbers."""
+    a, b = (x.decode() if isinstance(x, bytes) else json.dumps(x, sort_keys=True)
+            for x in (a, b))
+    a, b = NUMBER.split(a), NUMBER.split(b)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    return max((abs(float(x) - float(y)) for x, y in zip(a[1::2], b[1::2]) if x != y),
+               default=0.0)
+
+
+def differs(label, what, a, b):
+    """One difference line, with the numeric difference where there is one."""
+    d = None if isinstance(a, int) else numeric_difference(a, b)
+    return f"{label}: {what} differs" + ("" if d is None else f", numbers by at most {d:.2g}")
+
+
 def compare(label, argv, trees, same_version):
     """The differences between the trees' runs of one command."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,7 +123,7 @@ def compare(label, argv, trees, same_version):
         for tree, d in zip(trees, dirs):
             os.makedirs(d)
             results.append(run(tree, argv, d))
-        diffs = [f"{label}: {what} differs" for what, a, b in
+        diffs = [differs(label, what, a, b) for what, a, b in
                  zip(("exit code", "stdout", "stderr"), *results) if a != b]
         names = [files(d) for d in dirs]
         for name in sorted(set(names[0]) ^ set(names[1])):
@@ -108,7 +131,7 @@ def compare(label, argv, trees, same_version):
         for name in sorted(set(names[0]) & set(names[1])):
             a, b = (comparable(os.path.join(d, name), same_version) for d in dirs)
             if a != b:
-                diffs.append(f"{label}: {name} differs")
+                diffs.append(differs(label, name, a, b))
         return diffs, len(names[0]), results[0][0]
 
 
