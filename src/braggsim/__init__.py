@@ -2,15 +2,15 @@
 diffraction, including dichroic mirror pulses (mirrors that reflect the
 resonant momentum classes while transmitting the parasitic ones)."""
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 from .physics import PhysicalConfig, default_rb87
 from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
                      mach_zehnder_sequence, resonance_delta_omega)
 from .splitting import PP34A, PP56, SplittingScheme
-from .ensemble import (ClassPopulations, MomentumDistribution, Quadrature,
-                       ReflectivityRecord, class_populations, ensemble_average,
-                       reflectivity_matrix, robustness_curve)
+from .ensemble import (ClassPopulations, MomentumDistribution, ReflectivityRecord,
+                       class_populations, ensemble_average, reflectivity_matrix,
+                       robustness_curve)
 from .scans import (DmpCriterion, DmpReport, ScanResult, find_dmp, first_maximum,
                     rabi_scan, reflectivity_map)
 from .interferometer import (PortReport, fringe_scan, mirror_response, path_resolved_mzi,
@@ -22,7 +22,7 @@ __all__ = [
     "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec",
     "mach_zehnder_sequence", "resonance_delta_omega",
     "PP34A", "PP56", "SplittingScheme",
-    "ClassPopulations", "MomentumDistribution", "Quadrature", "ReflectivityRecord",
+    "ClassPopulations", "MomentumDistribution", "ReflectivityRecord",
     "class_populations", "ensemble_average", "reflectivity_matrix", "robustness_curve",
     "DmpCriterion", "DmpReport", "ScanResult", "find_dmp", "first_maximum",
     "rabi_scan", "reflectivity_map",

@@ -28,8 +28,10 @@ tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
 every command that makes one; ``mzi`` takes its phases, durations, Rabi
 frequencies and free time from ``[sequence]``.  ``[ensemble]`` p0
 centres every cloud, the ``robustness`` clouds of each spread included;
-dp is the cloud's Gaussian spread, and ``dp = 0`` a point cloud.  A
-``[scan]`` Rabi grid may start at ``omega_min = 0``, the identity pulse.
+dp is the cloud's Gaussian spread, and ``dp = 0`` a point cloud; nodes is the
+Gauss-Hermite node count of every cloud average, and seed only draws the map
+nodes that the spot check re-solves.  A ``[scan]`` Rabi grid may start at
+``omega_min = 0``, the identity pulse.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from . import gridprop, ladder
 from .errors import ConfigurationError
 from .physics import ATOMIC_MASS_KG, PhysicalConfig, default_rb87
 from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
-from .ensemble import MomentumDistribution, Quadrature
+from .ensemble import DEFAULT_GH_NODES, MomentumDistribution
 from .splitting import PP56, SCHEMES
 
 TWO_PI = 6.283185307179586476925286766559
@@ -138,8 +140,7 @@ _SCHEMA = {
     "ensemble": {
         "dp": ("quantity:momentum_hbark:hbark", 0.13, _nonnegative),
         "p0": ("quantity:momentum_hbark:hbark", 0.0, None),
-        "quadrature": ("str", "gauss-hermite", ("gauss-hermite", "monte-carlo")),
-        "nodes": ("int", 41, _positive),
+        "nodes": ("int", DEFAULT_GH_NODES, _positive),
         "seed": ("int", 12345, _nonnegative),
     },
     "propagator": {
@@ -248,9 +249,9 @@ class RunConfig:
         e = self.sections["ensemble"]
         return MomentumDistribution(p0=e["p0"], dp=e["dp"])
 
-    def quadrature(self) -> Quadrature:
-        e = self.sections["ensemble"]
-        return Quadrature(kind=e["quadrature"], n=e["nodes"], seed=e["seed"])
+    def quadrature(self) -> int:
+        """The Gauss-Hermite node count, [ensemble] nodes."""
+        return self.sections["ensemble"]["nodes"]
 
     def mzi_sequence(self, cfg):
         s = self.sections["sequence"]

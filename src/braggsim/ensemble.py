@@ -22,13 +22,13 @@ only place that chooses between the ladder and grid backends.
 ``_class_masses`` propagates only the ladder nodes q >= p_c and fills the
 others by the momentum reflection of :mod:`braggsim.ladder` when the
 sequence is one pulse of order n resonant at p_c = dist.p0, the quadrature
-nodes are symmetric about p_c (Gauss-Hermite, not Monte-Carlo; a point
-cloud has nothing to mirror) and the inputs and classes are closed under
-c -> n - c (each within 1e-12).  Otherwise, and always on the grid (the
-independent oracle), it runs the full batch: on the grid, one state whose
-rows are every input at every node, on the one-period ``Grid.comb``, which
-holds plane waves exactly.  Inputs and classes must lie in the backend's
-window: the ladder's truncation window or the grid's [-nyquist, nyquist).
+nodes are symmetric about p_c (a point cloud has nothing to mirror) and the
+inputs and classes are closed under c -> n - c (each within 1e-12).
+Otherwise, and always on the grid (the independent oracle), it runs the full
+batch: on the grid, one state whose rows are every input at every node, on the
+one-period ``Grid.comb``, which holds plane waves exactly.  Inputs and classes
+must lie in the backend's window: the ladder's truncation window or the grid's
+[-nyquist, nyquist).
 
 ``robustness_curve`` reads every spread from one response table when that
 reflection holds for its widest ladder set: P_{a->b}(q) on [p0, largest
@@ -54,21 +54,6 @@ RESPONSE_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
-class Quadrature:
-    """Averaging rule over the momentum distribution."""
-
-    kind: str = "gauss-hermite"   # or "monte-carlo"
-    n: int = DEFAULT_GH_NODES
-    seed: int = 12345
-
-    def __post_init__(self):
-        if self.kind not in ("gauss-hermite", "monte-carlo"):
-            raise ParameterError(f"unknown quadrature kind {self.kind!r}")
-        if self.n < 1:
-            raise ParameterError(f"quadrature size must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
 class MomentumDistribution:
     """Initial momentum distribution (units hbar*k_eff).
 
@@ -86,19 +71,17 @@ class MomentumDistribution:
         if self.dp < 0:
             raise ParameterError(f"momentum spread must be nonnegative, got {self.dp}")
 
-    def nodes(self, quadrature: Quadrature):
-        """(momenta, weights) with weights summing to 1; Gauss-Hermite drops the node pairs
-        whose weight is below 2^-53, as no sum near 1 can see it (1.5e-16 of 41 nodes)."""
+    def nodes(self, n=DEFAULT_GH_NODES):
+        """(momenta, weights) of the n-node Gauss-Hermite rule, weights summing to 1, less
+        the node pairs of weight below 2^-53: no sum near 1 sees them (1.5e-16 of 41)."""
+        if n < 1:
+            raise ParameterError(f"quadrature size must be >= 1, got {n}")
         if self.kind == "delta" or self.dp == 0.0:
             return np.array([self.p0]), np.array([1.0])
-        if quadrature.kind == "gauss-hermite":
-            x, w = np.polynomial.hermite.hermgauss(quadrature.n)
-            w = w / np.sqrt(np.pi)
-            keep = (w >= 2.0 ** -53) & (w[::-1] >= 2.0 ** -53)
-            return self.p0 + np.sqrt(2.0) * self.dp * x[keep], w[keep]
-        rng = np.random.default_rng(quadrature.seed)
-        p = rng.normal(self.p0, self.dp, quadrature.n)
-        return p, np.full(quadrature.n, 1.0 / quadrature.n)
+        x, w = np.polynomial.hermite.hermgauss(n)
+        w = w / np.sqrt(np.pi)
+        keep = (w >= 2.0 ** -53) & (w[::-1] >= 2.0 ** -53)
+        return self.p0 + np.sqrt(2.0) * self.dp * x[keep], w[keep]
 
 
 @dataclass(frozen=True)
@@ -217,12 +200,10 @@ def _class_masses(seq, dist, cfg, inputs, classes, quadrature, backend, rtol, at
 
 
 def ensemble_average(pulse_or_seq, dist, cfg, classes=None,
-                     quadrature=Quadrature(), backend="ladder", rtol=ladder.DEFAULT_RTOL,
+                     quadrature=DEFAULT_GH_NODES, backend="ladder", rtol=ladder.DEFAULT_RTOL,
                      atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
     """Average class populations over the momentum distribution, for the
-    cloud prepared in class 0.  Deterministic for gauss-hermite and
-    fixed-seed monte-carlo.
-    """
+    cloud prepared in class 0, on `quadrature` Gauss-Hermite nodes."""
     seq = _sequence_pulses(pulse_or_seq)
     classes = tuple(range(seq.order_hint + 1) if classes is None else classes)
     masses = _class_masses(seq, dist, cfg, (0,), classes, quadrature, backend,
@@ -260,7 +241,7 @@ def _reflectivity(classes, raw, norm_drift=None):
     return ReflectivityRecord(classes, raw / norm, raw, norm_drift)
 
 
-def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=Quadrature(),
+def reflectivity_matrix(mirror, dist, cfg, order=None, quadrature=DEFAULT_GH_NODES,
                         backend="ladder", rtol=ladder.DEFAULT_RTOL,
                         atol=ladder.DEFAULT_ATOL, grid_opts=gridprop.GridOptions()):
     """Reflectivity matrix over classes 0..n for one mirror pulse.
@@ -296,7 +277,7 @@ def _response_table(seq, p_c, width, cfg, n, rtol, atol):
     return coeffs.transpose(1, 0, 2), tail
 
 
-def robustness_curve(mirror, dp_grid, cfg, p0=0.0, quadrature=Quadrature(),
+def robustness_curve(mirror, dp_grid, cfg, p0=0.0, quadrature=DEFAULT_GH_NODES,
                      backend="ladder", rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                      grid_opts=gridprop.GridOptions()):
     """(records, stats): one ReflectivityRecord per momentum spread in dp_grid

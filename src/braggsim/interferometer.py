@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import gridprop, ladder
-from .ensemble import Quadrature, ensemble_average, reflectivity_matrix
+from .ensemble import DEFAULT_GH_NODES, ensemble_average, reflectivity_matrix
 from .errors import ParameterError
 from .pulses import Pulse
 
@@ -75,7 +75,7 @@ class PathNode:
         return self._fraction(self.port_coupled_mass)
 
 
-def run_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
+def run_mzi(seq, dist, cfg, quadrature=DEFAULT_GH_NODES, backend="ladder", **kw):
     """Coherent propagation through the full sequence; no path splitting."""
     cp = ensemble_average(seq, dist, cfg, quadrature=quadrature, backend=backend, **kw)
     port_mass = {p: cp.raw[p] for p in (0, seq.order_hint)}
@@ -123,7 +123,7 @@ def _port_probs(wts, C, ports, j_min):
     return out
 
 
-def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
+def path_resolved_mzi(seq, dist, cfg, quadrature=DEFAULT_GH_NODES, backend="ladder",
                       split_after=(0, 1), rtol=ladder.DEFAULT_RTOL,
                       atol=ladder.DEFAULT_ATOL):
     """Split the state into class branches after designated pulses.
@@ -166,7 +166,7 @@ def path_resolved_mzi(seq, dist, cfg, quadrature=Quadrature(), backend="ladder",
     return tree, report
 
 
-def mirror_response(mirror, dist, cfg, quadrature=Quadrature(), backend="ladder", **kw):
+def mirror_response(mirror, dist, cfg, quadrature=DEFAULT_GH_NODES, backend="ladder", **kw):
     """Class populations 0..n after the mirror for each prepared input class
     0..n: the rows of the mirror's reflectivity matrix."""
     rec = reflectivity_matrix(mirror, dist, cfg, quadrature=quadrature, backend=backend,
@@ -203,7 +203,7 @@ def fit_fringe(phis, values, harmonic):
     return FringeFit(float(a0), amp / a0, float(np.arctan2(as_, ac)), harmonic, resid)
 
 
-def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=Quadrature(),
+def fringe_scan(seq, phi3_grid, dist, cfg, quadrature=DEFAULT_GH_NODES,
                 backend="ladder", split_after=(0, 1),
                 rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                 grid_opts=gridprop.GridOptions()):

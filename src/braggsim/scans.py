@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, ensemble, gridprop, ladder
-from .ensemble import Quadrature, reflectivity_matrix
+from .ensemble import DEFAULT_GH_NODES, reflectivity_matrix
 from .errors import BraggSimError, ParameterError
 from .pulses import PulseSpec
 from .results import manifest_hash
@@ -44,7 +44,7 @@ class ScanResult:
     setting: tuple | None = None    # a map's `_map_node` arguments, see `_setting`
 
 
-def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=Quadrature(),
+def rabi_scan(cfg, n, tau, rabi_grid, dist, quadrature=DEFAULT_GH_NODES,
               backend="ladder", spec=PulseSpec(), **kw):
     """Class populations 0..n versus Rabi frequency at fixed duration.
 
@@ -138,7 +138,7 @@ def _one_blas_thread():
 
 
 def reflectivity_map(cfg, n, tau_grid, rabi_grid, pairs, dist,
-                     quadrature=Quadrature(), backend="ladder",
+                     quadrature=DEFAULT_GH_NODES, backend="ladder",
                      spec=PulseSpec(), jobs=1, cache_path=None,
                      rtol=ladder.DEFAULT_RTOL, atol=ladder.DEFAULT_ATOL,
                      grid_opts=gridprop.GridOptions()):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import gridprop, ladder
-from .ensemble import MomentumDistribution, Quadrature, ensemble_average, reflectivity_matrix
+from .ensemble import MomentumDistribution, ensemble_average, reflectivity_matrix
 from .pulses import Pulse
 
 ORACLE_TOL = 1e-3   # largest class-population deviation grid vs ladder that passes
@@ -96,8 +96,7 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
     record("phase_gauge_invariance", gauge < 1e-12, f"max pop change {gauge:.2e}")
 
     # quadrature convergence N vs N+8
-    cpa, cpb = (ensemble_average(pulse, MomentumDistribution(dp=0.13), cfg,
-                                 quadrature=Quadrature("gauss-hermite", nodes),
+    cpa, cpb = (ensemble_average(pulse, MomentumDistribution(dp=0.13), cfg, quadrature=nodes,
                                  rtol=rtol, atol=atol) for nodes in (41, 49))
     qdev = max(abs(cpa[c] - cpb[c]) for c in cpa.probs)
     record("quadrature_convergence", qdev < 1e-4, f"max class change {qdev:.2e}")

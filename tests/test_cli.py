@@ -242,7 +242,7 @@ def test_default_map_node_cache_key(tmp_path, monkeypatch):
     assert main(["map", "-o", str(tmp_path), "--jobs", "1",
                  "--set", "scan.spot_check_nodes=0"]) == 0
     with open(f"{tmp_path}/map_cache.jsonl") as fh:
-        assert json.loads(fh.readline())["hash"] == "d1d7f31179ad9653"
+        assert json.loads(fh.readline())["hash"] == "b62471654a42b5d4"
 
 
 def test_mirror_response_command(tmp_path, capsys):
@@ -488,6 +488,35 @@ def test_negative_seed_rejected_before_any_node(tmp_path, capsys):
     assert main(["map", "-c", cfg, "--jobs", "1", "--set", "ensemble.seed=-1"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
     assert not os.path.exists(f"{tmp_path}/out/map_cache.jsonl")
+
+
+def test_map_cache_ignores_the_spot_check_seed(tmp_path, capsys, monkeypatch):
+    # [ensemble] seed only draws the spot check's nodes, so a new seed reuses every
+    # cached map node and leaves the map's data rows as they were
+    cfg = _cfg(tmp_path, _map_body(f"{tmp_path}/out", taus=2, oms=2))
+    assert main(["map", "-c", cfg, "--jobs", "1"]) == 0
+    with open(f"{tmp_path}/out/map.tsv") as fh:
+        first = [line for line in fh if not line.startswith("#")]
+    solves, node = [], scans._map_node
+    monkeypatch.setattr(scans, "_map_node", lambda args: solves.append(args) or node(args))
+    assert main(["map", "-c", cfg, "--jobs", "1", "--set", "ensemble.seed=7"]) == 0
+    assert solves == []
+    with open(f"{tmp_path}/out/map_cache.jsonl") as fh:
+        assert len(fh.readlines()) == 4
+    with open(f"{tmp_path}/out/map.tsv") as fh:
+        assert [line for line in fh if not line.startswith("#")] == first
+
+
+@pytest.mark.parametrize("route", ["set", "file"])
+def test_removed_quadrature_key_is_unknown(tmp_path, capsys, route):
+    body = "[ensemble]\nquadrature = \"monte-carlo\"\n" if route == "file" else ""
+    sets = ["--set", "ensemble.quadrature=gauss-hermite"] if route == "set" else []
+    assert main(["oracle-diff", "-c", _cfg(tmp_path, body), "-o", f"{tmp_path}/out",
+                 *sets]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"] == ("unknown key 'quadrature' in [ensemble]; "
+                              "expected ['dp', 'nodes', 'p0', 'seed']")
 
 
 def test_unknown_subcommand_rejected_by_parser(capsys):

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm as norm_dist
 
 from braggsim import ensemble, gridprop, ladder
-from braggsim.ensemble import (MomentumDistribution, Quadrature, _class_masses,
+from braggsim.ensemble import (DEFAULT_GH_NODES, MomentumDistribution, _class_masses,
                                class_populations, ensemble_average, reflectivity_matrix,
                                robustness_curve)
 from braggsim.errors import ParameterError
@@ -38,20 +38,21 @@ TIGHT = {"rtol": 1e-13, "atol": 1e-15}
 class TestDistribution:
     def test_gauss_hermite_weights_normalized(self):
         d = MomentumDistribution("gaussian", 0.0, 0.13)
-        p, w = d.nodes(Quadrature("gauss-hermite", 41))
+        p, w = d.nodes(41)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(p) == 31
 
     def test_delta_single_node(self):
         d = MomentumDistribution("delta", 0.4, 0.0)
-        p, w = d.nodes(Quadrature())
+        p, w = d.nodes()
         assert list(p) == [0.4] and list(w) == [1.0]
 
-    def test_monte_carlo_deterministic(self):
-        d = MomentumDistribution("gaussian", 0.0, 0.13)
-        p1, _ = d.nodes(Quadrature("monte-carlo", 100, seed=7))
-        p2, _ = d.nodes(Quadrature("monte-carlo", 100, seed=7))
-        assert np.array_equal(p1, p2)
+    def test_node_count_below_one_rejected(self, rb87, mirror):
+        with pytest.raises(ParameterError):
+            MomentumDistribution("gaussian", 0.0, 0.13).nodes(0)
+        with pytest.raises(ParameterError):
+            reflectivity_matrix(mirror, MomentumDistribution("gaussian", 0.0, 0.13), rb87,
+                                quadrature=0)
 
     def test_negative_spread_rejected(self):
         with pytest.raises(ParameterError):
@@ -110,16 +111,10 @@ class TestEnsembleAverage:
             assert cp.raw[c] == pytest.approx(single.population(c), abs=1e-12)
 
     def test_quadrature_convergence(self, rb87, mirror, cloud):
-        a = ensemble_average(mirror, cloud, rb87, quadrature=Quadrature("gauss-hermite", 41))
-        b = ensemble_average(mirror, cloud, rb87, quadrature=Quadrature("gauss-hermite", 49))
+        a = ensemble_average(mirror, cloud, rb87, quadrature=41)
+        b = ensemble_average(mirror, cloud, rb87, quadrature=49)
         for c in range(4):
             assert abs(a[c] - b[c]) < 1e-4
-
-    def test_monte_carlo_reproducible(self, rb87, mirror, cloud):
-        qa = Quadrature("monte-carlo", 31, seed=99)
-        a = ensemble_average(mirror, cloud, rb87, quadrature=qa)
-        b = ensemble_average(mirror, cloud, rb87, quadrature=qa)
-        assert a.probs == b.probs
 
     def test_incoherent_average_equals_coherent_wavepacket(self, rb87):
         # coherent wavepacket on the grid vs incoherent ladder average over
@@ -248,7 +243,7 @@ class TestReciprocity:
         # on full-pulse columns: reflectivity_matrix is symmetric by construction
         pulse = Pulse.on_resonance(rb87, n, tau, rabi_avg=TWO_PI * rabi_khz * 1e3)
         for dist in (MomentumDistribution("delta", 0.0, 0.0), cloud):
-            raw = _full_matrix(pulse, dist, rb87, Quadrature("gauss-hermite", 9), n)
+            raw = _full_matrix(pulse, dist, rb87, 9, n)
             assert np.max(np.abs(raw - raw.T)) <= 1e-12
 
     def test_asymmetric_envelope_control(self, rb87, ramp_pulse):
@@ -269,8 +264,7 @@ class TestRobustness:
             robustness_curve(mirror, [0.2, 0.1], rb87)
 
     def test_curve_fields(self, rb87, dmp):
-        recs, stats = robustness_curve(dmp, [0.0, 0.1], rb87,
-                                       quadrature=Quadrature("gauss-hermite", 21))
+        recs, stats = robustness_curve(dmp, [0.0, 0.1], rb87, quadrature=21)
         assert recs[0].pair(0, 3) > recs[1].pair(0, 3)  # velocity selectivity
         assert stats["response_points"] == stats["quasimomenta_propagated"] >= 65
 
@@ -318,7 +312,6 @@ class TestResponseTable:
         monkeypatch.setattr(ensemble, "_class_masses", lambda *args: (np.eye(4), None))
         dps = self.DPS[:3]
         for kw, nodes in [({"backend": "grid"}, 1 + 31 * 2),     # dp = 0 is one node
-                          ({"quadrature": Quadrature("monte-carlo", 9)}, 1 + 9 * 2),
                           ({"p0": 0.1}, 1 + 31 * 2)]:
             calls["reflectivity_matrix"] = 0
             recs, stats = robustness_curve(mirror, dps, rb87, **kw)
@@ -347,23 +340,20 @@ class TestMomentumMirror:
         pulse = Pulse.on_resonance(rb87, n, 100e-6, rabi_avg=TWO_PI * 25e3,
                                    p0=p_c * rb87.unit("momentum"))
         dist = MomentumDistribution("gaussian", p_c, 0.13)
-        quad = Quadrature("gauss-hermite", nodes)
-        raw = reflectivity_matrix(pulse, dist, rb87, quadrature=quad).raw_matrix
+        raw = reflectivity_matrix(pulse, dist, rb87, quadrature=nodes).raw_matrix
         assert batch_sizes == [half]
-        ref = _full_matrix(pulse, dist, rb87, quad, n, **TIGHT)
+        ref = _full_matrix(pulse, dist, rb87, nodes, n, **TIGHT)
         assert np.max(np.abs(raw - ref)) <= 1e-12
         # the half pulse at the default tolerance is no farther off than the whole one
-        full = _full_matrix(pulse, dist, rb87, quad, n)
+        full = _full_matrix(pulse, dist, rb87, nodes, n)
         assert np.max(np.abs(raw - ref)) <= np.max(np.abs(full - ref))
 
     def test_full_batch_otherwise(self, rb87, batch_sizes, mirror, cloud):
-        gh = Quadrature("gauss-hermite", 9)
+        gh = 9
         tilted = Pulse.on_resonance(rb87, 3, 90e-6, rabi_avg=TWO_PI * 23e3,
                                     p0=0.3 * rb87.unit("momentum"))
         runs = [
             lambda: reflectivity_matrix(tilted, cloud, rb87, quadrature=gh),
-            lambda: reflectivity_matrix(mirror, cloud, rb87,
-                                        quadrature=Quadrature("monte-carlo", 9)),
             lambda: ensemble_average(mirror, cloud, rb87, quadrature=gh),
             lambda: reflectivity_matrix(mirror, cloud, rb87, order=4, quadrature=gh),
             lambda: reflectivity_matrix(PulseSequence((mirror, mirror)), cloud, rb87,
@@ -372,7 +362,7 @@ class TestMomentumMirror:
         ]
         for run in runs:
             run()
-        assert batch_sizes == [9] * 6 + [1]
+        assert batch_sizes == [9] * 5 + [1]
 
     def test_half_pulse_only_for_one_symmetric_pulse(self, rb87, mirror, cloud, ramp_pulse,
                                                      monkeypatch):
@@ -381,7 +371,7 @@ class TestMomentumMirror:
             paths.append(kwargs.get("part", 1.0))
             return _run(*args, **kwargs)
         monkeypatch.setattr(ladder, "propagate_batch", spy)
-        gh = Quadrature("gauss-hermite", 5)
+        gh = 5
         lone = reflectivity_matrix(mirror, cloud, rb87, quadrature=gh).raw_matrix
         reflectivity_matrix(ramp_pulse(rb87, 3, 90e-6, TWO_PI * 23e3), cloud, rb87,
                             quadrature=gh)
@@ -401,7 +391,7 @@ class TestMomentumMirror:
         states = []
         monkeypatch.setattr(gridprop, "run_sequence",
                             lambda state, items, cfg, opts: states.append(state) or state)
-        quad = Quadrature("gauss-hermite", 5)
+        quad = 5
         reflectivity_matrix(mirror, cloud, rb87, quadrature=quad, backend="grid")
         assert batch_sizes == []
         (st,) = states      # one row per input and node, input-major
@@ -422,7 +412,7 @@ class TestGridRows:
                 (MomentumDistribution("gaussian", 0.1, 0.13), (0,))]
 
         def masses(dist, inputs):
-            return _class_masses(seq, dist, rb87, tuple(inputs), (0, 1, 2, 3), Quadrature(),
+            return _class_masses(seq, dist, rb87, tuple(inputs), (0, 1, 2, 3), DEFAULT_GH_NODES,
                                  "grid", None, None, opts)[0]
         comb = [masses(*run) for run in runs]
         monkeypatch.setattr(gridprop.Grid, "comb", property(lambda grid: grid))
@@ -435,7 +425,7 @@ class TestGridRows:
         mirror = Pulse.on_resonance(rb87, 1, tau, rabi_avg=np.pi / tau, phase=0.4)
         seq = PulseSequence((bs, FreeEvolution(2e-4), mirror, FreeEvolution(2e-4), bs))
         cloud = MomentumDistribution("gaussian", 0.05, 0.02)
-        quad = Quadrature("gauss-hermite", 5)
+        quad = 5
         lad = ensemble_average(seq, cloud, rb87, quadrature=quad)
         grid = ensemble_average(seq, cloud, rb87, quadrature=quad, backend="grid")
         for c in (0, 1):

@@ -7,7 +7,7 @@ import pytest
 
 from braggsim import gridprop, ladder
 from braggsim.config import parse_config
-from braggsim.ensemble import MomentumDistribution, Quadrature
+from braggsim.ensemble import MomentumDistribution
 from braggsim.errors import ParameterError
 from braggsim.interferometer import (fit_fringe, fringe_scan, mirror_response,
                                      path_resolved_mzi, run_mzi)
@@ -15,7 +15,7 @@ from braggsim.pulses import (FreeEvolution, Pulse, PulseSequence,
                              mach_zehnder_sequence)
 
 TWO_PI = 2 * np.pi
-FAST = Quadrature("gauss-hermite", 9)
+FAST = 9
 DELTA = MomentumDistribution("delta", 0.0, 0.0)
 
 
@@ -120,7 +120,7 @@ class TestPathResolved:
         assert closing == [{(0, 3), (1, 1), (2, 2), (3, 0)}, {(0, 3), (1, 2), (2, 1), (3, 0)}]
         # the fringe scan's detector keeps the same paths
         phis = np.array([0.3, 0.5, 1.7, 2.2, 3.9, 5.0, 6.6])
-        fast = Quadrature("gauss-hermite", 7)
+        fast = 7
         for split_after in ((0, 1), (0, 1, 2)):
             ref = TestFringe._per_phase_reference(mzi(6e-4), phis, cloud, rb87, fast,
                                                   "closing", split_after)
@@ -138,7 +138,7 @@ class TestPathResolved:
         cfg = parse_config().physical()
         seq = parse_config().mzi_sequence(cfg)
         dist = MomentumDistribution("gaussian", 0.0, ref["dp"])
-        quad = Quadrature("gauss-hermite", ref["nodes"])
+        quad = ref["nodes"]
         phis = np.linspace(0.0, TWO_PI, ref["phi3_points"], endpoint=False)
         for key, want in ref["runs"].items():
             split_after = tuple(int(s) for s in key.split(","))
@@ -251,7 +251,7 @@ class TestFringe:
             phis = np.linspace(0, TWO_PI, 6, endpoint=False)
         else:
             phis = np.array([0.3, 0.5, 1.7, 2.2, 3.9, 5.0, 6.6])
-        fast = Quadrature("gauss-hermite", 7)
+        fast = 7
         ref = self._per_phase_reference(seq, phis, cloud, rb87, fast, detected, split_after)
         rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=fast, split_after=split_after)
         new = np.array([[r["port_0"], r["port_3"]] for r in rows])
@@ -265,7 +265,7 @@ class TestFringe:
         seq = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,
                                     TWO_PI * 21e3, 3e-4, phi1=0.4321)
         phis, tight = np.linspace(0, TWO_PI, 6, endpoint=False), {"rtol": 1e-13, "atol": 1e-15}
-        quad = Quadrature("gauss-hermite", 7)
+        quad = 7
 
         def run():
             rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad,
@@ -309,7 +309,7 @@ class TestFringe:
         seq = _ideal_two_level_mzi(rb87)
         phis = np.linspace(0, TWO_PI, 4, endpoint=False)
         opts = gridprop.GridOptions(grid=gridprop.Grid(64, 1))
-        cloud, quad = MomentumDistribution("gaussian", 0.0, 0.02), Quadrature("gauss-hermite", 3)
+        cloud, quad = MomentumDistribution("gaussian", 0.0, 0.02), 3
         ladder_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, split_after=())
         grid_rows, _ = fringe_scan(seq, phis, cloud, rb87, quadrature=quad, backend="grid",
                                    split_after=(), grid_opts=opts)
@@ -326,7 +326,7 @@ class TestFringe:
 
     def test_multipath_residual_plain_vs_dichroic(self, rb87, cloud):
         phis = np.linspace(0, TWO_PI, 10, endpoint=False)
-        fast = Quadrature("gauss-hermite", 7)
+        fast = 7
         seq_plain = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 90e-6,
                                           TWO_PI * 23e3, 4e-4)
         seq_dmp = mach_zehnder_sequence(rb87, 3, 90e-6, TWO_PI * 16.2e3, 120e-6,

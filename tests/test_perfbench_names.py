@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from braggsim.ensemble import MomentumDistribution, Quadrature, reflectivity_matrix
+from braggsim.ensemble import MomentumDistribution, reflectivity_matrix
 from braggsim.pulses import Pulse
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -49,8 +49,7 @@ def test_traced_mirror_node_counts_its_solve_and_envelope(monkeypatch, rb87):
     tracer = Tracer()
     try:
         tracer.install()
-        reflectivity_matrix(mirror, MomentumDistribution("gaussian", 0.0, 0.13), rb87,
-                            quadrature=Quadrature("gauss-hermite", 5))
+        reflectivity_matrix(mirror, MomentumDistribution("gaussian", 0.0, 0.13), rb87, quadrature=5)
     finally:
         tracer.restore()
     assert [s[1] for s in tracer.spans].count("ladder.propagate_batch") == 1

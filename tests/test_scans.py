@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 
 from braggsim import ensemble, ladder, scans
-from braggsim.ensemble import MomentumDistribution, Quadrature
+from braggsim.ensemble import MomentumDistribution
 from braggsim.errors import IntegrationError, ParameterError
 from braggsim.physics import ATOMIC_MASS_KG, PhysicalConfig
 from braggsim.pulses import Envelope, PulseSpec
@@ -17,7 +17,7 @@ from braggsim.scans import (DmpCriterion, ScanPoint, ScanResult, find_dmp,
 
 TWO_PI = 2 * np.pi
 
-FAST = Quadrature("gauss-hermite", 9)
+FAST = 9
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +154,10 @@ class TestReflectivityMap:
             assert pf.values == pr.values
 
     @staticmethod
-    def _values(cfg, cloud, cache_path, spec=PulseSpec()):
+    def _values(cfg, cloud, cache_path, spec=PulseSpec(), quadrature=FAST):
         res = reflectivity_map(cfg, 3, np.array([90e-6, 105e-6]),
                                TWO_PI * 1e3 * np.array([18.0, 21.0]), [(0, 3), (1, 2)],
-                               cloud, quadrature=FAST, spec=spec, cache_path=cache_path)
+                               cloud, quadrature=quadrature, spec=spec, cache_path=cache_path)
         return [pt.values for pt in res.points]
 
     def test_cache_keyed_by_physics(self, rb87, cloud9, tmp_path):
@@ -176,6 +176,13 @@ class TestReflectivityMap:
         rect_shared = self._values(rb87, cloud9, cache, rect)
         assert rect_shared == self._values(rb87, cloud9, None, rect)
         assert rect_shared != blackman
+
+    def test_cache_keyed_by_node_count(self, rb87, cloud9, tmp_path):
+        cache = os.path.join(tmp_path, "shared.jsonl")
+        nine = self._values(rb87, cloud9, cache)
+        five_shared = self._values(rb87, cloud9, cache, quadrature=5)
+        assert five_shared == self._values(rb87, cloud9, None, quadrature=5)
+        assert five_shared != nine
 
     def test_interrupted_map_resumes(self, rb87, cloud9, tmp_path, monkeypatch):
         # each finished node is in the cache before the next one starts

@@ -19,7 +19,10 @@ of each ``map_cache.jsonl`` line.  Each difference is printed, and the exit
 code is 1 if there is any, else 0.  A differing file, stdout or stderr whose text
 differs only in its numbers (TSV cells, JSON numbers, ``map_cache.jsonl`` values,
 numbers inside text) also gets the largest absolute difference between them, so a
-change that moves results at roundoff can state by how much.
+change that moves results at roundoff can state by how much.  A JSON file that
+differs in more than its numbers gets one line per dotted key path at which it
+differs instead, e.g. ``config.ensemble.nodes 41 -> 5`` or ``spot_check only in
+parent``.
 """
 from __future__ import annotations
 
@@ -109,10 +112,31 @@ def numeric_difference(a, b):
                default=0.0)
 
 
+def key_paths(a, b, path=""):
+    """One line per dotted key path (list items by index) at which two JSON values differ."""
+    if isinstance(a, list) and isinstance(b, list):
+        a, b = dict(enumerate(a)), dict(enumerate(b))
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [f"{path} {json.dumps(a)} -> {json.dumps(b)}"]
+    out = []
+    for k in sorted(set(a) | set(b)):
+        at = f"{path}.{k}" if path else str(k)
+        if k not in b or k not in a:
+            out.append(f"{at} only in {'parent' if k in a else 'change'}")
+        else:
+            out += key_paths(a[k], b[k], at)
+    return out
+
+
 def differs(label, what, a, b):
-    """One difference line, with the numeric difference where there is one."""
+    """The difference lines of one output: the numeric difference where there is one,
+    else for a JSON file its differing key paths."""
     d = None if isinstance(a, int) else numeric_difference(a, b)
-    return f"{label}: {what} differs" + ("" if d is None else f", numbers by at most {d:.2g}")
+    if d is None and what.endswith(".json"):
+        paths = key_paths(*(json.loads(x) if isinstance(x, bytes) else x for x in (a, b)))
+        if paths:
+            return [f"{label}: {what}: {p}" for p in paths]
+    return [f"{label}: {what} differs" + ("" if d is None else f", numbers by at most {d:.2g}")]
 
 
 def compare(label, argv, trees, same_version):
@@ -123,15 +147,15 @@ def compare(label, argv, trees, same_version):
         for tree, d in zip(trees, dirs):
             os.makedirs(d)
             results.append(run(tree, argv, d))
-        diffs = [differs(label, what, a, b) for what, a, b in
-                 zip(("exit code", "stdout", "stderr"), *results) if a != b]
+        diffs = [line for what, a, b in zip(("exit code", "stdout", "stderr"), *results)
+                 if a != b for line in differs(label, what, a, b)]
         names = [files(d) for d in dirs]
         for name in sorted(set(names[0]) ^ set(names[1])):
             diffs.append(f"{label}: {name} written by one tree only")
         for name in sorted(set(names[0]) & set(names[1])):
             a, b = (comparable(os.path.join(d, name), same_version) for d in dirs)
             if a != b:
-                diffs.append(differs(label, name, a, b))
+                diffs += differs(label, name, a, b)
         return diffs, len(names[0]), results[0][0]
 
 
