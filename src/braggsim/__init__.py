@@ -2,12 +2,12 @@
 diffraction, including dichroic mirror pulses (mirrors that reflect the
 resonant momentum classes while transmitting the parasitic ones)."""
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"
 
 from .physics import PhysicalConfig, default_rb87
 from .pulses import (Envelope, FreeEvolution, Pulse, PulseSequence, PulseSpec,
                      mach_zehnder_sequence, resonance_delta_omega)
-from .splitting import PP34A, PP56, SplittingScheme
+from .splitting import PP56, SplittingScheme
 from .ensemble import (ClassPopulations, MomentumDistribution, ReflectivityRecord,
                        class_populations, ensemble_average, reflectivity_matrix,
                        robustness_curve)
@@ -21,7 +21,7 @@ __all__ = [
     "PhysicalConfig", "default_rb87",
     "Envelope", "FreeEvolution", "Pulse", "PulseSequence", "PulseSpec",
     "mach_zehnder_sequence", "resonance_delta_omega",
-    "PP34A", "PP56", "SplittingScheme",
+    "PP56", "SplittingScheme",
     "ClassPopulations", "MomentumDistribution", "ReflectivityRecord",
     "class_populations", "ensemble_average", "reflectivity_matrix", "robustness_curve",
     "DmpCriterion", "DmpReport", "ScanResult", "find_dmp", "first_maximum",

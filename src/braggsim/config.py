@@ -21,8 +21,8 @@ overrides a key after the file is read, checked as a file key is.
 
 ``[propagator]`` applies to every command: the backend, the ladder
 tolerances and the grid settings reach each computation a command runs.
-Its tol defaults to the chosen scheme's own: 1e-10 for the default pp56,
-1e-8 for pp34a; pp34a at tol 1e-8 gives braggsim 0.1.3's grid results.
+The grid steps with the one splitting, pp56 (16 substeps per step), and
+its tol defaults to 1e-10.
 ``[pulse]`` envelope, omega_convention, p0 (the momentum the pulses are
 tuned to) and phase form the one ``PulseSpec`` that builds the pulses of
 every command that makes one; ``mzi`` takes its phases, durations, Rabi
@@ -41,9 +41,9 @@ import re
 from . import gridprop, ladder
 from .errors import ConfigurationError
 from .physics import ATOMIC_MASS_KG, PhysicalConfig, default_rb87
-from .pulses import Pulse, PulseSpec, mach_zehnder_sequence
+from .pulses import Envelope, Pulse, PulseSpec, mach_zehnder_sequence
 from .ensemble import DEFAULT_GH_NODES, MomentumDistribution
-from .splitting import PP56, SCHEMES
+from .splitting import PP56
 
 TWO_PI = 6.283185307179586476925286766559
 
@@ -123,7 +123,7 @@ _SCHEMA = {
         "tau": ("quantity:time:us", 90e-6, _positive),
         "omega": ("quantity:frequency:kHz", TWO_PI * 23e3, _nonnegative),
         "omega_convention": ("str", "avg", ("avg", "peak")),
-        "envelope": ("str", "blackman", ("blackman", "rectangular")),
+        "envelope": ("str", "blackman", Envelope.KINDS),
         "phase": ("quantity:angle:rad", 0.0, None),
         "p0": ("quantity:momentum_hbark:hbark", 0.0, None),
     },
@@ -145,8 +145,7 @@ _SCHEMA = {
     },
     "propagator": {
         "backend": ("str", "ladder", ("ladder", "grid")),
-        "scheme": ("str", PP56.name, tuple(SCHEMES)),
-        "tol": ("float", None, _positive),   # None: the scheme's own default
+        "tol": ("float", PP56.tol, _positive),
         "ladder_rtol": ("float", ladder.DEFAULT_RTOL, _positive),
         "ladder_atol": ("float", ladder.DEFAULT_ATOL, _positive),
         "grid_points": ("int", gridprop.DEFAULT_NUM_POINTS, _positive),
@@ -263,7 +262,7 @@ class RunConfig:
     def grid_opts(self) -> gridprop.GridOptions:
         pr = self.sections["propagator"]
         return gridprop.GridOptions(gridprop.Grid(pr["grid_points"], pr["grid_periods"]),
-                                    SCHEMES[pr["scheme"]], pr["tol"])
+                                    pr["tol"])
 
     def propagator(self):
         """backend, rtol, atol and grid_opts keyword arguments from [propagator]."""
@@ -305,6 +304,4 @@ def parse_config(path=None, overrides=(), text=None):
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{sec}]; expected {sorted(_SCHEMA[sec])}")
             sections[sec][key] = _parse_value(sec, key, raw)
-    pr = sections["propagator"]
-    pr["tol"] = SCHEMES[pr["scheme"]].tol if pr["tol"] is None else pr["tol"]
     return RunConfig(sections)

@@ -13,13 +13,13 @@ the largest row error sets; a 1-D state is one row and keeps the plain
 vector norm.  A plane wave occupies every num_periods-th mode only, so
 ``Grid.comb`` (one period, the same Nyquist window) carries it exactly.
 
-Steps follow a splitting scheme from :mod:`braggsim.splitting`; the
-kinetic substep carries the clock, the potential substep is evaluated at
-the frozen clock time.  The pair's two members advance in lockstep as one
-array, one FFT pair per kinetic substep for both, from per-step tables of
-kinetic and potential factors.  Adaptive stepping controls the embedded
-pair estimate per unit time, by default below the scheme's own tol: 1e-10
-for pp56 (the default), 1e-8 for pp34a; pp34a at 1e-8 gives 0.1.3's results.
+Steps follow the one splitting, pp56 of :mod:`braggsim.splitting`, 16
+substeps per step; the kinetic substep carries the clock, the potential
+substep is evaluated at the frozen clock time.  The pair's two members
+advance in lockstep as one array, one FFT pair per kinetic substep for
+both, from per-step tables of kinetic and potential factors.  Adaptive
+stepping controls the embedded pair estimate per unit time, by default
+below tol 1e-10.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from numpy.fft import fft, ifft
 
 from .errors import ParameterError, StiffnessError
 from .pulses import Pulse
-from .splitting import PP56, SplittingScheme
+from .splitting import PP56
 
 DEFAULT_NUM_POINTS = 512
 DEFAULT_NUM_PERIODS = 8
@@ -85,15 +85,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Settings of the split-step backend: grid, scheme, tol > 0 (None: the scheme's)."""
+    """Settings of the split-step backend: grid and tol > 0."""
 
     grid: Grid = Grid()
-    scheme: SplittingScheme = PP56
-    tol: float = None
+    tol: float = PP56.tol
 
     def __post_init__(self):
-        if self.tol is None:
-            object.__setattr__(self, "tol", self.scheme.tol)
         if self.tol <= 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
 
@@ -145,14 +142,15 @@ def momentum_populations(state):
 class _Stepper:
     """One pulse's splitting substeps on one grid, after the Nyquist check.
 
-    Member 0 is the scheme's plain member, member 1 the role-swapped one.
+    Member 0 is pp56's plain member, member 1 the role-swapped one; the
+    scheme argument is a test seam.
     ``kinetic_table`` and ``potential_table`` build a step's A and B factors
     in one numpy call each.  ``pair`` advances both members in lockstep on one
     (2, *psi.shape) array, one fft/ifft per A substep; ``member`` runs one.
     Rows that share one q share one kinetic row; the phase may be one per row.
     """
 
-    def __init__(self, state, pulse, cfg, scheme):
+    def __init__(self, state, pulse, cfg, scheme=PP56):
         state.grid.check_order(pulse.order_hint)
         self.tau, self.W, self.dw, phi = pulse.dimensionless(cfg)
         self.phi = np.reshape(phi, (-1, 1)) if np.ndim(phi) else phi
@@ -218,18 +216,18 @@ class _Stepper:
 def propagate_pulse(state, pulse: Pulse, cfg, opts=GridOptions()):
     """Advance a grid state through one pulse with adaptive pair-mean steps.
 
-    opts.tol bounds opts.scheme's pair error estimate per unit dimensionless
-    time.  A step ending within 1% of tau ends on it (Hairer's DOPRI rule),
-    so no remainder falls below the estimate's roundoff floor.  Raises
+    opts.tol bounds the pair error estimate per unit dimensionless time.  A
+    step ending within 1% of tau ends on it (Hairer's DOPRI rule), so no
+    remainder falls below the estimate's roundoff floor.  Raises
     StiffnessError if the controller underflows below tau * 1e-9.
     """
-    scheme, tol = opts.scheme, opts.tol
-    st = _Stepper(state, pulse, cfg, scheme)
+    tol = opts.tol
+    st = _Stepper(state, pulse, cfg)
     psi = state.psi.copy()
     t = 0.0
     h = st.tau * (1 / 200)        # first trial step; tau / 200 can round differently
     h_min = st.tau * 1e-9
-    expo = 1.0 / (scheme.err_order + 1)
+    expo = 1.0 / (PP56.err_order + 1)
     while t < st.tau:
         if t + 1.01 * h >= st.tau:
             h = st.tau - t
@@ -253,7 +251,7 @@ def propagate_pulse(state, pulse: Pulse, cfg, opts=GridOptions()):
     return GridState(state.grid, psi, state.q)
 
 
-def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, run="average"):
+def propagate_pulse_fixed(state, pulse, cfg, n_steps=400, run="average"):
     """Fixed-step propagation, forward or exactly reversed.
 
     run "average" advances the pair mean, "primary" the plain member, and
@@ -264,7 +262,7 @@ def propagate_pulse_fixed(state, pulse, cfg, scheme=PP56, n_steps=400, run="aver
         raise ParameterError(f"run must be 'average', 'primary' or 'backward', got {run!r}")
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    st = _Stepper(state, pulse, cfg, scheme)
+    st = _Stepper(state, pulse, cfg)
     psi = state.psi.copy()
     h = st.tau / n_steps
     for i in reversed(range(n_steps)) if run == "backward" else range(n_steps):
@@ -290,7 +288,7 @@ def free_evolve(state, T):
 
 def run_sequence(state, items, cfg, opts):
     """Grid state after the pulses and free evolutions of a sequence's items;
-    pulses step with the scheme and tolerance of opts."""
+    pulses step with the tolerance of opts."""
     for item in items:
         if isinstance(item, Pulse):
             state = propagate_pulse(state, item, cfg, opts)

@@ -34,13 +34,14 @@ BLACKMAN_MEAN = 0.42  # exact: the DC Fourier coefficient of the window
 class Envelope:
     """Closed-form pulse envelope shape with values in [0, 1] on [0, duration]."""
 
-    kind: str                      # "blackman" | "rectangular"
+    KINDS = ("blackman", "rectangular")   # each time symmetric, f(1 - u) = f(u)
+    kind: str                      # one of KINDS
     duration: float                # seconds
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ParameterError(f"envelope duration must be positive, got {self.duration}")
-        if self.kind not in ("blackman", "rectangular"):
+        if self.kind not in self.KINDS:
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
 
     def value_frac(self, u):

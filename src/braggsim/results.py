@@ -6,7 +6,7 @@ precision so reading a table back reproduces the values exactly.
 Columns whose unit is one of TEXT_UNITS hold strings; all others hold
 numbers.
 Manifests are JSON; a hash over the reproducible subset (config, seed,
-backend, scheme, tolerances, code version) is embedded in every table so
+backend, tolerances, code version) is embedded in every table so
 data files reference exactly one manifest.  Everything in that subset but
 the code version is read from the run's own config echo, so a manifest
 cannot name a backend or seed its config does not hold.
@@ -107,7 +107,7 @@ class RunManifest:
     def identity(self):
         """What the run computes, read from the config echo."""
         pr = self.config_echo["propagator"]
-        return {"command": self.command, "backend": pr["backend"], "scheme": pr["scheme"],
+        return {"command": self.command, "backend": pr["backend"],
                 "tolerances": {k: pr[k] for k in ("tol", "ladder_rtol", "ladder_atol")},
                 "seed": self.config_echo["ensemble"]["seed"], "code_version": __version__}
 

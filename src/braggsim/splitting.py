@@ -1,15 +1,15 @@
-"""Operator-splitting schemes for the split-step propagator.
+"""The one operator splitting of the split-step propagator: the palindromic pair pp56.
 
-Every scheme is a palindromic pair.  Its plain member advances
-exp(h*(A+B)) as the ordered product A(a_1) B(a_s) A(a_2) B(a_{s-1}) ...
-A(a_s) B(a_1), where A is the kinetic flow (which also carries the clock
-for time-dependent potentials) and B the potential flow evaluated at the
-frozen clock time: the B weights are the A weights reversed.  The
-role-swapped member, B first, is its adjoint, so the pair average gains an
-order and the half-difference is a free local-error estimate.  Swapping
-roles and negating the step size inverts a step exactly.  That
-time-reversal identity is `check`'s palindromic_reversal row, through
-``gridprop.propagate_pulse_fixed(run="backward")``, and the tests use it.
+Its plain member advances exp(h*(A+B)) as the ordered product A(a_1) B(a_s)
+A(a_2) B(a_{s-1}) ... A(a_s) B(a_1), where A is the kinetic flow (which also
+carries the clock for time-dependent potentials) and B the potential flow
+evaluated at the frozen clock time: the B weights are the A weights
+reversed.  The role-swapped member, B first, is its adjoint, so the pair
+average gains an order and the half-difference is a free local-error
+estimate.  Swapping roles and negating the step size inverts a step
+exactly.  That time-reversal identity is `check`'s palindromic_reversal
+row, through ``gridprop.propagate_pulse_fixed(run="backward")``, and the
+tests use it.
 
 pp56 is a "PP 5/6" pair (Auzinger, Hofstaetter, Ketcheson and Koch, BIT
 Numer. Math. 57, 55-74 (2017)): members of order 5, pair average of order
@@ -17,24 +17,13 @@ Numer. Math. 57, 55-74 (2017)): members of order 5, pair average of order
 are 8 equations in 8 a_i; of their real roots, which
 ``tools/splitting_roots.py`` finds, pp56 is the one of smallest sum |a_i|
 (2.6346).  Defect slopes (h 0.1 -> 0.05): members 6.0, pair average 7.0.
-Its default tol is the loosest of 1e-10, 3e-11 and 1e-11 at which the grid
-is as close to a tight ladder as pp34a at 1e-8 on four test pulses.
+A step is 16 substeps, and its tol, 1e-10, is the default ``[propagator] tol``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-
-# Palindromic order-3 coefficients: solution of the order conditions with
-# b = reversed(a), family parameter a_4 = 0.46 chosen for a small local
-# error constant.  Verified orders: member 3, pair average 4.
-_PP34A_A = (
-    0.262542481272861033480633396497,
-    0.459498950195451011327634874765,
-    -0.182041431468312044808268271263,
-    0.460000000000000000000000000000,
-)
 
 _PP56_A = (   # see the module docstring
     0.132057629900873208033361475567, 0.929627060334630106497029690198,
@@ -53,14 +42,13 @@ class SplittingScheme:
     tol: default bound on the error estimate per unit time.
     """
 
-    name: str
     a: tuple
     err_order: int
     tol: float = 1e-8
 
     def __post_init__(self):
         if abs(sum(self.a) - 1.0) > 1e-12:
-            raise ConfigurationError(f"scheme {self.name}: coefficients must sum to 1")
+            raise ConfigurationError("splitting coefficients must sum to 1")
 
     def substeps(self, swap_roles=False):
         """Ordered (slot, weight) pairs; slot "A" = kinetic+clock, "B" = potential."""
@@ -69,7 +57,4 @@ class SplittingScheme:
                 for pair in ((first, ai), (second, bi))]
 
 
-PP34A = SplittingScheme(name="pp34a", a=_PP34A_A, err_order=3)
-PP56 = SplittingScheme(name="pp56", a=_PP56_A, err_order=5, tol=1e-10)
-
-SCHEMES = {"pp56": PP56, "pp34a": PP34A}
+PP56 = SplittingScheme(a=_PP56_A, err_order=5, tol=1e-10)

@@ -43,9 +43,8 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
     than its 1e-12 threshold.  The grid's one adaptive solve is the
     oracle's, whose comb rows give the grid norm drift; the off-comb mass
     is read after the reversal check's forward pass on the configured grid,
-    the scheme's plain member, which the role-swapped member run backward
-    then undoes.  Both passes take 4800 substeps, whatever the scheme's
-    stage count, so their roundoff does not change with it.
+    pp56's plain member, which the role-swapped member run backward then
+    undoes.  Both passes take 300 pp56 steps, 4800 substeps.
     """
     results = []
 
@@ -72,17 +71,14 @@ def check_suite(cfg, grid_opts=gridprop.GridOptions(), rtol=ladder.DEFAULT_RTOL,
            f"{od['norm_drift']:.2e} over comb rows 0..3")
 
     # quasimomentum conservation on the grid
-    scheme = grid_opts.scheme
     gs = gridprop.plane_wave(grid_opts.grid, 0, 0.0)
-    n_steps = 4800 // len(scheme.substeps())
-    fwd = gridprop.propagate_pulse_fixed(gs, pulse, cfg, scheme=scheme, n_steps=n_steps,
-                                         run="primary")
+    n_steps = 300
+    fwd = gridprop.propagate_pulse_fixed(gs, pulse, cfg, n_steps=n_steps, run="primary")
     off = gridprop.momentum_populations(fwd)["offcomb"]
     record("offcomb_population", off < 1e-12, f"{off:.2e} after {n_steps} fixed steps")
 
     # palindromic forward/backward return
-    back = gridprop.propagate_pulse_fixed(fwd, pulse, cfg, scheme=scheme, n_steps=n_steps,
-                                          run="backward")
+    back = gridprop.propagate_pulse_fixed(fwd, pulse, cfg, n_steps=n_steps, run="backward")
     ret = float(np.linalg.norm(back.psi - gs.psi))
     record("palindromic_reversal", ret < 1e-8, f"return error {ret:.2e}")
 

@@ -50,24 +50,6 @@ def test_check_command(tmp_path, capsys):
     assert all(isinstance(row[2], str) for row in table.rows)
 
 
-def test_check_under_the_other_schemes(tmp_path):
-    # pp34a at its own default tol writes the grid rows of 0.1.3's default check; the
-    # ladder rows moved at roundoff in 0.1.6, with the stepper's stage sums
-    assert main(["check", "-o", f"{tmp_path}/pp34a", "--set", "propagator.scheme=pp34a"]) == 0
-    with open(f"{tmp_path}/pp34a/check.tsv") as fh:
-        rows = [line for line in fh if not line.startswith("#")][1:]
-    assert rows == [
-        "unit_round_trip\t1\tmax rel err 2.22e-16\n",
-        "ladder_norm_drift\t1\t4.12e-13\n",
-        "grid_norm_drift\t1\t2.50e-13 over comb rows 0..3\n",
-        "offcomb_population\t1\t2.16e-29 after 600 fixed steps\n",
-        "palindromic_reversal\t1\treturn error 6.90e-14\n",
-        "phase_gauge_invariance\t1\tmax pop change 3.44e-15\n",
-        "quadrature_convergence\t1\tmax class change 1.61e-15\n",
-        "ladder_truncation\t1\tmax change 8.08e-14\n",
-        "oracle_diff\t1\tmax dev 7.61e-13\n"]
-
-
 def test_rabi_scan_follows_omega_convention(tmp_path, capsys):
     # peak Rabi values reach P3's first maximum at about 54 kHz, avg at 23 kHz
     cfg = _cfg(tmp_path, "[scan]\nomega_min = 10\nomega_max = 80\nomega_count = 15\n"
@@ -242,7 +224,7 @@ def test_default_map_node_cache_key(tmp_path, monkeypatch):
     assert main(["map", "-o", str(tmp_path), "--jobs", "1",
                  "--set", "scan.spot_check_nodes=0"]) == 0
     with open(f"{tmp_path}/map_cache.jsonl") as fh:
-        assert json.loads(fh.readline())["hash"] == "b62471654a42b5d4"
+        assert json.loads(fh.readline())["hash"] == "ee2ca2692d98ed98"
 
 
 def test_mirror_response_command(tmp_path, capsys):
@@ -517,6 +499,19 @@ def test_removed_quadrature_key_is_unknown(tmp_path, capsys, route):
     assert err["error"] == "ConfigurationError"
     assert err["message"] == ("unknown key 'quadrature' in [ensemble]; "
                               "expected ['dp', 'nodes', 'p0', 'seed']")
+
+
+@pytest.mark.parametrize("route", ["set", "file"])
+def test_removed_scheme_key_is_unknown(tmp_path, capsys, route):
+    body = "[propagator]\nscheme = \"pp34a\"\n" if route == "file" else ""
+    sets = ["--set", "propagator.scheme=pp56"] if route == "set" else []
+    assert main(["oracle-diff", "-c", _cfg(tmp_path, body), "-o", f"{tmp_path}/out",
+                 *sets]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigurationError"
+    assert err["message"] == ("unknown key 'scheme' in [propagator]; expected ['backend', "
+                              "'grid_periods', 'grid_points', 'ladder_atol', 'ladder_rtol', "
+                              "'tol']")
 
 
 def test_unknown_subcommand_rejected_by_parser(capsys):

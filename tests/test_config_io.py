@@ -13,7 +13,7 @@ from braggsim.config import parse_config, parse_quantity
 from braggsim.errors import ConfigurationError
 from braggsim.gridprop import Grid, GridOptions
 from braggsim.results import ResultTable, RunManifest, manifest_hash
-from braggsim.splitting import PP34A, PP56
+from braggsim.splitting import PP56
 
 TWO_PI = 2 * np.pi
 
@@ -44,7 +44,6 @@ class TestParseConfig:
         assert set(echo) == {"physics", "pulse", "sequence", "ensemble",
                              "propagator", "scan", "output"}
         assert rc.get("pulse", "order") == 3
-        assert rc.get("propagator", "scheme") == "pp56"
         assert rc.get("propagator", "tol") == PP56.tol
         assert rc.get("ensemble", "nodes") == 41
         assert rc.physical().wavelength == 780.226e-9
@@ -81,11 +80,10 @@ class TestParseConfig:
         ("pulse", "omega_r", "21", "unknown key 'omega_r' in [pulse]"),
         ("pulse", "order", "three", "[pulse.order] expected an integer"),
         ("pulse", "tau", '"-1 us"', "[pulse.tau] value -1e-06 out of range"),
-        ("propagator", "scheme", "leapfrog", "[propagator.scheme] must be one of"),
-        ("propagator", "scheme", "strang", "[propagator.scheme] must be one of"),
+        ("propagator", "scheme", '"pp34a"', "unknown key 'scheme' in [propagator]"),
         ("pulse", "order", "5", "'order': 5"),
-    ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "unknown-scheme",
-            "removed-scheme", "valid"])
+    ], ids=["unknown-section", "unknown-key", "malformed", "out-of-range", "removed-scheme",
+            "valid"])
     def test_override_reads_as_file_key(self, section, key, raw, expected):
         def read(**route):
             try:
@@ -110,14 +108,13 @@ class TestParseConfig:
     def test_grid_options_from_propagator_section(self):
         rc = parse_config(text="", overrides=["propagator.grid_points=256",
                                               "propagator.grid_periods=4",
-                                              "propagator.scheme=pp34a",
                                               "propagator.tol=1e-9"])
-        assert rc.grid_opts() == GridOptions(Grid(256, 4), PP34A, 1e-9)
+        assert rc.grid_opts() == GridOptions(Grid(256, 4), 1e-9)
         assert parse_config(text="").grid_opts() == GridOptions()
-        # an unset tol is the chosen scheme's own
-        rc = parse_config(text="", overrides=["propagator.scheme=pp34a"])
-        assert rc.get("propagator", "tol") == 1e-8
-        assert rc.grid_opts() == GridOptions(scheme=PP34A) == GridOptions(Grid(), PP34A, 1e-8)
+        # an unset tol is pp56's own
+        rc = parse_config(text="", overrides=["propagator.grid_points=256"])
+        assert rc.get("propagator", "tol") == PP56.tol
+        assert rc.grid_opts() == GridOptions(Grid(256)) == GridOptions(Grid(256), PP56.tol)
 
     def test_pulse_factory_uses_avg_convention(self, rb87):
         rc = parse_config(text='[pulse]\norder = 3\ntau = "120 us"\nomega = 21\n')
@@ -126,8 +123,7 @@ class TestParseConfig:
         assert p.rabi_peak == pytest.approx(TWO_PI * 21e3 / 0.42, rel=1e-12)
 
     @pytest.mark.parametrize("section, key, value", [
-        (sec, key, v) for sec, key in (("pulse", "envelope"), ("pulse", "omega_convention"),
-                                       ("propagator", "scheme"))
+        (sec, key, v) for sec, key in (("pulse", "envelope"), ("pulse", "omega_convention"))
         for v in config._SCHEMA[sec][key][2]])
     def test_every_enumerated_value_builds(self, rb87, section, key, value):
         rc = parse_config(text="", overrides=[f"{section}.{key}={value}"])
@@ -212,11 +208,11 @@ class TestManifest:
         assert back.provenance["manifest_hash"] == m.hash
 
     def test_default_check_run_hash(self, tmp_path, capsys):
-        # the identity of `braggsim check` with every default: backend, scheme,
+        # the identity of `braggsim check` with every default: backend,
         # tolerances and seed come from the config echo, the version from the
         # package.  A change of what the hash covers must change this literal.
         assert main(["check", "-o", str(tmp_path)]) == 0
         man = json.load(open(os.path.join(tmp_path, "check_manifest.json")))
-        assert man["manifest_hash"] == "c154c0c413474b9a"
+        assert man["manifest_hash"] == "7cd1b21fa6cd9a01"
         table = ResultTable.read(os.path.join(tmp_path, "check.tsv"))
-        assert table.provenance["manifest_hash"] == "c154c0c413474b9a"
+        assert table.provenance["manifest_hash"] == "7cd1b21fa6cd9a01"

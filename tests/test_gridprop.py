@@ -10,7 +10,7 @@ from braggsim.errors import ParameterError
 from braggsim.gridprop import Grid, GridOptions, class_masses, free_evolve, plane_wave, \
     momentum_populations, propagate_pulse, propagate_pulse_fixed
 from braggsim.pulses import Pulse
-from braggsim.splitting import PP34A, PP56, SplittingScheme
+from braggsim.splitting import PP56, SplittingScheme
 
 TWO_PI = 2 * np.pi
 
@@ -81,7 +81,7 @@ class TestKinetic:
 
 
 # one weight: the role-swapped member's first B substep is at clock t and lasts h
-ONE_WEIGHT = SplittingScheme(name="one-weight", a=(1.0,), err_order=1)
+ONE_WEIGHT = SplittingScheme(a=(1.0,), err_order=1)
 
 
 def potential_phase(state, pulse, cfg, t, duration):
@@ -191,7 +191,7 @@ class TestPropagatePulse:
         # the pair's estimate has a roundoff floor, below which a step can never pass;
         # pp56 clears it at a tenth of its default tol on the check pulse's comb rows
         rows = plane_wave(Grid().comb, np.arange(4), 0.0)
-        out = propagate_pulse(rows, mirror, rb87, GridOptions(scheme=PP56, tol=PP56.tol / 10))
+        out = propagate_pulse(rows, mirror, rb87, GridOptions(tol=PP56.tol / 10))
         assert np.max(np.abs(np.linalg.norm(out.psi, axis=-1) - 1.0)) < 1e-10
 
     def test_last_step_ends_on_tau(self, rb87):
@@ -222,23 +222,19 @@ class TestFixedStepAndReversal:
 
     def test_palindromic_reversal(self, rb87, mirror):
         st = plane_wave(Grid(), 0, 0.0)
-        fwd = propagate_pulse_fixed(st, mirror, rb87, scheme=PP34A, n_steps=700, run="primary")
-        back = propagate_pulse_fixed(fwd, mirror, rb87, scheme=PP34A, n_steps=700,
-                                     run="backward")
+        fwd = propagate_pulse_fixed(st, mirror, rb87, n_steps=350, run="primary")
+        back = propagate_pulse_fixed(fwd, mirror, rb87, n_steps=350, run="backward")
         assert np.linalg.norm(back.psi - st.psi) < 1e-8
 
-    @pytest.mark.parametrize("scheme,min_slope", [(PP34A, 3.8), (PP56, 4.8)])
-    def test_convergence_order(self, rb87, scheme, min_slope):
+    def test_convergence_order(self, rb87):
         pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
         st = plane_wave(Grid(256, 8), 0, 0.0)
         steps = [48, 96, 192]
-        ref = propagate_pulse_fixed(st, pulse, rb87, scheme=scheme,
-                                    n_steps=steps[-1] * 16)
-        errs = [np.linalg.norm(
-            propagate_pulse_fixed(st, pulse, rb87, scheme=scheme, n_steps=ns).psi
-            - ref.psi) for ns in steps]
+        ref = propagate_pulse_fixed(st, pulse, rb87, n_steps=steps[-1] * 16)
+        errs = [np.linalg.norm(propagate_pulse_fixed(st, pulse, rb87, n_steps=ns).psi
+                               - ref.psi) for ns in steps]
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
-        assert -slope >= min_slope
+        assert -slope >= 4.8
 
 
 class TestLockstep:
@@ -254,7 +250,7 @@ class TestLockstep:
             pulse = replace(mirror, phase=np.repeat([0.0, 1.0, 2.5], 2))
         else:
             st = plane_wave(Grid(), 1, 0.07)
-        stepper = gridprop._Stepper(st, pulse, rb87, PP56)
+        stepper = gridprop._Stepper(st, pulse, rb87)
         tau = stepper.tau
         for t, h in ((0.0, tau / 7), (0.4 * tau, tau / 11), (tau - tau / 9, tau / 9)):
             two = stepper.pair(st.psi, t, h)
@@ -272,7 +268,7 @@ class TestLockstep:
             return np.fft.fft(a, *args, **kwargs)
         monkeypatch.setattr(gridprop, "fft", counted)
         st = plane_wave(Grid().comb, np.arange(4), np.zeros(4))
-        propagate_pulse_fixed(st, mirror, rb87, scheme=PP56, n_steps=1)
+        propagate_pulse_fixed(st, mirror, rb87, n_steps=1)
         assert len(calls) == len(PP56.a) == 8
 
 
@@ -306,13 +302,13 @@ class TestRows:
 
     def test_rows_match_one_at_a_time(self, rb87):
         # the rows share the steps of the worst row, so each differs from its own
-        # run by less than the controller's error: below 1e-12 for pp34a at tol 1e-9
-        # and for pp56 at its default tol
+        # run by less than the controller's error, which shrinks with tol: 4.3e-13 at
+        # the default 1e-10 and 1.1e-13 at 3e-11 (6.2e-12 at 1e-9)
         pulse = Pulse.on_resonance(rb87, 2, 40e-6, rabi_avg=TWO_PI * 18e3)
         g = Grid(64, 1)
         classes = range(-2, 6)
-        for scheme, tol in ((PP34A, 1e-9), (PP56, None)):
-            opts = GridOptions(scheme=scheme, tol=tol)
+        for tol in (PP56.tol, 3e-11):
+            opts = GridOptions(tol=tol)
             rows = propagate_pulse(plane_wave(g, self.JS, self.QS), pulse, rb87, opts)
             assert rows.psi.shape == (4, 64)
             one = np.array([gridprop.class_masses(propagate_pulse(
@@ -342,7 +338,7 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         out = propagate_pulse(plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"]), pulse,
-                              rb87, GridOptions(scheme=PP34A, tol=ref["tol"]))
+                              rb87, GridOptions(tol=ref["tol"]))
         assert np.array_equal(steps, ref["h"])
         assert np.array_equal(out.psi, np.array(ref["psi_re"]) + 1j * np.array(ref["psi_im"]))
 
@@ -355,9 +351,8 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         st = plane_wave(Grid(*ref["grid"]), ref["input"], ref["q"])
-        fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"])
-        back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
-                                     run="backward")
+        fwd = propagate_pulse_fixed(st, pulse, rb87, n_steps=ref["n_steps"])
+        back = propagate_pulse_fixed(fwd, pulse, rb87, n_steps=ref["n_steps"], run="backward")
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))
@@ -371,10 +366,8 @@ class TestRows:
         pulse = Pulse.on_resonance(rb87, ref["order"], ref["tau_s"],
                                    rabi_avg=TWO_PI * ref["rabi_avg_hz"])
         st = plane_wave(Grid(*ref["grid"]), np.array(ref["inputs"]), np.array(ref["q"]))
-        fwd = propagate_pulse_fixed(st, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
-                                    run="primary")
-        back = propagate_pulse_fixed(fwd, pulse, rb87, scheme=PP34A, n_steps=ref["n_steps"],
-                                     run="backward")
+        fwd = propagate_pulse_fixed(st, pulse, rb87, n_steps=ref["n_steps"], run="primary")
+        back = propagate_pulse_fixed(fwd, pulse, rb87, n_steps=ref["n_steps"], run="backward")
         for name, out in (("fwd", fwd), ("back", back)):
             assert np.array_equal(out.psi, np.array(ref[f"{name}_re"])
                                   + 1j * np.array(ref[f"{name}_im"]))

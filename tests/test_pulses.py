@@ -57,6 +57,14 @@ class TestEnvelope:
         assert env.value_frac(1.0 / 2.0) == 1.0
         assert env.value_frac(2.5 / 2.0) == 0.0
 
+    def test_every_kind_is_time_symmetric(self):
+        # the half-pulse block needs f(tau - t) = f(t), and ladder.run_sequence takes
+        # it for every Envelope pulse: an asymmetric kind must fail here first
+        us = np.linspace(0.0, 1.0, 1001)
+        for kind in Envelope.KINDS:
+            f = Envelope(kind, 90e-6).value_frac
+            assert max(abs(f(u) - f(1.0 - u)) for u in us.tolist()) <= 1e-15
+
 
 class TestResonance:
     def test_third_order(self, rb87):

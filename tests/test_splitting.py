@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from braggsim.splitting import PP34A, PP56
+from braggsim.splitting import PP56
 
 
 def composition_defect(scheme, h=0.05, dim=6, seed=42, swap_roles=False, average=False):
@@ -32,29 +32,7 @@ def composition_defect(scheme, h=0.05, dim=6, seed=42, swap_roles=False, average
 
 
 def test_coefficients_sum_to_one():
-    for scheme in (PP34A, PP56):
-        assert sum(scheme.a) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pp34a_member_is_order_three():
-    # local error ~ h^4 -> defect ratio ~ 16 when halving h
-    e1 = composition_defect(PP34A, h=0.1)
-    e2 = composition_defect(PP34A, h=0.05)
-    slope = np.log2(e1 / e2)
-    assert slope > 3.8
-
-
-def test_pp34a_swapped_member_same_order():
-    e1 = composition_defect(PP34A, h=0.1, swap_roles=True)
-    e2 = composition_defect(PP34A, h=0.05, swap_roles=True)
-    assert np.log2(e1 / e2) > 3.8
-
-
-def test_pp34a_pair_average_is_order_four():
-    # local error ~ h^5
-    e1 = composition_defect(PP34A, h=0.1, average=True)
-    e2 = composition_defect(PP34A, h=0.05, average=True)
-    assert np.log2(e1 / e2) > 4.8
+    assert sum(PP56.a) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("swap_roles, average, min_slope", [
@@ -68,8 +46,8 @@ def test_pp56_orders(swap_roles, average, min_slope):
 
 
 def test_substeps_swap():
-    subs = PP34A.substeps()
-    swapped = PP34A.substeps(swap_roles=True)
-    assert [s for s, _ in subs] == ["A", "B"] * len(PP34A.a)
-    assert [s for s, _ in swapped] == ["B", "A"] * len(PP34A.a)
+    subs = PP56.substeps()
+    swapped = PP56.substeps(swap_roles=True)
+    assert [s for s, _ in subs] == ["A", "B"] * len(PP56.a)
+    assert [s for s, _ in swapped] == ["B", "A"] * len(PP56.a)
     assert [w for _, w in subs] == [w for _, w in swapped]

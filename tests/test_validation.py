@@ -4,7 +4,6 @@ import pytest
 
 from braggsim.gridprop import Grid, momentum_populations, plane_wave, propagate_pulse_fixed
 from braggsim.pulses import Pulse
-from braggsim.splitting import PP34A
 from braggsim.validation import oracle_diff
 
 TWO_PI = 2 * np.pi
@@ -26,11 +25,11 @@ def test_offcomb_mass_after_the_reversal_forward_pass(rb87, check_pulse):
     # about 2e-29 on Grid(512, 8); the adaptive pulse's 6e-29 is test_gridprop's
     # test_quasimomentum_conservation
     fwd = propagate_pulse_fixed(plane_wave(Grid(), 0, 0.0), check_pulse, rb87,
-                                scheme=PP34A, n_steps=600, run="primary")
+                                n_steps=300, run="primary")
     assert momentum_populations(fwd)["offcomb"] < 1e-12
 
 
 def test_default_grid_matches_a_tight_ladder_on_the_check_pulse(rb87, check_pulse):
-    # pp56 at its default tol; 0.1.3's pp34a at tol 1e-8 read 7.5e-13
+    # pp56 at its default tol reads about 5.6e-14
     od = oracle_diff(check_pulse, rb87, rtol=1e-13, atol=1e-15)
     assert od["max_abs_dev"] <= 1e-12

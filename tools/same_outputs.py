@@ -22,10 +22,12 @@ numbers inside text) also gets the largest absolute difference between them, so 
 change that moves results at roundoff can state by how much.  A JSON file that
 differs in more than its numbers gets one line per dotted key path at which it
 differs instead, e.g. ``config.ensemble.nodes 41 -> 5`` or ``spot_check only in
-parent``.
+parent``, and any other text output one line per line that only one tree wrote,
+e.g. ``line '# scheme = pp56' only in parent``, the first MAX_LINES of them.
 """
 from __future__ import annotations
 
+import difflib
 import json
 import os
 import re
@@ -37,6 +39,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 3, 7)
 TIMING_KEYS = ("wall_time_s", "timestamp")
 IDENTITY_KEYS = ("manifest_hash", "code_version")
+MAX_LINES = 10
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 EXTRA_COMMANDS = [
     ("rabi_scan", ["rabi-scan"]),
@@ -52,7 +55,7 @@ EXTRA_COMMANDS = [
                             "--set", "ensemble.nodes=3"]),
     ("oracle_diff", ["oracle-diff"]),
     ("check", ["check"]),
-    ("check_pp34a", ["check", "--set", "propagator.scheme=pp34a"]),
+    ("check_tol", ["check", "--set", "propagator.tol=3e-11"]),
 ]
 
 
@@ -128,14 +131,39 @@ def key_paths(a, b, path=""):
     return out
 
 
+def text_lines(x):
+    """The lines of a text output's comparable form; None for JSON and exit codes."""
+    if isinstance(x, bytes):
+        return x.decode(errors="replace").splitlines()
+    if isinstance(x, list) and all(isinstance(line, str) for line in x):
+        return [line.rstrip("\n") for line in x]
+    return None
+
+
+def line_changes(a, b):
+    """One line per line of a or b that the other does not hold, in file order."""
+    out = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            out += [f"line {x!r} only in parent" for x in a[i1:i2]]
+            out += [f"line {x!r} only in change" for x in b[j1:j2]]
+    return out
+
+
 def differs(label, what, a, b):
     """The difference lines of one output: the numeric difference where there is one,
-    else for a JSON file its differing key paths."""
+    else for a JSON file its differing key paths and for other text its differing lines."""
     d = None if isinstance(a, int) else numeric_difference(a, b)
     if d is None and what.endswith(".json"):
         paths = key_paths(*(json.loads(x) if isinstance(x, bytes) else x for x in (a, b)))
         if paths:
             return [f"{label}: {what}: {p}" for p in paths]
+    lines = [text_lines(x) for x in (a, b)]
+    if d is None and None not in lines:
+        changed = line_changes(*lines)
+        more = [f"{label}: {what}: {len(changed) - MAX_LINES} more lines"] \
+            if len(changed) > MAX_LINES else []
+        return [f"{label}: {what}: {c}" for c in changed[:MAX_LINES]] + more
     return [f"{label}: {what} differs" + ("" if d is None else f", numbers by at most {d:.2g}")]
 
 
